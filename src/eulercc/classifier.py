@@ -221,8 +221,12 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
     resolution is (nx, ny) for the m2 and b axes. Rows are emitted in
     row-major order, b outer and m2 inner. workers > 1 splits rows across
     processes (set via the EULERCC_WORKERS environment variable when None);
-    assembly order is deterministic either way.
+    assembly order is deterministic either way. Raises ValueError when a
+    range end is NaN or infinite.
     """
+    for name, (lo, hi) in (("m2", m2_range), ("b", b_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{name} range must be finite, got {lo!r}:{hi!r}")
     m2_values = _axis(float(m2_range[0]), float(m2_range[1]), int(resolution[0]))
     b_values = _axis(float(b_range[0]), float(b_range[1]), int(resolution[1]))
     if workers is None:

@@ -385,14 +385,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_range_flags(argv):
-    # argparse mistakes range values like "-4:2" for option strings; fold the
-    # value into the flag token so `grid --m2 -4:2 --b -4:4` parses as typed.
+def _merge_value_flags(argv):
+    # argparse mistakes values that start with "-" but are not plain numbers
+    # (ranges like "-4:2", mass lists like "-1,2,3", "-inf") for option
+    # strings; fold the value into the flag token so `grid --m2 -4:2 --b -4:4`
+    # and `solve -m -1,2,3 -b -inf` parse as typed.
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--m2", "--b") and i + 1 < len(argv):
+        if tok in ("--m2", "--b", "-m", "--masses", "-b") and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -405,7 +407,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_range_flags(list(argv)))
+    args = parser.parse_args(_merge_value_flags(list(argv)))
     try:
         if args.command == "solve":
             args.masses = _parse_masses(args.masses)

@@ -128,15 +128,16 @@ def abc_terms(b, s):
     return a, bb, c
 
 
+# The triples are grouped by base, so sum_sign takes one log per base.
 def _g_triples(m: MassTriple, b, s):
     u = 1.0 + s
     return [
         (m.m2 + m.m3, b, s),
-        (m.m1 + m.m3, b, u),
         (m.m3, b + 1.0, s),
+        (-m.m2, 1.0, s),
+        (m.m1 + m.m3, b, u),
         (-m.m3, b + 1.0, u),
         (-m.m1, 1.0, u),
-        (-m.m2, 1.0, s),
     ]
 
 
@@ -144,8 +145,8 @@ def _gp_triples(m: MassTriple, b, s):
     u = 1.0 + s
     return [
         (b * (m.m2 + m.m3), b - 1.0, s),
-        (b * (m.m1 + m.m3), b - 1.0, u),
         ((b + 1.0) * m.m3, b, s),
+        (b * (m.m1 + m.m3), b - 1.0, u),
         (-(b + 1.0) * m.m3, b, u),
         (-(m.m1 + m.m2), 0.0, 1.0),
     ]
@@ -445,10 +446,10 @@ def _cell_roots(mv: MassTriple, b, h, tol):
 
     def h_sign_at_s(s):
         y = s / (1.0 + s)
-        return sum_sign([(t.coefficient, t.exponent, y) for t in h.terms], DEGENERACY_REL)
+        return sum_sign([(t.coefficient, t.exponent, y) for t in h.terms], DEGENERACY_REL)[0]
 
     def gp_sign(s, zero_rel):
-        return sum_sign(_gp_triples(mv, b, s), zero_rel)
+        return sum_sign(_gp_triples(mv, b, s), zero_rel)[0]
 
     # Breakpoint values are compared against evaluation noise; the looser
     # degeneracy threshold applies only when flagging roots via the chain.
@@ -457,20 +458,20 @@ def _cell_roots(mv: MassTriple, b, h, tol):
     interior = [(s, gp_sign(s, BOUNDARY_ZERO_REL), s * (1.0 - tol), s * (1.0 + tol))
                 for s in curvature_breaks]
     gp_roots = isolate_between(
-        lambda s: gp_sign(s, 0.0),
+        lambda s: sum_sign(_gp_triples(mv, b, s), 0.0),
         gp_left, gp_right, interior,
         rel_tol=tol, chain_sign_fn=h_sign_at_s,
     )
 
     # Stage 2: g is strictly monotone between g' roots.
     def g_sign(s, zero_rel):
-        return sum_sign(_g_triples(mv, b, s), zero_rel)
+        return sum_sign(_g_triples(mv, b, s), zero_rel)[0]
 
     g_left = _g_anchor_zero(mv, b)
     g_right = _g_anchor_inf(mv, b)
     interior = [(r.value, g_sign(r.value, BOUNDARY_ZERO_REL), r.lo, r.hi) for r in gp_roots]
     return isolate_between(
-        lambda s: g_sign(s, 0.0),
+        lambda s: sum_sign(_g_triples(mv, b, s), 0.0),
         g_left, g_right, interior,
         rel_tol=tol, chain_sign_fn=lambda s: gp_sign(s, DEGENERACY_REL),
     )
@@ -481,8 +482,13 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL):
 
     Returns (count, solutions); count is INFINITE (with no enumerable
     solutions) exactly on the degenerate families of the cell's mass view.
+    Raises ValueError when a mass or b is NaN or infinite.
     """
     m = _masses(m)
+    if not all(map(math.isfinite, m.as_tuple())):
+        raise ValueError(f"masses must be finite, got {m.as_tuple()}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b!r}")
     if cell not in CELLS:
         raise ValueError("cell must be 1, 2 or 3")
     mv = cell_mass_view(m, cell)
@@ -500,7 +506,10 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL):
 
 
 def count_all(m, b, tol=DEFAULT_REL_TOL):
-    """Counts for all three cells. Returns (CellCount, solutions)."""
+    """Counts for all three cells. Returns (CellCount, solutions).
+
+    Raises ValueError when a mass or b is NaN or infinite.
+    """
     m = _masses(m)
     counts = {}
     solutions = []

@@ -4,14 +4,16 @@ Every "is this zero" question is asked relative to the sum of term
 magnitudes at the evaluation point, never against an absolute epsilon:
 the functions handled here mix wildly different exponents, so absolute
 thresholds are meaningless.
+
+Roots are refined on a certified bracket, which moves only on a certified
+sign. ITP steps (interpolate, truncate, project) find the sign change in
+few evaluations; the root reported is still the one bisection reports.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath
 
 # Relative threshold below which a function value at a breakpoint is treated
 # as a zero of the function itself (degenerate-root detection).
@@ -21,7 +23,7 @@ DEGENERACY_REL = 1e-8
 # far down in the noise is an exact boundary zero, not a countable root.
 BOUNDARY_ZERO_REL = 1e-12
 
-# Default relative width at which bisection stops.
+# Default relative width at which refinement stops.
 DEFAULT_REL_TOL = 1e-12
 
 # |exponent * log(base)| beyond which float powers may overflow and the
@@ -29,6 +31,11 @@ DEFAULT_REL_TOL = 1e-12
 _LOG_SAFE = 660.0
 
 _MP_DPS = 60
+
+# An fsum within this multiple of the term magnitudes is inside the rounding
+# noise of the terms (a few ulps each, times |exponent| for a rounded base):
+# its sign still counts, but its magnitude is not passed on.
+_NOISE_REL = 2.0 ** -48
 
 
 class ToleranceError(RuntimeError):
@@ -39,11 +46,23 @@ def _log_abs(x):
     return math.log(abs(x))
 
 
-def _is_safe(terms):
+def _float_terms(terms):
+    """[c * base**e] over the nonzero terms, or None when a power may overflow.
+
+    A run of terms with the same base shares one log, so the library's
+    callers, which list their terms grouped by base, take each distinct
+    base's log once per point.
+    """
+    vals = []
+    last = None
     for c, e, base in terms:
-        if c != 0.0 and abs(e * math.log(base)) > _LOG_SAFE:
-            return False
-    return True
+        if c != 0.0:
+            if base != last:
+                last, log_base = base, math.log(base)
+            if abs(e * log_base) > _LOG_SAFE:
+                return None
+            vals.append(c * base ** e)
+    return vals
 
 
 def sum_value(terms):
@@ -53,48 +72,55 @@ def sum_value(terms):
     range is exceeded, so the returned value may be +/-inf for results that
     genuinely overflow doubles.
     """
-    terms = [t for t in terms if t[0] != 0.0]
-    if not terms:
-        return 0.0
-    if _is_safe(terms):
-        return math.fsum(c * base ** e for c, e, base in terms)
+    vals = _float_terms(terms)
+    if vals is not None:
+        return math.fsum(vals)
+    import mpmath
+
     with mpmath.workdps(_MP_DPS):
-        tot = mpmath.fsum(mpmath.mpf(c) * mpmath.power(base, e) for c, e, base in terms)
+        tot = mpmath.fsum(mpmath.mpf(c) * mpmath.power(base, e)
+                          for c, e, base in terms if c != 0.0)
         return float(tot)
 
 
 def sum_sign(terms, zero_rel=DEGENERACY_REL):
-    """Sign in {-1, 0, 1} of sum(c * base**e), zero when below zero_rel * scale.
+    """(sign, value) of sum(c * base**e); the sign is 0 below zero_rel * scale.
 
-    scale is the sum of term magnitudes at the point. Three tiers: plain
-    fsum when exponents are safely in float range, a log-rescaled sum when
-    they are not, and mpmath when the rescaled sum cannot resolve the sign.
+    sign is in {-1, 0, 1}; scale is the sum of term magnitudes at the
+    point. Three tiers: plain fsum when exponents are safely in float
+    range, a log-rescaled sum when they are not, and mpmath when the
+    rescaled sum cannot resolve the sign. value is the fsum that decided
+    the sign, or None when a later tier decided it or the fsum is within
+    rounding noise of the terms. terms is a list, read twice when the first
+    tier refuses.
     """
-    terms = [t for t in terms if t[0] != 0.0]
-    if not terms:
-        return 0
-    if _is_safe(terms):
-        vals = [c * base ** e for c, e, base in terms]
+    vals = _float_terms(terms)
+    if vals is not None:
         value = math.fsum(vals)
-        scale = math.fsum(abs(v) for v in vals)
+        scale = math.fsum(map(abs, vals))
         if abs(value) <= zero_rel * scale:
-            return 0
-        return 1 if value > 0.0 else -1
+            sign = 0
+        else:
+            sign = 1 if value > 0.0 else -1
+        return sign, (value if abs(value) > _NOISE_REL * scale else None)
     # Log-rescaled: divide everything by the largest term magnitude.
+    terms = [t for t in terms if t[0] != 0.0]
     logs = [(_log_abs(c) + e * math.log(base), 1.0 if c > 0 else -1.0) for c, e, base in terms]
     top = max(lg for lg, _ in logs)
     value = math.fsum(sg * math.exp(lg - top) for lg, sg in logs)
     scale = math.fsum(math.exp(lg - top) for lg, _ in logs)
     # The rescaling itself costs ~1e-13 relative accuracy; below that, escalate.
     if abs(value) > max(zero_rel, 1e-11) * scale:
-        return 1 if value > 0.0 else -1
+        return (1 if value > 0.0 else -1), None
+    import mpmath
+
     with mpmath.workdps(_MP_DPS):
         vals = [mpmath.mpf(c) * mpmath.power(base, e) for c, e, base in terms]
         value = mpmath.fsum(vals)
         scale = mpmath.fsum(abs(v) for v in vals)
         if scale == 0 or abs(value) <= mpmath.mpf(zero_rel) * scale:
-            return 0
-        return 1 if value > 0 else -1
+            return 0, None
+        return (1 if value > 0 else -1), None
 
 
 @dataclass(frozen=True)
@@ -149,8 +175,10 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     lead_log = math.log(abs(c0))
     rest = [(math.log(abs(c)) - lead_log, e - e0) for c, e in pairs[1:]]
 
-    def rest_rel_log(lx):
-        parts = [lc + de * lx for lc, de in rest]
+    def rel_log(others, lx):
+        # log of the summed magnitudes of others (and the tail) relative to
+        # the leading term at x = e**lx
+        parts = [lc + de * lx for lc, de in others]
         t = _tail_rel(tail, lead_log, e0, lx)
         if t is not None:
             parts.append(t)
@@ -170,7 +198,7 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     for _ in range(phase1):
         if x < _PROBE_FLOOR:
             raise ToleranceError("tail bound refused to shrink below the leading term")
-        if rest_rel_log(math.log(x)) < math.log(_MARGIN):
+        if rel_log(rest, math.log(x)) < math.log(_MARGIN):
             return x, sign0
         x *= _SHRINK
 
@@ -195,19 +223,7 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
             zone_sign = -sign0
     if cap_log < zone_floor_log:
         raise ToleranceError("no representable probe range below the leading-pair root")
-    remote = [(math.log(abs(c)) - lead_log, e - e0) for c, e in pairs[2:]]
-
-    def remote_rel_log(lx):
-        parts = [lc + de * lx for lc, de in remote]
-        t = _tail_rel(tail, lead_log, e0, lx)
-        if t is not None:
-            parts.append(t)
-        if not parts:
-            return -math.inf
-        top = max(parts)
-        if top == math.inf:
-            return math.inf
-        return top + math.log(math.fsum(math.exp(v - top) for v in parts))
+    remote = rest[1:]
 
     def rel_abs(lx):
         return abs(1.0 + math.copysign(math.exp(pair_log + eps * lx), c0 * c1))
@@ -218,7 +234,7 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
         # |rel| is monotone with no root inside [zone_floor, x], so it is
         # bounded below by its value at the two ends
         w_rel_min = min(1.0, floor_rel, rel_abs(lx))
-        if w_rel_min > 0.0 and remote_rel_log(lx) < math.log(_MARGIN) + math.log(w_rel_min):
+        if w_rel_min > 0.0 and rel_log(remote, lx) < math.log(_MARGIN) + math.log(w_rel_min):
             return math.exp(lx), zone_sign
         lx += shrink_log
     raise ToleranceError("no probe point dominated by the leading terms")
@@ -251,26 +267,111 @@ class RootRecord:
     degenerate: bool
 
 
-def bisect_sign_change(sign_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_iter=3000):
-    """Refine a certified sign change of sign_fn on [lo, hi], 0 < lo < hi.
+# ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation by
+# k1 * w**2 with k1 = _ITP_K1 / w0 (w the bracket width, w0 its width when
+# ITP began; k2 = 2), and _ITP_N0 steps of slack over bisection.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
+# Trial points keep _END_GUARD * rel_tol * hi from both bracket ends, so a
+# step landing beside the root cannot collapse the ITP bracket into the
+# rounding noise around it (which would make the replay evaluate every
+# midpoint).
+_END_GUARD = 0.25
 
-    Returns (value, lo, hi, hit_zero). Uses geometric midpoints while the
-    bracket spans more than a factor of 8, so brackets reaching toward 0 or
-    infinity converge in O(log log-range) steps.
+
+def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, max_iter):
+    """ITP steps on [lo, hi], hi <= 8 * lo: (l, h, trusted) around the sign change.
+
+    l has sign sign_lo and h the other sign, h - l <= rel_tol * h, or
+    l = h at an exact zero. trusted is False when interpolation was used
+    and both ends came back without a value: the bracket then sits inside
+    rounding noise, where float signs need not be monotone, so its ends say
+    nothing about the signs of points outside it.
     """
-    hit_zero = False
-    for _ in range(max_iter):
-        if hi - lo <= rel_tol * hi:
-            return 0.5 * (lo + hi), lo, hi, hit_zero
-        if hi > 8.0 * lo:
-            mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+    node_lo = node_hi = None  # latest (x, value) with a value on each side
+    v_lo = v_hi = None  # values at the current ends
+    interpolated = False
+    w0 = hi - lo
+    for step in range(max_iter):
+        width = hi - lo
+        if width <= rel_tol * hi:
+            return lo, hi, not (interpolated and v_lo is None and v_hi is None)
+        x = 0.5 * (lo + hi)
+        if node_lo is not None and node_hi is not None:
+            (xa, ya), (xb, yb) = node_lo, node_hi
+            xf = xa + (xb - xa) * (ya / (ya - yb))
+            d = x - xf
+            xt = xf + math.copysign(min(_ITP_K1 * width * width / w0, abs(d)), d)
+            # After k steps the bracket is at most 2**(_ITP_N0 - k) * w0 wide.
+            r = max(math.ldexp(w0, _ITP_N0 - 1 - step) - 0.5 * width, 0.0)
+            if abs(xt - x) > r:
+                xt = x - math.copysign(r, d)
+            guard = _END_GUARD * rel_tol * hi
+            xt = min(max(xt, lo + guard), hi - guard)
+            if lo < xt < hi:
+                x = xt
+                interpolated = True
+        if not (lo < x < hi):  # bracket exhausted float resolution
+            return lo, hi, True
+        s, v = eval_fn(x)
+        if s == 0:
+            return x, x, True
+        if s == sign_lo:
+            lo, v_lo = x, v
+            if v is not None:
+                node_lo = (x, v)
         else:
-            mid = 0.5 * (lo + hi)
+            hi, v_hi = x, v
+            if v is not None:
+                node_hi = (x, v)
+    raise ToleranceError("ITP refinement failed to converge within iteration budget")
+
+
+def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_iter=3000):
+    """Refine a certified sign change on [lo, hi], 0 < lo < hi, as bisection does.
+
+    eval_fn(x) returns (sign, value) as sum_sign(terms, 0.0) does; value may
+    be None. Brackets spanning more than a factor of 8 are split at their
+    geometric midpoint, so brackets reaching toward 0 or infinity converge
+    in O(log log-range) steps; after that the midpoint. The bracket moves
+    only on a certified sign.
+
+    The sign change is found by ITP steps (_itp_bracket), which need far
+    fewer evaluations; bisection's path is then replayed, evaluating only
+    the midpoints that the ITP bracket does not decide (all of them when it
+    sits in rounding noise). So the result is the one plain bisection
+    returns, whatever the interpolation did.
+
+    Returns (value, lo, hi, hit_zero).
+    """
+    for _ in range(max_iter):
+        if hi <= 8.0 * lo or hi - lo <= rel_tol * hi:
+            break
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         if not (lo < mid < hi):  # bracket exhausted float resolution
-            return mid, lo, hi, hit_zero
-        s = sign_fn(mid)
+            return mid, lo, hi, False
+        s, _ = eval_fn(mid)
         if s == 0:
             return mid, lo, hi, True
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    l, h, trusted = _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, max_iter)
+    for _ in range(max_iter):
+        if hi - lo <= rel_tol * hi:
+            return 0.5 * (lo + hi), lo, hi, False
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            return mid, lo, hi, False
+        if trusted and mid <= l:
+            s = sign_lo
+        elif trusted and mid >= h:
+            s = -sign_lo
+        else:
+            s, _ = eval_fn(mid)
+            if s == 0:
+                return mid, lo, hi, True
         if s == sign_lo:
             lo = mid
         else:
@@ -278,7 +379,7 @@ def bisect_sign_change(sign_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_it
     raise ToleranceError("bisection failed to converge within iteration budget")
 
 
-def isolate_between(sign_fn, left, right, interior, rel_tol=DEFAULT_REL_TOL,
+def isolate_between(eval_fn, left, right, interior, rel_tol=DEFAULT_REL_TOL,
                     chain_sign_fn=None):
     """Isolate roots given monotone pieces delimited by certified breakpoints.
 
@@ -288,9 +389,10 @@ def isolate_between(sign_fn, left, right, interior, rel_tol=DEFAULT_REL_TOL,
     between which the target function is strictly monotone. A breakpoint
     sign of 0 is itself a root of the target (within threshold) and is
     recorded once, flagged degenerate; anchors with sign 0 are boundary
-    zeros and are not recorded. chain_sign_fn, when given, evaluates the
-    sign of the derivative-chain function with the degeneracy threshold and
-    decides the degenerate flag of bisection roots.
+    zeros and are not recorded. eval_fn is the target's (sign, value)
+    evaluator that bisect_sign_change refines with. chain_sign_fn, when
+    given, evaluates the sign of the derivative-chain function with the
+    degeneracy threshold and decides the degenerate flag of refined roots.
     """
     xl, sl = left
     xr, sr = right
@@ -311,7 +413,7 @@ def isolate_between(sign_fn, left, right, interior, rel_tol=DEFAULT_REL_TOL,
     for (xa, sa, _, _), (xb, sb, _, _) in zip(pts, pts[1:]):
         if sa == 0 or sb == 0 or sa == sb:
             continue
-        value, lo, hi, hit_zero = bisect_sign_change(sign_fn, xa, xb, sa, rel_tol)
+        value, lo, hi, hit_zero = bisect_sign_change(eval_fn, xa, xb, sa, rel_tol)
         # A mid-point landing exactly on zero says nothing about degeneracy;
         # only the derivative-chain magnitude at the root does.
         if chain_sign_fn is not None:

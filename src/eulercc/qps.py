@@ -154,9 +154,11 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint, tol=1e-12,
                   cap=None) -> LineCount:
     """Count sign changes of the restriction on an adaptive probe grid.
 
-    Sign changes are refined by bisection to relative width tol. The count
-    is a lower bound on the number of roots; it is reported as certified
-    exactly when it equals a caller-supplied cap.
+    Sign changes are refined on their certified bracket to relative width
+    tol. The restriction passes signs without values, so every refinement
+    step bisects (ITP needs values to interpolate). The count is a lower
+    bound on the number of roots; it is reported as certified exactly when
+    it equals a caller-supplied cap.
     """
     restriction, (xlo, xhi) = restrict_to_line(f, c)
     pts = _probe_grid(xlo, xhi)
@@ -180,7 +182,8 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint, tol=1e-12,
             def sign_fn(t):
                 v = restriction(t)
                 return 0 if v == 0.0 else (1 if v > 0.0 else -1)
-            value, lo, hi, hit_zero = bisect_sign_change(sign_fn, prev_x, x, prev_s, tol)
+            value, lo, hi, hit_zero = bisect_sign_change(
+                lambda t: (sign_fn(t), None), prev_x, x, prev_s, tol)
             roots.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=hit_zero))
         prev_x, prev_s = x, s
     roots.sort(key=lambda r: r.value)

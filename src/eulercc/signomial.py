@@ -200,7 +200,7 @@ def _isolate(p: Signomial, lo: float, hi: float, tol: float) -> list[RootRecord]
     breakpoints = [r.value for r in q_roots]
 
     def p_sign(x, zero_rel):
-        return sum_sign(_triples(p, x), zero_rel)
+        return sum_sign(_triples(p, x), zero_rel)[0]
 
     # Left anchor: domination probe for the open end at 0, direct evaluation
     # for a finite boundary (a boundary zero is excluded, not counted).
@@ -219,12 +219,12 @@ def _isolate(p: Signomial, lo: float, hi: float, tol: float) -> list[RootRecord]
     # degeneracy threshold applies to the chain magnitude at found roots.
     interior = [(r.value, p_sign(r.value, BOUNDARY_ZERO_REL), r.lo, r.hi) for r in q_roots]
     return isolate_between(
-        lambda x: p_sign(x, 0.0),
+        lambda x: sum_sign(_triples(p, x), 0.0),
         left,
         right,
         interior,
         rel_tol=tol,
-        chain_sign_fn=lambda x: sum_sign(_triples(q, x), DEGENERACY_REL),
+        chain_sign_fn=lambda x: sum_sign(_triples(q, x), DEGENERACY_REL)[0],
     )
 
 

@@ -50,6 +50,27 @@ def test_solve_parse_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "-m", "1,1,1", "-b", "nan"), "b must be finite"),
+    (("solve", "-m", "inf,1,1", "-b", "-2"), "masses must be finite"),
+    (("solve", "-m", "1,-inf,1", "-b", "-2"), "masses must be finite"),
+    (("solve", "-m", "1,1,1", "-b", "-inf"), "b must be finite"),
+    (("grid", "--m2", "0:1", "--b", "nan:1", "-n", "2x2"), "b range must be finite"),
+    (("grid", "--m2", "0:inf", "--b", "-2:-1", "-n", "2x2"), "m2 range must be finite"),
+])
+def test_non_finite_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_solve_accepts_values_starting_with_minus(capsys):
+    code, out, _ = run(capsys, "solve", "-m", "-1,-1,-1", "-b", "-2")
+    assert code == 0
+    assert json.loads(out)["total"] == 3
+
+
 def test_grid_single_infinite_point(capsys):
     code, out, _ = run(capsys, "grid", "--m2", "0:0", "--b", "1:1", "-n", "1x1")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -351,6 +352,22 @@ def test_count_all_examples():
     assert counts.total == 0 and sols == []
     counts, _ = count_all((1, -0.9, 1), 0.5)
     assert (counts.e1, counts.e2, counts.e3, counts.total) == (1, 3, 1, 5)
+
+
+@pytest.mark.parametrize("m, b", [
+    ((math.nan, 1.0, 1.0), -2.0),
+    ((1.0, math.inf, 1.0), -2.0),
+    ((1.0, 1.0, -math.inf), -2.0),
+    ((1.0, 1.0, 1.0), math.nan),
+    ((1.0, 1.0, 1.0), math.inf),
+    ((1.0, 1.0, 1.0), -math.inf),
+])
+def test_non_finite_input_is_rejected(m, b):
+    name = "b" if math.isfinite(sum(m)) else "masses"
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        count_cell(m, b, 2)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        count_all(m, b)
 
 
 def test_count_all_infinite_total_when_any_cell_infinite():

@@ -19,6 +19,7 @@ from eulercc.signomial import (
     sign_variations,
 )
 
+from eulercc.numerics import DEFAULT_REL_TOL, bisect_sign_change, sum_sign
 from oracles import signomial_scan_count
 
 
@@ -284,3 +285,80 @@ def test_isolation_windows_are_disjoint_and_sorted(n, seed):
         assert a.hi <= b.lo or a.degenerate or b.degenerate
     for r in roots:
         assert r.lo < r.value < r.hi or r.lo == r.hi == r.value
+
+
+# --- refinement ------------------------------------------------------------------
+
+
+def counted(eval_fn):
+    """eval_fn wrapped to count its calls in calls[0]."""
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return eval_fn(x)
+
+    return wrapped, calls
+
+
+def signomial_eval(p):
+    return lambda x: sum_sign([(t.coefficient, t.exponent, x) for t in p.terms], 0.0)
+
+
+@pytest.mark.parametrize("raw", [
+    [(3, -0.5), (-1, 5)],
+    [(3, -2), (-1, 1)],
+    [(2, -3), (-1, 0.5)],
+    [(7, -1), (-1, 5)],
+])
+def test_interpolation_step_beside_the_root_keeps_a_bracket(raw):
+    # On these steep monotone signomials an ITP step lands within a few ulps
+    # of the root. Without the end guard the next step closed the ITP
+    # bracket to one ulp, inside rounding noise, and the whole bisection
+    # path then had to be evaluated again (more than 50 evaluations).
+    p = normalize(raw)
+    (c0, e0), (c1, e1) = p.pairs()
+    root = (-c0 / c1) ** (1.0 / (e1 - e0))
+    eval_fn, calls = counted(signomial_eval(p))
+    value, lo, hi, hit_zero = bisect_sign_change(eval_fn, root / 1.5, root * 1.5, 1)
+    assert not hit_zero
+    assert lo < value < hi
+    assert hi - lo <= DEFAULT_REL_TOL * hi
+    assert value == pytest.approx(root, rel=2 * DEFAULT_REL_TOL)
+    assert calls[0] <= 20
+
+
+def test_refinement_steps_are_bounded_by_bisection():
+    # x^40 - 1 on [0.5, 2] defeats interpolation: the regula-falsi point
+    # crawls from the flat end. The projection still keeps the ITP steps
+    # within bisection's plus n0 = 1, and 2 more cover the midpoints of the
+    # bisection path that fall inside the ITP bracket.
+    p = normalize([(1, 40), (-1, 0)])
+    itp_fn, itp_calls = counted(signomial_eval(p))
+    value, lo, hi, _ = bisect_sign_change(itp_fn, 0.5, 2.0, -1)
+    plain_fn, plain_calls = counted(lambda x: (signomial_eval(p)(x)[0], None))
+    bisect_sign_change(plain_fn, 0.5, 2.0, -1)
+    # without values every step bisects: ceil(log2(1.5 / 1e-12)) halvings
+    assert plain_calls[0] == math.ceil(math.log2(1.5 / DEFAULT_REL_TOL))
+    assert itp_calls[0] <= plain_calls[0] + 1 + 2
+    assert lo < 1.0 < hi and hi - lo <= DEFAULT_REL_TOL * hi
+    assert lo < value < hi
+
+
+@pytest.mark.parametrize("raw, lo, hi, sign_lo", [
+    ([(1, 40), (-1, 0)], 0.5, 2.0, -1),
+    ([(3, -1), (-1, 1)], 1e-3, 1e3, 1),
+    ([(1, 0.5), (-3, 1), (1, 2)], 0.5, 4.0, -1),
+])
+def test_refinement_without_values_converges_to_the_same_width(raw, lo, hi, sign_lo):
+    # qps passes value=None: every step then bisects, to the same stop rule,
+    # and the result is the one the interpolating refinement reports.
+    p = normalize(raw)
+    with_values = bisect_sign_change(signomial_eval(p), lo, hi, sign_lo)
+    without = bisect_sign_change(lambda x: (signomial_eval(p)(x)[0], None), lo, hi, sign_lo)
+    value, a, b, hit_zero = without
+    assert not hit_zero
+    assert a < value < b
+    assert b - a <= DEFAULT_REL_TOL * b
+    assert signomial_eval(p)(a)[0] == sign_lo and signomial_eval(p)(b)[0] == -sign_lo
+    assert with_values == without
