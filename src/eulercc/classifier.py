@@ -20,7 +20,6 @@ cross-check every off-frontier grid point against the numeric counter.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .euler import INFINITE, MassTriple, count_all
@@ -196,8 +195,7 @@ def _frontier_distance(m2, b):
     return min(dists)
 
 
-def _scan_row(args):
-    b, m2_values, cross_check, margin, tol = args
+def _scan_row(b, m2_values, cross_check, margin, tol):
     row = []
     mismatches = []
     checked = 0
@@ -215,33 +213,23 @@ def _scan_row(args):
 
 
 def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
-              tol=1e-12, workers=None) -> GridResult:
+              tol=1e-12) -> GridResult:
     """Classify a grid; optionally cross-check off-frontier points numerically.
 
     resolution is (nx, ny) for the m2 and b axes. Rows are emitted in
-    row-major order, b outer and m2 inner. workers > 1 splits rows across
-    processes (set via the EULERCC_WORKERS environment variable when None);
-    assembly order is deterministic either way. Raises ValueError when a
-    range end is NaN or infinite.
+    row-major order, b outer and m2 inner. Raises ValueError when a range
+    end is NaN or infinite.
     """
     for name, (lo, hi) in (("m2", m2_range), ("b", b_range)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{name} range must be finite, got {lo!r}:{hi!r}")
     m2_values = _axis(float(m2_range[0]), float(m2_range[1]), int(resolution[0]))
     b_values = _axis(float(b_range[0]), float(b_range[1]), int(resolution[1]))
-    if workers is None:
-        workers = int(os.environ.get("EULERCC_WORKERS", "1") or "1")
-    tasks = [(b, m2_values, cross_check, margin, tol) for b in b_values]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_row, tasks))
-    else:
-        results = [_scan_row(t) for t in tasks]
     rows = []
     mismatches = []
     checked = 0
-    for row, miss, n in results:
+    for b in b_values:
+        row, miss, n = _scan_row(b, m2_values, cross_check, margin, tol)
         rows.extend(row)
         mismatches.extend(miss)
         checked += n

@@ -168,16 +168,6 @@ def _cmd_bounds(args) -> int:
 # --- verify: reduced acceptance battery -------------------------------------------
 
 
-def _check(name, fn, failures):
-    try:
-        fn()
-    except Exception as exc:  # report and continue
-        failures.append(name)
-        print(f"FAIL {name}: {exc}")
-    else:
-        print(f"PASS {name}")
-
-
 def _quintic_pairs(m: MassTriple):
     m1, m2, m3 = m.as_tuple()
     return [(m2 + m3, 0), (2 * m2 + 3 * m3, 1), (m2 + 3 * m3, 2),
@@ -322,20 +312,28 @@ def _verify() -> int:
             want, _ = euler.count_cell(m, b, 2)
             assert got == want, f"{got} != {want} at {m}, b={b}"
 
-    _check("classic-uniqueness", classic_uniqueness, failures)
-    _check("vortex-total-bound", vortex_bound, failures)
-    _check("middle-cell-bound", middle_cell_bound, failures)
-    _check("positive-masses-one-per-cell", positive_masses, failures)
-    _check("total-bounds-by-regime", totals_split, failures)
-    _check("zero-sum-masses", zero_sum_cases, failures)
-    _check("polynomial-expansions", expansions, failures)
-    _check("degenerate-families", degenerate_families, failures)
-    _check("figure-grid-crosscheck", figure_grid, failures)
-    _check("signomial-engine", signomial_engine, failures)
-    _check("bound-formulas", bound_formulas, failures)
-
-    total = 11
-    print(f"{total - len(failures)}/{total} checks passed")
+    checks = [
+        ("classic-uniqueness", classic_uniqueness),
+        ("vortex-total-bound", vortex_bound),
+        ("middle-cell-bound", middle_cell_bound),
+        ("positive-masses-one-per-cell", positive_masses),
+        ("total-bounds-by-regime", totals_split),
+        ("zero-sum-masses", zero_sum_cases),
+        ("polynomial-expansions", expansions),
+        ("degenerate-families", degenerate_families),
+        ("figure-grid-crosscheck", figure_grid),
+        ("signomial-engine", signomial_engine),
+        ("bound-formulas", bound_formulas),
+    ]
+    for name, fn in checks:
+        try:
+            fn()
+        except Exception as exc:  # report and continue
+            failures.append(name)
+            print(f"FAIL {name}: {exc}")
+        else:
+            print(f"PASS {name}")
+    print(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
     return 4 if failures else 0
 
 

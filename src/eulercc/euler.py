@@ -25,14 +25,12 @@ import math
 from dataclasses import dataclass
 
 from .numerics import (
-    BOUNDARY_ZERO_REL,
     DEFAULT_REL_TOL,
-    DEGENERACY_REL,
+    RootRecord,
     Tail,
     ToleranceError,
     certified_sign_near_zero,
     isolate_between,
-    sum_sign,
     sum_value,
 )
 from .signomial import Endpoint, Signomial, count_and_isolate, normalize
@@ -234,21 +232,33 @@ def _series_order(b):
     return max(14, 2 * int(math.ceil(big)) + 6), big
 
 
+def _low_coefficients(m: MassTriple, b):
+    """The exact coefficients of s^b, s^(b+1), s and s^2 in g at 0+.
+
+    The k = 0 binomial coefficient is identically zero; k = 1 and k = 2 are
+    written in canonical forms, so a combination that is zero in exact
+    arithmetic on exact inputs is exactly zero here (a naive binomial
+    evaluation leaves ~1e-16 residues in the structurally-zero slots, which
+    would masquerade as leading terms). Both the series below and the
+    limit sign of endpoint_sign_g start from these coefficients.
+    """
+    return (
+        m.m2 + m.m3,
+        m.m3,
+        (b - 1.0) * m.m1 - m.m2 - m.m3,
+        0.5 * b * (m.m1 * (b - 1.0) - 2.0 * m.m3),
+    )
+
+
 def _zero_series_g(m: MassTriple, b) -> _Series:
     """g(s) = (m2+m3) s^b + m3 s^(b+1) + sum_k c_k s^k exactly for 0 < s < 1.
 
     The c_k come from the binomial expansions of (1+s)^b and (1+s)^(b+1)
-    and from the affine terms; the tail bound controls the truncated part.
+    and from the affine terms, the lowest four from _low_coefficients; the
+    tail bound controls the truncated part.
     """
     order, big = _series_order(b)
-    pairs = [(m.m2 + m.m3, b), (m.m3, b + 1.0)]
-    # The k = 0 coefficient is identically zero; k = 1 and k = 2 are written in
-    # the same canonical forms the endpoint cascade tests, so a combination
-    # that is zero for the cascade is exactly zero here too (a naive binomial
-    # evaluation leaves ~1e-16 residues in the structurally-zero slots, which
-    # would masquerade as leading terms).
-    pairs.append(((b - 1.0) * m.m1 - m.m2 - m.m3, 1.0))
-    pairs.append((0.5 * b * (m.m1 * (b - 1.0) - 2.0 * m.m3), 2.0))
+    pairs = list(zip(_low_coefficients(m, b), (b, b + 1.0, 1.0, 2.0)))
     cb = 1.0    # running C(b, k)
     cb1 = 1.0   # running C(b+1, k)
     for k in range(3):
@@ -263,80 +273,75 @@ def _zero_series_g(m: MassTriple, b) -> _Series:
     return _Series(normalize(pairs), Tail(tail_coeff, float(order), ratio))
 
 
-def _differentiate_series(series: _Series) -> _Series:
-    p = normalize(
-        (t.coefficient * t.exponent, t.exponent - 1.0)
-        for t in series.signomial.terms
-    )
-    t = series.tail
-    return _Series(p, Tail(t.coeff * t.exponent, t.exponent - 1.0, t.ratio))
-
-
 def _swap13(m: MassTriple) -> MassTriple:
     return MassTriple(m.m3, m.m2, m.m1)
 
 
-def _inf_series_g(m: MassTriple, b) -> _Series:
-    # g_m(1/u) = -u^(-b-1) * g_swap(u): a 0+-side series in u = 1/s.
-    base = _zero_series_g(_swap13(m), b)
-    p = normalize((-t.coefficient, t.exponent - b - 1.0) for t in base.signomial.terms)
-    t = base.tail
+def _reflect(series: _Series, b) -> _Series:
+    """The series of g at +infinity, in u = 1/s, from the 0+ series of the swapped masses.
+
+    g_m(1/u) = -u^(-b-1) * g_swap(u).
+    """
+    p = normalize((-t.coefficient, t.exponent - b - 1.0) for t in series.signomial.terms)
+    t = series.tail
     return _Series(p, Tail(t.coeff, t.exponent - b - 1.0, t.ratio))
 
 
-def _inf_series_gp(m: MassTriple, b) -> _Series:
-    # Differentiating the reflection identity:
-    # g_m'(1/u) = sum c_k (e_k - b - 1) u^(e_k - b) over the swapped 0+-series.
-    base = _zero_series_g(_swap13(m), b)
-    p = normalize(
-        (t.coefficient * (t.exponent - b - 1.0), t.exponent - b)
-        for t in base.signomial.terms
-    )
-    t = base.tail
-    order, big = _series_order(b)
-    ratio = (1.0 + (big + 1.0) / order) * (1.0 + 1.0 / max(order - big - 1.0, 1.0))
-    return _Series(p, Tail(t.coeff * (t.exponent + big + 1.0), t.exponent - b, ratio))
+def _derivative(series: _Series, end) -> _Series:
+    """The series of g' at the same end, from that of g.
+
+    With sigma = +1 at 0+ and -1 at +infinity, where g' = -u^2 dG/du in
+    u = 1/s, each term c x^e becomes sigma*c*e x^(e - sigma). The tail's
+    coefficient bound grows with the exponent: the k-th remainder term gains
+    a factor (E + k) <= E * (1 + 1/E)^k, which the ratio absorbs.
+    """
+    sigma = 1.0 if end is Endpoint.ZERO_PLUS else -1.0
+    p = normalize((sigma * t.coefficient * t.exponent, t.exponent - sigma)
+                  for t in series.signomial.terms)
+    t = series.tail
+    return _Series(p, Tail(t.coeff * t.exponent, t.exponent - sigma,
+                           t.ratio * (1.0 + 1.0 / t.exponent)))
 
 
-def _series_sign(series: _Series, hint=0.25):
-    """(x0, sign) with the series sign certified constant on (0, x0]."""
+def _anchor(series: _Series, end):
+    """(x, sign) in s with the sign certified constant beyond x toward the end."""
     p = series.signomial
     if p.is_zero:
         raise ToleranceError("series vanished to working order; cannot certify a sign")
     t = series.tail
-    start = min(hint, 0.25, 0.5 / t.ratio)
-    return certified_sign_near_zero(p.pairs(), tail=t, start=start)
-
-
-def _g_anchor_zero(m, b):
-    return _series_sign(_zero_series_g(m, b))
-
-
-def _g_anchor_inf(m, b):
-    u0, sign = _series_sign(_inf_series_g(m, b))
-    return 1.0 / u0, sign
-
-
-def _gp_anchor_zero(m, b):
-    return _series_sign(_differentiate_series(_zero_series_g(m, b)))
-
-
-def _gp_anchor_inf(m, b):
-    u0, sign = _series_sign(_inf_series_gp(m, b))
-    return 1.0 / u0, sign
+    x0, sign = certified_sign_near_zero(p.pairs(), tail=t, start=min(0.25, 0.5 / t.ratio))
+    return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
 
 
 def _sign_of(x):
     return 0 if x == 0.0 else (1 if x > 0.0 else -1)
 
 
-def endpoint_sign_g(m, b, endpoint) -> int:
-    """Sign of g near 0+ or +infinity, by the leading/correction-term cascade.
+def _zero_limit_sign(m: MassTriple, b) -> int:
+    # The first nonzero coefficient of the two lowest exponents: b < b+1 < 1
+    # for b < 0, b < 1 < b+1 for 0 < b < 1, then 1 < b < 2 and 1 < 2 < b. At
+    # b in {0, 2} two exponents coincide, and the certified anchor decides.
+    if b != 0.0 and b != 2.0:
+        cb, cb1, c1, c2 = _low_coefficients(m, b)
+        if b < 1.0:
+            first, second = cb, (cb1 if b < 0.0 else c1)
+        else:
+            first, second = c1, (cb if b < 2.0 else c2)
+        if first != 0.0:
+            return _sign_of(first)
+        if second != 0.0:
+            return _sign_of(second)
+    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS)[1]
 
-    The two-level cascade is keyed on the b regime (b<0, 0<b<1, 1<b<2, 2<b);
-    at the regime boundaries b in {0, 2}, and when both tabulated terms
-    vanish, the sign comes from the certified series probe instead.
-    Requires b != 1 and (m, b) outside the degenerate families.
+
+def endpoint_sign_g(m, b, endpoint) -> int:
+    """Sign of g near 0+ or +infinity: a fast limit-sign test.
+
+    At 0+ the first nonzero of the two lowest-order exact coefficients
+    decides; at the regime boundaries b in {0, 2}, and when both vanish, the
+    sign comes from the certified series probe instead. The sign at
+    +infinity is minus the 0+ sign for the masses m1 <-> m3 (reflection
+    identity). Requires b != 1 and (m, b) outside the degenerate families.
     """
     m = _masses(m)
     if b == 1.0:
@@ -344,41 +349,9 @@ def endpoint_sign_g(m, b, endpoint) -> int:
     if degenerate_family(m, b) is not None:
         raise ValueError("g vanishes identically for this degenerate family")
     if endpoint is Endpoint.ZERO_PLUS:
-        if b != 0.0:
-            if b < 1.0:
-                lead = m.m2 + m.m3
-                nxt = ((b - 1.0) * m.m1 - m.m2 - m.m3) if b > 0.0 else m.m3
-            else:
-                lead = (b - 1.0) * m.m1 - m.m2 - m.m3
-                if b < 2.0:
-                    nxt = m.m2 + m.m3
-                elif b > 2.0:
-                    nxt = m.m1 * (b - 1.0) - 2.0 * m.m3
-                else:
-                    nxt = 0.0
-            if lead != 0.0:
-                return _sign_of(lead)
-            if nxt != 0.0:
-                return _sign_of(nxt)
-        return _g_anchor_zero(m, b)[1]
+        return _zero_limit_sign(m, b)
     if endpoint is Endpoint.INFINITY:
-        if b != 0.0:
-            if b < 1.0:
-                lead = -(m.m1 + m.m2)
-                nxt = -((b - 1.0) * m.m3 - m.m2 - m.m1) if b > 0.0 else -m.m1
-            else:
-                lead = -((b - 1.0) * m.m3 - m.m2 - m.m1)
-                if b < 2.0:
-                    nxt = -(m.m1 + m.m2)
-                elif b > 2.0:
-                    nxt = -(m.m3 * (b - 1.0) - 2.0 * m.m1)
-                else:
-                    nxt = 0.0
-            if lead != 0.0:
-                return _sign_of(lead)
-            if nxt != 0.0:
-                return _sign_of(nxt)
-        return _g_anchor_inf(m, b)[1]
+        return -_zero_limit_sign(_swap13(m), b)
     raise ValueError(f"unknown endpoint {endpoint!r}")
 
 
@@ -440,40 +413,31 @@ def _affine_roots(mv: MassTriple, b):
 def _cell_roots(mv: MassTriple, b, h, tol):
     """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}."""
     # Stage 1: sign changes of g'' as breakpoints, via the signomial engine
-    # on (0, 1) in y (the forced boundary zero at y = 1 is excluded).
+    # on (0, 1) in y (the forced boundary zero at y = 1 is excluded), mapped
+    # to s = y/(1-y).
     _, h_roots = count_and_isolate(h, 0.0, 1.0, tol)
-    curvature_breaks = sorted(r.value / (1.0 - r.value) for r in h_roots)
+    curvature_breaks = []
+    for r in h_roots:
+        s = r.value / (1.0 - r.value)
+        curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
+    zero = _zero_series_g(mv, b)
+    inf = _reflect(_zero_series_g(_swap13(mv), b), b)
 
-    def h_sign_at_s(s):
-        y = s / (1.0 + s)
-        return sum_sign([(t.coefficient, t.exponent, y) for t in h.terms], DEGENERACY_REL)[0]
-
-    def gp_sign(s, zero_rel):
-        return sum_sign(_gp_triples(mv, b, s), zero_rel)[0]
-
-    # Breakpoint values are compared against evaluation noise; the looser
-    # degeneracy threshold applies only when flagging roots via the chain.
-    gp_left = _gp_anchor_zero(mv, b)
-    gp_right = _gp_anchor_inf(mv, b)
-    interior = [(s, gp_sign(s, BOUNDARY_ZERO_REL), s * (1.0 - tol), s * (1.0 + tol))
-                for s in curvature_breaks]
+    # Stage 2: g' is strictly monotone between curvature breakpoints.
     gp_roots = isolate_between(
-        lambda s: sum_sign(_gp_triples(mv, b, s), 0.0),
-        gp_left, gp_right, interior,
-        rel_tol=tol, chain_sign_fn=h_sign_at_s,
+        lambda s: _gp_triples(mv, b, s),
+        lambda s: [(t.coefficient, t.exponent, s / (1.0 + s)) for t in h.terms],
+        _anchor(_derivative(zero, Endpoint.ZERO_PLUS), Endpoint.ZERO_PLUS),
+        _anchor(_derivative(inf, Endpoint.INFINITY), Endpoint.INFINITY),
+        curvature_breaks, tol,
     )
-
-    # Stage 2: g is strictly monotone between g' roots.
-    def g_sign(s, zero_rel):
-        return sum_sign(_g_triples(mv, b, s), zero_rel)[0]
-
-    g_left = _g_anchor_zero(mv, b)
-    g_right = _g_anchor_inf(mv, b)
-    interior = [(r.value, g_sign(r.value, BOUNDARY_ZERO_REL), r.lo, r.hi) for r in gp_roots]
+    # Stage 3: g is strictly monotone between g' roots.
     return isolate_between(
-        lambda s: sum_sign(_g_triples(mv, b, s), 0.0),
-        g_left, g_right, interior,
-        rel_tol=tol, chain_sign_fn=lambda s: gp_sign(s, DEGENERACY_REL),
+        lambda s: _g_triples(mv, b, s),
+        lambda s: _gp_triples(mv, b, s),
+        _anchor(zero, Endpoint.ZERO_PLUS),
+        _anchor(inf, Endpoint.INFINITY),
+        gp_roots, tol,
     )
 
 

@@ -379,47 +379,49 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_it
     raise ToleranceError("bisection failed to converge within iteration budget")
 
 
-def isolate_between(eval_fn, left, right, interior, rel_tol=DEFAULT_REL_TOL,
-                    chain_sign_fn=None):
-    """Isolate roots given monotone pieces delimited by certified breakpoints.
+def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
+                    rel_tol=DEFAULT_REL_TOL):
+    """One stage of a derivative chain: the roots of a target between anchors.
 
-    left and right are (x, sign) anchors whose signs are certified constant
-    beyond them (toward 0+ and +infinity respectively, or exact boundary
-    values); interior is a sorted iterable of (x, sign, lo, hi) breakpoints
-    between which the target function is strictly monotone. A breakpoint
-    sign of 0 is itself a root of the target (within threshold) and is
-    recorded once, flagged degenerate; anchors with sign 0 are boundary
-    zeros and are not recorded. eval_fn is the target's (sign, value)
-    evaluator that bisect_sign_change refines with. chain_sign_fn, when
-    given, evaluates the sign of the derivative-chain function with the
-    degeneracy threshold and decides the degenerate flag of refined roots.
+    terms_fn(x) and chain_terms_fn(x) build the (c, e, base) terms of the
+    target and of its chain function at x; chain_roots are the chain
+    function's roots (the lower stage's RootRecords, sorted), between which
+    the target is strictly monotone. left and right are (x, sign) anchors
+    whose signs are certified constant beyond them (toward 0+ and +infinity
+    respectively, or exact boundary values); an anchor with sign 0 is a
+    boundary zero and is not recorded.
+
+    Signs are evaluated here with three thresholds: BOUNDARY_ZERO_REL at the
+    breakpoints, where a sign of 0 is itself a root of the target, recorded
+    once with the chain root's bracket and flagged degenerate; 0.0 while
+    bisect_sign_change refines a sign change; and DEGENERACY_REL for the
+    chain function at a refined root, which flags it degenerate when that
+    sign is 0.
     """
     xl, sl = left
     xr, sr = right
-    pts = [(xl, sl, None, None)]
-    pts.extend(p for p in interior if xl < p[0] < xr)
-    pts.append((xr, sr, None, None))
     if xl >= xr:
         # Certified constant-sign zones overlap: no room for any root.
         if sl != 0 and sr != 0 and sl != sr:
             raise ToleranceError("conflicting certified signs on overlapping zones")
         return []
+    pts = [(xl, sl)]
     out = []
-    for x, s, blo, bhi in pts[1:-1]:
-        if s == 0:
-            lo = blo if blo is not None else x * (1.0 - rel_tol)
-            hi = bhi if bhi is not None else x * (1.0 + rel_tol)
-            out.append(RootRecord(lo=lo, hi=hi, value=x, degenerate=True))
-    for (xa, sa, _, _), (xb, sb, _, _) in zip(pts, pts[1:]):
+    for r in chain_roots:
+        if xl < r.value < xr:
+            s = sum_sign(terms_fn(r.value), BOUNDARY_ZERO_REL)[0]
+            pts.append((r.value, s))
+            if s == 0:
+                out.append(RootRecord(lo=r.lo, hi=r.hi, value=r.value, degenerate=True))
+    pts.append((xr, sr))
+    for (xa, sa), (xb, sb) in zip(pts, pts[1:]):
         if sa == 0 or sb == 0 or sa == sb:
             continue
-        value, lo, hi, hit_zero = bisect_sign_change(eval_fn, xa, xb, sa, rel_tol)
+        value, lo, hi, _ = bisect_sign_change(
+            lambda x: sum_sign(terms_fn(x), 0.0), xa, xb, sa, rel_tol)
         # A mid-point landing exactly on zero says nothing about degeneracy;
-        # only the derivative-chain magnitude at the root does.
-        if chain_sign_fn is not None:
-            degenerate = chain_sign_fn(value) == 0
-        else:
-            degenerate = hit_zero
+        # only the chain function's magnitude at the root does.
+        degenerate = sum_sign(chain_terms_fn(value), DEGENERACY_REL)[0] == 0
         out.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=degenerate))
     out.sort(key=lambda r: r.value)
     return out

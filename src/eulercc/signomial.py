@@ -20,7 +20,6 @@ from enum import Enum
 from .numerics import (
     BOUNDARY_ZERO_REL,
     DEFAULT_REL_TOL,
-    DEGENERACY_REL,
     RootRecord,
     certified_sign_near_inf,
     certified_sign_near_zero,
@@ -174,19 +173,6 @@ def derivative_chain(p: Signomial):
         yield pivot, p
 
 
-# --- certified endpoint signs -------------------------------------------------
-
-
-def _sign_near_zero(p: Signomial, start: float):
-    """(x0, sign) with sign(p) certified constant on (0, x0]."""
-    return certified_sign_near_zero(p.pairs(), start=start)
-
-
-def _sign_near_inf(p: Signomial, start: float):
-    """(x1, sign) with sign(p) certified constant on [x1, +inf)."""
-    return certified_sign_near_inf(p.pairs(), start=start)
-
-
 # --- counting and isolation ---------------------------------------------------
 
 
@@ -197,35 +183,21 @@ def _isolate(p: Signomial, lo: float, hi: float, tol: float) -> list[RootRecord]
     pivot = _first_variation_pivot(p)
     q = shift_and_differentiate(p, pivot)
     q_roots = _isolate(q, lo, hi, tol)
-    breakpoints = [r.value for r in q_roots]
-
-    def p_sign(x, zero_rel):
-        return sum_sign(_triples(p, x), zero_rel)[0]
 
     # Left anchor: domination probe for the open end at 0, direct evaluation
     # for a finite boundary (a boundary zero is excluded, not counted).
-    inner = breakpoints[0] if breakpoints else (hi if math.isfinite(hi) else 2.0)
+    inner = q_roots[0].value if q_roots else (hi if math.isfinite(hi) else 2.0)
     if lo == 0.0:
-        left = _sign_near_zero(p, 0.5 * min(1.0, inner))
+        left = certified_sign_near_zero(p.pairs(), start=0.5 * min(1.0, inner))
     else:
-        left = (lo, p_sign(lo, BOUNDARY_ZERO_REL))
+        left = (lo, sum_sign(_triples(p, lo), BOUNDARY_ZERO_REL)[0])
     if math.isinf(hi):
-        outer = breakpoints[-1] if breakpoints else max(left[0], 0.5)
-        right = _sign_near_inf(p, 2.0 * outer)
+        outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
+        right = certified_sign_near_inf(p.pairs(), start=2.0 * outer)
     else:
-        right = (hi, p_sign(hi, BOUNDARY_ZERO_REL))
-
-    # Breakpoint values are tested against evaluation noise only; the looser
-    # degeneracy threshold applies to the chain magnitude at found roots.
-    interior = [(r.value, p_sign(r.value, BOUNDARY_ZERO_REL), r.lo, r.hi) for r in q_roots]
-    return isolate_between(
-        lambda x: sum_sign(_triples(p, x), 0.0),
-        left,
-        right,
-        interior,
-        rel_tol=tol,
-        chain_sign_fn=lambda x: sum_sign(_triples(q, x), DEGENERACY_REL)[0],
-    )
+        right = (hi, sum_sign(_triples(p, hi), BOUNDARY_ZERO_REL)[0])
+    return isolate_between(lambda x: _triples(p, x), lambda x: _triples(q, x),
+                           left, right, q_roots, rel_tol=tol)
 
 
 def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,

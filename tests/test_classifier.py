@@ -155,13 +155,6 @@ def test_grid_csv_format_and_determinism():
     assert buf2.getvalue() == text
 
 
-def test_grid_workers_match_sequential():
-    seq = grid_scan((-2.0, 1.0), (-2.0, 2.0), (6, 6), cross_check=True, margin=0.05, workers=1)
-    par = grid_scan((-2.0, 1.0), (-2.0, 2.0), (6, 6), cross_check=True, margin=0.05, workers=2)
-    assert seq.rows == par.rows
-    assert seq.mismatches == par.mismatches
-
-
 def test_classifier_matches_counter_on_random_offgrid_points():
     rng = random.Random(33)
     checked = 0

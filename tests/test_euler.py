@@ -1,6 +1,9 @@
+import json
 import math
 import random
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from eulercc.euler import (
@@ -18,6 +21,7 @@ from eulercc.euler import (
     eval_h,
     h_signomial,
 )
+from eulercc.euler import _anchor, _derivative, _reflect, _swap13, _zero_series_g
 from eulercc.signomial import Endpoint, evaluate
 
 from oracles import cell_scan_counts, cubic_coeffs, diff1, diff2, horner, quintic_coeffs
@@ -232,6 +236,96 @@ def test_endpoint_sign_rejects_degenerate_inputs():
         endpoint_sign_g((1, -1, 1), 0.0, Endpoint.ZERO_PLUS)
 
 
+def _g_anchor_zero(m, b):
+    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS)
+
+
+def _g_anchor_inf(m, b):
+    return _anchor(_reflect(_zero_series_g(_swap13(m), b), b), Endpoint.INFINITY)
+
+
+def _sign_of(x):
+    return 0 if x == 0.0 else (1 if x > 0.0 else -1)
+
+
+def reference_endpoint_sign_g(m, b, endpoint):
+    """The leading/correction-term cascade endpoint_sign_g used to write out for each end."""
+    m = MassTriple(*map(float, m))
+    if endpoint is Endpoint.ZERO_PLUS:
+        if b != 0.0:
+            if b < 1.0:
+                lead = m.m2 + m.m3
+                nxt = ((b - 1.0) * m.m1 - m.m2 - m.m3) if b > 0.0 else m.m3
+            else:
+                lead = (b - 1.0) * m.m1 - m.m2 - m.m3
+                if b < 2.0:
+                    nxt = m.m2 + m.m3
+                elif b > 2.0:
+                    nxt = m.m1 * (b - 1.0) - 2.0 * m.m3
+                else:
+                    nxt = 0.0
+            if lead != 0.0:
+                return _sign_of(lead)
+            if nxt != 0.0:
+                return _sign_of(nxt)
+        return _g_anchor_zero(m, b)[1]
+    if endpoint is Endpoint.INFINITY:
+        if b != 0.0:
+            if b < 1.0:
+                lead = -(m.m1 + m.m2)
+                nxt = -((b - 1.0) * m.m3 - m.m2 - m.m1) if b > 0.0 else -m.m1
+            else:
+                lead = -((b - 1.0) * m.m3 - m.m2 - m.m1)
+                if b < 2.0:
+                    nxt = -(m.m1 + m.m2)
+                elif b > 2.0:
+                    nxt = -(m.m3 * (b - 1.0) - 2.0 * m.m1)
+                else:
+                    nxt = 0.0
+            if lead != 0.0:
+                return _sign_of(lead)
+            if nxt != 0.0:
+                return _sign_of(nxt)
+        return _g_anchor_inf(m, b)[1]
+    raise ValueError(f"unknown endpoint {endpoint!r}")
+
+
+def test_endpoint_sign_matches_reference_cascade():
+    # Mixes generic draws with the inputs where the cascade's branches meet:
+    # b in {0, 2}, integer and half-integer b, and masses that zero a
+    # low-order coefficient (m2 = -m3, m3 = 0, (b-1) m1 = m2 + m3).
+    rng = random.Random(24)
+    checked = anchored = 0
+    while checked < 20000:
+        k = checked % 8
+        if k < 2:
+            m = [rng.uniform(-10.0, 10.0) for _ in range(3)]
+        else:
+            m = [float(rng.randint(-4, 4)) for _ in range(3)]
+        r = rng.random()
+        if r < 0.2:
+            b = rng.choice([0.0, 2.0])
+        elif r < 0.45:
+            b = float(rng.randint(-6, 6))
+        elif r < 0.7:
+            b = rng.randint(-12, 12) / 2.0
+        else:
+            b = rng.uniform(-6.0, 6.0)
+        if k == 3:
+            m[1] = -m[2]
+        elif k == 4:
+            m[2] = 0.0
+        elif k == 5:
+            m[1] = (b - 1.0) * m[0] - m[2]
+        if b == 1.0 or degenerate_family(m, b) is not None:
+            continue
+        for end in (Endpoint.ZERO_PLUS, Endpoint.INFINITY):
+            assert endpoint_sign_g(m, b, end) == reference_endpoint_sign_g(m, b, end), (m, b, end)
+        anchored += b in (0.0, 2.0)
+        checked += 1
+    assert anchored > 2000
+
+
 def test_endpoint_sign_matches_direct_evaluation():
     rng = random.Random(16)
     checked = 0
@@ -242,7 +336,6 @@ def test_endpoint_sign_matches_direct_evaluation():
             continue
         s0 = endpoint_sign_g(m, b, Endpoint.ZERO_PLUS)
         s1 = endpoint_sign_g(m, b, Endpoint.INFINITY)
-        from eulercc.euler import _g_anchor_inf, _g_anchor_zero
         x0, sign0 = _g_anchor_zero(m, b)
         x1, sign1 = _g_anchor_inf(m, b)
         assert s0 == sign0
@@ -252,6 +345,65 @@ def test_endpoint_sign_matches_direct_evaluation():
         assert g0 == 0.0 or (g0 > 0) == (s0 > 0)
         assert g1 == 0.0 or (g1 > 0) == (s1 > 0)
         checked += 1
+
+
+def _mp_g(m, b, s, derivative):
+    m1, m2, m3 = (mpmath.mpf(v) for v in m.as_tuple())
+    b = mpmath.mpf(b)
+    u = 1 + s
+    if derivative:
+        return (b * (m2 + m3) * s ** (b - 1) + (b + 1) * m3 * s ** b
+                + b * (m1 + m3) * u ** (b - 1) - (b + 1) * m3 * u ** b - (m1 + m2))
+    return (m2 + m3) * s ** b + (m1 + m3) * u ** b + m3 * (s ** (b + 1) - u ** (b + 1)) \
+        - m1 * u - m2 * s
+
+
+def _mp_zero_terms(m, b, order):
+    # the exact terms of the 0+ series of g below the truncation order
+    m1, m2, m3 = (mpmath.mpf(v) for v in m.as_tuple())
+    b = mpmath.mpf(b)
+    terms = [(m2 + m3, b), (m3, b + 1), ((b - 1) * m1 - m2 - m3, 1)]
+    for k in range(2, order):
+        terms.append(((m1 + m3) * mpmath.binomial(b, k) - m3 * mpmath.binomial(b + 1, k), k))
+    return terms
+
+
+def test_series_tail_bounds_dominate_the_remainder():
+    rng = random.Random(25)
+    masses = [rand_masses(rng) for _ in range(3)] + [MassTriple(1.0, -2.0, 3.0)]
+    bs = [-3.0, -2.0, 0.0, 2.0, 3.0, -2.5, -0.5, 0.5, 1.5, 3.5] + \
+        [rng.uniform(-5.0, 5.0) for _ in range(3)]
+    with mpmath.workdps(60):
+        for m in masses:
+            for b in bs:
+                zero = _zero_series_g(m, b)
+                order = int(zero.tail.exponent)
+                for end in (Endpoint.ZERO_PLUS, Endpoint.INFINITY):
+                    if end is Endpoint.ZERO_PLUS:
+                        series = zero
+                        terms = _mp_zero_terms(m, b, order)
+                    else:
+                        series = _reflect(_zero_series_g(_swap13(m), b), b)
+                        terms = [(-c, e - mpmath.mpf(b) - 1)
+                                 for c, e in _mp_zero_terms(_swap13(m), b, order)]
+                    sigma = 1 if end is Endpoint.ZERO_PLUS else -1
+                    for derivative in (False, True):
+                        if derivative:
+                            series = _derivative(series, end)
+                            terms = [(sigma * c * e, e - sigma) for c, e in terms]
+                        tail = series.tail
+                        for x in (0.01, 0.1, 0.25):
+                            x = mpmath.mpf(x)
+                            s = x if end is Endpoint.ZERO_PLUS else 1 / x
+                            parts = [c * x ** e for c, e in terms]
+                            target = _mp_g(m, b, s, derivative)
+                            remainder = abs(target - mpmath.fsum(parts))
+                            assert tail.ratio * x < 1
+                            bound = (mpmath.mpf(tail.coeff) * x ** mpmath.mpf(tail.exponent)
+                                     / (1 - mpmath.mpf(tail.ratio) * x))
+                            # 60-digit evaluation noise of the subtraction
+                            noise = mpmath.mpf(10) ** -45 * (abs(target) + sum(map(abs, parts)))
+                            assert remainder <= bound + noise, (m, b, end, derivative, x)
 
 
 def test_endpoint_sign_reflection_identity():
@@ -352,6 +504,22 @@ def test_count_all_examples():
     assert counts.total == 0 and sols == []
     counts, _ = count_all((1, -0.9, 1), 0.5)
     assert (counts.e1, counts.e2, counts.e3, counts.total) == (1, 3, 1, 5)
+
+
+def test_count_all_matches_golden_results():
+    # 300 seeded draws (150 with b in [-5, 5], 100 in the band b in [0.8, 1.2],
+    # 50 with integer masses and integer or half-integer b), recorded before
+    # the derivative-chain stages were folded into one engine.
+    golden = json.loads((Path(__file__).parent / "data" / "count_all_golden.json").read_text())
+    tol = golden["tol"]
+    for case in golden["cases"]:
+        counts, sols = count_all(case["masses"], case["b"], tol)
+        got = ["inf" if v == INFINITE else v for v in (counts.e1, counts.e2, counts.e3)]
+        assert got == case["counts"], case
+        assert [(sol.cell, sol.degenerate) for sol in sols] == \
+            [(cell, deg) for cell, _, deg in case["solutions"]], case
+        for sol, (_, s, _) in zip(sols, case["solutions"]):
+            assert abs(sol.s - s) <= 4.0 * tol * s, case
 
 
 @pytest.mark.parametrize("m, b", [
