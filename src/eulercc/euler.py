@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .numerics import (
     DEFAULT_REL_TOL,
@@ -221,15 +223,56 @@ def degenerate_family(m, b):
 # --- exact series of g at s -> 0 and its certified leading sign ---------------
 
 
-@dataclass(frozen=True)
-class _Series:
-    signomial: Signomial
+class _Series(NamedTuple):
+    pairs: tuple  # (c, e): strictly increasing e, nonzero c
     tail: Tail
 
 
-def _series_order(b):
+def _merge(pairs):
+    """Exponent-sorted (c, e) pairs as a series: equal exponents summed, zeros dropped.
+
+    Zero coefficients are skipped, neighbours with equal exponents are summed
+    in order, and zero sums are dropped; on a stably sorted input this is
+    exactly normalize(pairs).pairs(). Exponents collide when b or b+1 is an
+    integer below the series order, or through rounding after a shift.
+    """
+    out = []
+    last = None
+    cancelled = False
+    for c, e in pairs:
+        if c == 0.0:
+            continue
+        if e == last:
+            c += out[-1][0]
+            out[-1] = (c, last)
+            cancelled = cancelled or c == 0.0
+        else:
+            out.append((c, e))
+            last = e
+    return tuple(p for p in out if p[0] != 0.0) if cancelled else tuple(out)
+
+
+def _binomials(b):
+    """(rows, ratio): rows[i] = (C(b, k), C(b+1, k), k) for k = 3 + i up to the order.
+
+    Both come from one recurrence and depend on b alone, so every 0+ series
+    at this b shares them; the last row (k = order) and ratio feed the tail
+    bound.
+    """
     big = max(abs(b), abs(b + 1.0))
-    return max(14, 2 * int(math.ceil(big)) + 6), big
+    order = max(14, 2 * int(math.ceil(big)) + 6)
+    b1 = b + 1.0
+    cb = 1.0    # running C(b, k)
+    cb1 = 1.0   # running C(b+1, k)
+    rows = []
+    for k in range(order):
+        if k >= 3:
+            rows.append((cb, cb1, float(k)))
+        d = k + 1.0
+        cb *= (b - k) / d
+        cb1 *= (b1 - k) / d
+    rows.append((cb, cb1, float(order)))
+    return rows, 1.0 + (big + 1.0) / (order + 1.0)
 
 
 def _low_coefficients(m: MassTriple, b):
@@ -250,27 +293,23 @@ def _low_coefficients(m: MassTriple, b):
     )
 
 
-def _zero_series_g(m: MassTriple, b) -> _Series:
+def _zero_series_g(m: MassTriple, b, binomials) -> _Series:
     """g(s) = (m2+m3) s^b + m3 s^(b+1) + sum_k c_k s^k exactly for 0 < s < 1.
 
-    The c_k come from the binomial expansions of (1+s)^b and (1+s)^(b+1)
-    and from the affine terms, the lowest four from _low_coefficients; the
-    tail bound controls the truncated part.
+    The lowest four coefficients come from _low_coefficients, the c_k for
+    k >= 3 from the binomial table _binomials(b) of (1+s)^b and (1+s)^(b+1);
+    the tail bound controls the truncated part. The pairs are sorted by
+    exponent once (stably, so colliding exponents sum in a fixed order) and
+    merged.
     """
-    order, big = _series_order(b)
+    rows, ratio = binomials
+    m13 = m.m1 + m.m3
+    m3 = m.m3
     pairs = list(zip(_low_coefficients(m, b), (b, b + 1.0, 1.0, 2.0)))
-    cb = 1.0    # running C(b, k)
-    cb1 = 1.0   # running C(b+1, k)
-    for k in range(3):
-        cb *= (b - k) / (k + 1.0)
-        cb1 *= (b + 1.0 - k) / (k + 1.0)
-    for k in range(3, order):
-        pairs.append(((m.m1 + m.m3) * cb - m.m3 * cb1, float(k)))
-        cb *= (b - k) / (k + 1.0)
-        cb1 *= (b + 1.0 - k) / (k + 1.0)
-    tail_coeff = abs(m.m1 + m.m3) * abs(cb) + abs(m.m3) * abs(cb1)
-    ratio = 1.0 + (big + 1.0) / (order + 1.0)
-    return _Series(normalize(pairs), Tail(tail_coeff, float(order), ratio))
+    pairs += [(m13 * cb - m3 * cb1, k) for cb, cb1, k in rows[:-1]]
+    pairs.sort(key=itemgetter(1))
+    cb, cb1, order = rows[-1]
+    return _Series(_merge(pairs), Tail(abs(m13) * abs(cb) + abs(m3) * abs(cb1), order, ratio))
 
 
 def _swap13(m: MassTriple) -> MassTriple:
@@ -280,9 +319,11 @@ def _swap13(m: MassTriple) -> MassTriple:
 def _reflect(series: _Series, b) -> _Series:
     """The series of g at +infinity, in u = 1/s, from the 0+ series of the swapped masses.
 
-    g_m(1/u) = -u^(-b-1) * g_swap(u).
+    g_m(1/u) = -u^(-b-1) * g_swap(u): each pair (c, e) maps to
+    (-c, e - b - 1), which keeps the exponent order, so only the merge of
+    exponents that rounding made equal is needed.
     """
-    p = normalize((-t.coefficient, t.exponent - b - 1.0) for t in series.signomial.terms)
+    p = _merge([(-c, e - b - 1.0) for c, e in series.pairs])
     t = series.tail
     return _Series(p, Tail(t.coeff, t.exponent - b - 1.0, t.ratio))
 
@@ -291,13 +332,14 @@ def _derivative(series: _Series, end) -> _Series:
     """The series of g' at the same end, from that of g.
 
     With sigma = +1 at 0+ and -1 at +infinity, where g' = -u^2 dG/du in
-    u = 1/s, each term c x^e becomes sigma*c*e x^(e - sigma). The tail's
-    coefficient bound grows with the exponent: the k-th remainder term gains
-    a factor (E + k) <= E * (1 + 1/E)^k, which the ratio absorbs.
+    u = 1/s, each pair (c, e) becomes (sigma*c*e, e - sigma); the order of
+    the exponents is kept, and the merge drops the constant term's zero
+    coefficient. The tail's coefficient bound grows with the exponent: the
+    k-th remainder term gains a factor (E + k) <= E * (1 + 1/E)^k, which the
+    ratio absorbs.
     """
     sigma = 1.0 if end is Endpoint.ZERO_PLUS else -1.0
-    p = normalize((sigma * t.coefficient * t.exponent, t.exponent - sigma)
-                  for t in series.signomial.terms)
+    p = _merge([(sigma * c * e, e - sigma) for c, e in series.pairs])
     t = series.tail
     return _Series(p, Tail(t.coeff * t.exponent, t.exponent - sigma,
                            t.ratio * (1.0 + 1.0 / t.exponent)))
@@ -305,11 +347,10 @@ def _derivative(series: _Series, end) -> _Series:
 
 def _anchor(series: _Series, end):
     """(x, sign) in s with the sign certified constant beyond x toward the end."""
-    p = series.signomial
-    if p.is_zero:
+    if not series.pairs:
         raise ToleranceError("series vanished to working order; cannot certify a sign")
     t = series.tail
-    x0, sign = certified_sign_near_zero(p.pairs(), tail=t, start=min(0.25, 0.5 / t.ratio))
+    x0, sign = certified_sign_near_zero(series.pairs, tail=t, start=min(0.25, 0.5 / t.ratio))
     return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
 
 
@@ -331,7 +372,7 @@ def _zero_limit_sign(m: MassTriple, b) -> int:
             return _sign_of(first)
         if second != 0.0:
             return _sign_of(second)
-    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS)[1]
+    return _anchor(_zero_series_g(m, b, _binomials(b)), Endpoint.ZERO_PLUS)[1]
 
 
 def endpoint_sign_g(m, b, endpoint) -> int:
@@ -420,8 +461,9 @@ def _cell_roots(mv: MassTriple, b, h, tol):
     for r in h_roots:
         s = r.value / (1.0 - r.value)
         curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
-    zero = _zero_series_g(mv, b)
-    inf = _reflect(_zero_series_g(_swap13(mv), b), b)
+    binomials = _binomials(b)
+    zero = _zero_series_g(mv, b, binomials)
+    inf = _reflect(_zero_series_g(_swap13(mv), b, binomials), b)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints.
     gp_roots = isolate_between(

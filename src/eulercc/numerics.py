@@ -69,12 +69,17 @@ def sum_value(terms):
     """Value of sum(c * base**e) over (c, e, base) triples, all bases > 0.
 
     Uses exact float summation (fsum); falls back to mpmath when the float
-    range is exceeded, so the returned value may be +/-inf for results that
-    genuinely overflow doubles.
+    range is exceeded by a power, a term or the sum, so the returned value
+    may be +/-inf for results that genuinely overflow doubles.
     """
     vals = _float_terms(terms)
     if vals is not None:
-        return math.fsum(vals)
+        try:
+            value = math.fsum(vals)
+        except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+            value = math.inf
+        if math.isfinite(value):
+            return value
     import mpmath
 
     with mpmath.workdps(_MP_DPS):
@@ -88,21 +93,25 @@ def sum_sign(terms, zero_rel=DEGENERACY_REL):
 
     sign is in {-1, 0, 1}; scale is the sum of term magnitudes at the
     point. Three tiers: plain fsum when exponents are safely in float
-    range, a log-rescaled sum when they are not, and mpmath when the
-    rescaled sum cannot resolve the sign. value is the fsum that decided
-    the sign, or None when a later tier decided it or the fsum is within
-    rounding noise of the terms. terms is a list, read twice when the first
-    tier refuses.
+    range and the terms and their magnitude sum stay finite, a log-rescaled
+    sum when they do not, and mpmath when the rescaled sum cannot resolve
+    the sign. value is the fsum that decided the sign, or None when a later
+    tier decided it or the fsum is within rounding noise of the terms.
+    terms is a list, read twice when the first tier refuses.
     """
     vals = _float_terms(terms)
     if vals is not None:
-        value = math.fsum(vals)
-        scale = math.fsum(map(abs, vals))
-        if abs(value) <= zero_rel * scale:
-            sign = 0
-        else:
-            sign = 1 if value > 0.0 else -1
-        return sign, (value if abs(value) > _NOISE_REL * scale else None)
+        try:
+            value = math.fsum(vals)
+            scale = math.fsum(map(abs, vals))
+        except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+            scale = math.inf
+        if math.isfinite(scale):
+            if abs(value) <= zero_rel * scale:
+                sign = 0
+            else:
+                sign = 1 if value > 0.0 else -1
+            return sign, (value if abs(value) > _NOISE_REL * scale else None)
     # Log-rescaled: divide everything by the largest term magnitude.
     terms = [t for t in terms if t[0] != 0.0]
     logs = [(_log_abs(c) + e * math.log(base), 1.0 if c > 0 else -1.0) for c, e, base in terms]

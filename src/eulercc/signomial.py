@@ -208,12 +208,17 @@ def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,
     signomial. Roots are counted as a set (no multiplicity); a root where
     the derivative-chain function is also below the degeneracy threshold
     is flagged degenerate and counted once. Raises ToleranceError when a
-    sign cannot be certified at evaluation precision.
+    sign cannot be certified at evaluation precision, and ValueError when
+    a coefficient or exponent is NaN or infinite.
     """
     if not (0.0 <= lo < hi):
         raise ValueError("need 0 <= lo < hi")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    for t in p.terms:
+        if not (math.isfinite(t.coefficient) and math.isfinite(t.exponent)):
+            raise ValueError(f"signomial terms must be finite, got term "
+                             f"[{t.coefficient!r}, {t.exponent!r}]")
     if p.is_zero:
         return IDENTICALLY_ZERO, []
     roots = _isolate(p, lo, hi, tol)

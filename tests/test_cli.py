@@ -111,6 +111,26 @@ def test_signomial_gravitational_quintic(capsys):
     assert doc["count"] == 1
 
 
+@pytest.mark.parametrize("terms, bad", [
+    ("[[1,NaN],[-1,0]]", "[1.0, nan]"),
+    ("[[NaN,1],[-1,0]]", "[nan, 1.0]"),
+    ("[[1,Infinity],[-1,0]]", "[1.0, inf]"),
+])
+def test_signomial_non_finite_terms_exit_2(capsys, terms, bad):
+    code, out, err = run(capsys, "signomial", "--terms", terms)
+    assert code == 2
+    assert out == ""
+    assert "signomial terms must be finite" in err and bad in err
+
+
+def test_signomial_overflowing_terms(capsys):
+    code, out, err = run(capsys, "signomial", "--terms", "[[1e308,1],[-1e308,2]]")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["count"] == 1
+    assert doc["roots"][0]["value"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_bounds_commands(capsys):
     code, out, _ = run(capsys, "bounds", "straight", "-n", "6")
     assert code == 0 and out.strip() == "62"

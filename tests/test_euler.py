@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath
@@ -21,8 +22,17 @@ from eulercc.euler import (
     eval_h,
     h_signomial,
 )
-from eulercc.euler import _anchor, _derivative, _reflect, _swap13, _zero_series_g
-from eulercc.signomial import Endpoint, evaluate
+from eulercc.euler import (
+    _anchor,
+    _binomials,
+    _derivative,
+    _low_coefficients,
+    _reflect,
+    _swap13,
+    _zero_series_g,
+)
+from eulercc.numerics import Tail, ToleranceError, certified_sign_near_zero
+from eulercc.signomial import Endpoint, Signomial, evaluate, normalize
 
 from oracles import cell_scan_counts, cubic_coeffs, diff1, diff2, horner, quintic_coeffs
 
@@ -237,11 +247,11 @@ def test_endpoint_sign_rejects_degenerate_inputs():
 
 
 def _g_anchor_zero(m, b):
-    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS)
+    return _anchor(_zero_series_g(m, b, _binomials(b)), Endpoint.ZERO_PLUS)
 
 
 def _g_anchor_inf(m, b):
-    return _anchor(_reflect(_zero_series_g(_swap13(m), b), b), Endpoint.INFINITY)
+    return _anchor(_reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b), Endpoint.INFINITY)
 
 
 def _sign_of(x):
@@ -376,14 +386,14 @@ def test_series_tail_bounds_dominate_the_remainder():
     with mpmath.workdps(60):
         for m in masses:
             for b in bs:
-                zero = _zero_series_g(m, b)
+                zero = _zero_series_g(m, b, _binomials(b))
                 order = int(zero.tail.exponent)
                 for end in (Endpoint.ZERO_PLUS, Endpoint.INFINITY):
                     if end is Endpoint.ZERO_PLUS:
                         series = zero
                         terms = _mp_zero_terms(m, b, order)
                     else:
-                        series = _reflect(_zero_series_g(_swap13(m), b), b)
+                        series = _reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b)
                         terms = [(-c, e - mpmath.mpf(b) - 1)
                                  for c, e in _mp_zero_terms(_swap13(m), b, order)]
                     sigma = 1 if end is Endpoint.ZERO_PLUS else -1
@@ -404,6 +414,112 @@ def test_series_tail_bounds_dominate_the_remainder():
                             # 60-digit evaluation noise of the subtraction
                             noise = mpmath.mpf(10) ** -45 * (abs(target) + sum(map(abs, parts)))
                             assert remainder <= bound + noise, (m, b, end, derivative, x)
+
+
+# The endpoint series builders as they were with Signomial and normalize,
+# kept verbatim as the reference for the flat (c, e) tuples.
+
+
+@dataclass(frozen=True)
+class _RefSeries:
+    signomial: Signomial
+    tail: Tail
+
+
+def _ref_series_order(b):
+    big = max(abs(b), abs(b + 1.0))
+    return max(14, 2 * int(math.ceil(big)) + 6), big
+
+
+def _ref_zero_series_g(m: MassTriple, b) -> _RefSeries:
+    order, big = _ref_series_order(b)
+    pairs = list(zip(_low_coefficients(m, b), (b, b + 1.0, 1.0, 2.0)))
+    cb = 1.0    # running C(b, k)
+    cb1 = 1.0   # running C(b+1, k)
+    for k in range(3):
+        cb *= (b - k) / (k + 1.0)
+        cb1 *= (b + 1.0 - k) / (k + 1.0)
+    for k in range(3, order):
+        pairs.append(((m.m1 + m.m3) * cb - m.m3 * cb1, float(k)))
+        cb *= (b - k) / (k + 1.0)
+        cb1 *= (b + 1.0 - k) / (k + 1.0)
+    tail_coeff = abs(m.m1 + m.m3) * abs(cb) + abs(m.m3) * abs(cb1)
+    ratio = 1.0 + (big + 1.0) / (order + 1.0)
+    return _RefSeries(normalize(pairs), Tail(tail_coeff, float(order), ratio))
+
+
+def _ref_reflect(series: _RefSeries, b) -> _RefSeries:
+    p = normalize((-t.coefficient, t.exponent - b - 1.0) for t in series.signomial.terms)
+    t = series.tail
+    return _RefSeries(p, Tail(t.coeff, t.exponent - b - 1.0, t.ratio))
+
+
+def _ref_derivative(series: _RefSeries, end) -> _RefSeries:
+    sigma = 1.0 if end is Endpoint.ZERO_PLUS else -1.0
+    p = normalize((sigma * t.coefficient * t.exponent, t.exponent - sigma)
+                  for t in series.signomial.terms)
+    t = series.tail
+    return _RefSeries(p, Tail(t.coeff * t.exponent, t.exponent - sigma,
+                              t.ratio * (1.0 + 1.0 / t.exponent)))
+
+
+def _ref_anchor(series: _RefSeries, end):
+    p = series.signomial
+    if p.is_zero:
+        raise ToleranceError("series vanished to working order; cannot certify a sign")
+    t = series.tail
+    x0, sign = certified_sign_near_zero(p.pairs(), tail=t, start=min(0.25, 0.5 / t.ratio))
+    return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
+
+
+def _anchor_or_error(anchor, series, end):
+    try:
+        return anchor(series, end)
+    except ToleranceError as exc:
+        return "ToleranceError", str(exc)
+
+
+def test_flat_series_match_the_normalize_reference():
+    # Integer and half-integer b make b or b+1 collide with the integer
+    # exponents (and the reflected ones collide through rounding); the
+    # structured masses zero low-order coefficients (m3 = 0, m1 = -m3,
+    # m2 = -m3), so zero coefficients are dropped and zero sums removed.
+    rng = random.Random(26)
+    for i in range(5000):
+        k = i % 6
+        if k < 2:
+            m = [rng.uniform(-10.0, 10.0) for _ in range(3)]
+        else:
+            m = [float(rng.randint(-4, 4)) for _ in range(3)]
+        if k == 3:
+            m[2] = 0.0
+        elif k == 4:
+            m[0] = -m[2]
+        elif k == 5:
+            m[1] = -m[2]
+        r = rng.random()
+        if r < 0.15:
+            b = rng.choice([-1.0, 0.0, 2.0])
+        elif r < 0.45:
+            b = float(rng.randint(-4, 6))
+        elif r < 0.75:
+            b = rng.randint(-9, 13) / 2.0
+        else:
+            b = rng.uniform(-6.0, 6.0)
+        m = MassTriple(*m)
+        zero = _zero_series_g(m, b, _binomials(b))
+        inf = _reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b)
+        ref_zero = _ref_zero_series_g(m, b)
+        ref_inf = _ref_reflect(_ref_zero_series_g(_swap13(m), b), b)
+        for end, series, ref in ((Endpoint.ZERO_PLUS, zero, ref_zero),
+                                 (Endpoint.INFINITY, inf, ref_inf)):
+            for got, want in ((series, ref),
+                              (_derivative(series, end), _ref_derivative(ref, end))):
+                # repr tells -0.0 from 0.0 and round-trips every float
+                assert repr(got.pairs) == repr(want.signomial.pairs()), (m, b, end)
+                assert repr(got.tail) == repr(want.tail), (m, b, end)
+                assert repr(_anchor_or_error(_anchor, got, end)) == \
+                    repr(_anchor_or_error(_ref_anchor, want, end)), (m, b, end)
 
 
 def test_endpoint_sign_reflection_identity():

@@ -19,7 +19,7 @@ from eulercc.signomial import (
     sign_variations,
 )
 
-from eulercc.numerics import DEFAULT_REL_TOL, bisect_sign_change, sum_sign
+from eulercc.numerics import DEFAULT_REL_TOL, bisect_sign_change, sum_sign, sum_value
 from oracles import signomial_scan_count
 
 
@@ -211,6 +211,37 @@ def test_count_rejects_bad_interval():
         count_and_isolate(p, 2.0, 1.0)
     with pytest.raises(ValueError):
         count_and_isolate(p, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("raw, bad", [
+    ([(1.0, math.nan), (-1.0, 0.0)], "[1.0, nan]"),
+    ([(math.nan, 1.0), (-1.0, 0.0)], "[nan, 1.0]"),
+    ([(1.0, math.inf), (-1.0, 0.0)], "[1.0, inf]"),
+    ([(-math.inf, 1.0), (-1.0, 0.0)], "[-inf, 1.0]"),
+])
+def test_count_rejects_non_finite_terms(raw, bad):
+    with pytest.raises(ValueError, match="^signomial terms must be finite") as exc:
+        count_and_isolate(normalize(raw))
+    assert bad in str(exc.value)
+
+
+# --- overflowing float terms --------------------------------------------------------
+
+
+def test_sum_sign_overflowing_term_takes_the_rescaled_tier():
+    # 1e300 * 100**10 overflows to inf; the magnitude sum is then not finite
+    assert sum_sign([(1e300, 10.0, 100.0), (-1.0, 0.0, 1.0)]) == (1, None)
+    # inf - inf: fsum raises ValueError
+    assert sum_sign([(2e300, 10.0, 100.0), (-1e300, 10.0, 100.0)]) == (1, None)
+    # finite terms whose magnitude sum overflows: fsum raises OverflowError
+    assert sum_sign([(1e308, 1.0, 1.2), (-1e308, 2.0, 1.2)]) == (-1, None)
+
+
+def test_sum_value_overflowing_terms_take_the_mpmath_tier():
+    assert sum_value([(1e308, 1.0, 2.0), (-1e308, 1.0, 1.5)]) == pytest.approx(5e307)
+    assert sum_value([(1.2e308, 0.0, 1.0), (1e308, 0.0, 1.0), (-1.5e308, 0.0, 1.0)]) == \
+        pytest.approx(7e307)
+    assert sum_value([(2e300, 10.0, 100.0), (-1e300, 10.0, 100.0)]) == math.inf
 
 
 def test_nondegenerate_roots_bracket_a_sign_change():
