@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 
 from . import classifier, euler, qps, signomial
@@ -165,175 +164,25 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-# --- verify: reduced acceptance battery -------------------------------------------
+# --- verify: the acceptance criteria on a prefix of their draws -------------------
 
-
-def _quintic_pairs(m: MassTriple):
-    m1, m2, m3 = m.as_tuple()
-    return [(m2 + m3, 0), (2 * m2 + 3 * m3, 1), (m2 + 3 * m3, 2),
-            (-3 * m1 - m2, 3), (-3 * m1 - 2 * m2, 4), (-(m1 + m2), 5)]
+# Draw counts per criterion, in CRITERIA order; None for a criterion without draws.
+_VERIFY_DRAWS = (50, 100, 100, 100, 50, None, 50, 20, 25, 100, 10)
 
 
 def _verify() -> int:
-    failures: list[str] = []
-    rng = random.Random(20240917)
+    from .acceptance import CRITERIA  # here, so that other commands do not load it
 
-    def positive_triple():
-        return MassTriple(*(rng.uniform(0.1, 10.0) for _ in range(3)))
-
-    def any_triple(lim=10.0):
-        return MassTriple(*(rng.uniform(-lim, lim) for _ in range(3)))
-
-    def classic_uniqueness():
-        for _ in range(50):
-            m = positive_triple()
-            p = signomial.normalize(_quintic_pairs(m))
-            assert signomial.sign_variations(p) == 1
-            n, sols = euler.count_cell(m, -2.0, 2)
-            assert n == 1
-            s = sols[0].s
-            scale = sum(abs(c) * s ** e for c, e, _ in euler._g_triples(m, -2.0, s))
-            assert abs(euler.eval_g(m, -2.0, s)) <= 1e-9 * max(scale, 1.0)
-
-    def vortex_bound():
-        for _ in range(100):
-            m = any_triple()
-            counts, _ = euler.count_all(m, -1.0)
-            assert counts.total <= 3
-
-    def middle_cell_bound():
-        for _ in range(100):
-            m = any_triple()
-            b = rng.uniform(-5.0, 5.0)
-            if euler.degenerate_family(m, b) is not None:
-                continue
-            n, sols = euler.count_cell(m, b, 2)
-            assert n <= 3
-            if n == 3:
-                assert not any(s.degenerate for s in sols)
-
-    def positive_masses():
-        for _ in range(100):
-            m = positive_triple()
-            b = rng.uniform(-5.0, 0.99)
-            counts, _ = euler.count_all(m, b)
-            assert (counts.e1, counts.e2, counts.e3) == (1, 1, 1)
-
-    def totals_split():
-        for _ in range(50):
-            m = any_triple()
-            b = rng.uniform(-5.0, -1e-9)
-            if euler.degenerate_family(m, b) is None:
-                assert euler.count_all(m, b)[0].total <= 3
-        for _ in range(50):
-            m = any_triple()
-            b = rng.uniform(1e-9, 1.0 - 1e-9)
-            assert euler.count_all(m, b)[0].total <= 5
-        counts, _ = euler.count_all(MassTriple(1.0, -0.9, 1.0), 0.5)
-        assert counts.total == 5
-
-    def zero_sum_cases():
-        for b in (-2.0, -1.0):
-            assert euler.count_all(MassTriple(0.0, -1.0, 1.0), b)[0].total == 0
-        m = MassTriple(1.0, 2.0, -3.0)
-        counts, sols = euler.count_all(m, -2.0)
-        assert counts.total == 1
-        assert abs(euler.celli_identity_residual(m, sols[0])) < 1e-9
-
-    def expansions():
-        for _ in range(50):
-            m = any_triple(5.0)
-            s = rng.uniform(0.05, 5.0)
-            g2 = euler.eval_g(m, -2.0, s) * (1 + s) ** 2 * s ** 2
-            q = sum(c * s ** e for c, e in _quintic_pairs(m))
-            assert abs(g2 - q) <= 1e-9 * max(1.0, abs(q))
-            g1 = euler.eval_g(m, -1.0, s) * (1 + s) * s
-            cu = (-(m.m1 + m.m2) * s ** 3 - (2 * m.m1 + m.m2) * s ** 2
-                  + (m.m2 + 2 * m.m3) * s + m.m2 + m.m3)
-            assert abs(g1 - cu) <= 1e-9 * max(1.0, abs(cu))
-
-    def degenerate_families():
-        cases = [
-            (MassTriple(0.0, 0.0, 0.0), -2.0),
-            (MassTriple(1.0, -1.0, 1.0), 0.0),
-            (MassTriple(0.7, -0.2, 1.3), 1.0),
-            (MassTriple(1.0, 0.0, 1.0), 2.0),
-            (MassTriple(1.0, 1.0, 1.0), 3.0),
-        ]
-        for m, b in cases:
-            assert euler.count_all(m, b)[0].total == INFINITE
-            for _ in range(20):
-                dm = MassTriple(*(v + rng.uniform(-1e-3, 1e-3) for v in m.as_tuple()))
-                db = b + rng.uniform(-1e-3, 1e-3)
-                if euler.degenerate_family(dm, db) is not None:
-                    continue
-                assert euler.count_all(dm, db)[0].is_finite
-
-    def figure_grid():
-        result = classifier.grid_scan((-4.0, 2.0), (-4.0, 4.0), (25, 25),
-                                      cross_check=True, margin=0.05)
-        assert not result.mismatches, f"{len(result.mismatches)} grid mismatches"
-        assert abs(classifier.frontier_curve_m2(-2.0) - (0.25 + 4.0) / -3.0) < 1e-12
-
-    def signomial_engine():
-        for _ in range(100):
-            nterms = rng.randint(2, 6)
-            exps = sorted(rng.uniform(-5.0, 5.0) for _ in range(nterms))
-            if min(b - a for a, b in zip(exps, exps[1:])) < 1e-3:
-                continue
-            pairs = [(rng.uniform(-10.0, 10.0), e) for e in exps]
-            p = signomial.normalize(pairs)
-            if p.is_zero:
-                continue
-            count, _ = signomial.count_and_isolate(p, 1e-6, 1e6)
-            assert count <= min(signomial.sign_variations(p), len(p) - 1)
-            scan = 0
-            prev = 0
-            for i in range(20001):
-                x = 10.0 ** (-6.0 + 12.0 * i / 20000)
-                v = signomial.evaluate(p, x)
-                s = 0 if v == 0.0 else (1 if v > 0 else -1)
-                if prev != 0 and s != 0 and s != prev:
-                    scan += 1
-                if s != 0:
-                    prev = s
-            assert count >= scan, f"engine {count} < scan {scan}"
-
-    def bound_formulas():
-        assert qps.straight_bound(6) == 62
-        assert qps.khovanskii_bound(1, 2, 4) == 32768
-        for _ in range(10):
-            m = any_triple(3.0)
-            b = rng.uniform(-3.0, 0.9)
-            if euler.degenerate_family(m, b) is not None:
-                continue
-            f, c = qps.euler_line_system(m.m1, m.m2, m.m3, b)
-            got = qps.count_on_line(f, c).count
-            want, _ = euler.count_cell(m, b, 2)
-            assert got == want, f"{got} != {want} at {m}, b={b}"
-
-    checks = [
-        ("classic-uniqueness", classic_uniqueness),
-        ("vortex-total-bound", vortex_bound),
-        ("middle-cell-bound", middle_cell_bound),
-        ("positive-masses-one-per-cell", positive_masses),
-        ("total-bounds-by-regime", totals_split),
-        ("zero-sum-masses", zero_sum_cases),
-        ("polynomial-expansions", expansions),
-        ("degenerate-families", degenerate_families),
-        ("figure-grid-crosscheck", figure_grid),
-        ("signomial-engine", signomial_engine),
-        ("bound-formulas", bound_formulas),
-    ]
-    for name, fn in checks:
+    failures = 0
+    for (_, name, _, fn), draws in zip(CRITERIA, _VERIFY_DRAWS, strict=True):
         try:
-            fn()
+            fn() if draws is None else fn(draws)
         except Exception as exc:  # report and continue
-            failures.append(name)
+            failures += 1
             print(f"FAIL {name}: {exc}")
         else:
             print(f"PASS {name}")
-    print(f"{len(checks) - len(failures)}/{len(checks)} checks passed")
+    print(f"{len(CRITERIA) - failures}/{len(CRITERIA)} checks passed")
     return 4 if failures else 0
 
 
@@ -379,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("-d", required=True, help="d1,d2")
     pk.add_argument("-k", type=int, required=True)
 
-    sub.add_parser("verify", help="run the reduced acceptance battery")
+    sub.add_parser("verify", help="run the acceptance criteria on a prefix of their draws")
     return parser
 
 

@@ -35,7 +35,7 @@ from .numerics import (
     isolate_between,
     sum_value,
 )
-from .signomial import Endpoint, Signomial, count_and_isolate, normalize
+from .signomial import Endpoint, Signomial, count_and_isolate, merge_sorted, normalize
 
 __all__ = [
     "INFINITE",
@@ -228,30 +228,6 @@ class _Series(NamedTuple):
     tail: Tail
 
 
-def _merge(pairs):
-    """Exponent-sorted (c, e) pairs as a series: equal exponents summed, zeros dropped.
-
-    Zero coefficients are skipped, neighbours with equal exponents are summed
-    in order, and zero sums are dropped; on a stably sorted input this is
-    exactly normalize(pairs).pairs(). Exponents collide when b or b+1 is an
-    integer below the series order, or through rounding after a shift.
-    """
-    out = []
-    last = None
-    cancelled = False
-    for c, e in pairs:
-        if c == 0.0:
-            continue
-        if e == last:
-            c += out[-1][0]
-            out[-1] = (c, last)
-            cancelled = cancelled or c == 0.0
-        else:
-            out.append((c, e))
-            last = e
-    return tuple(p for p in out if p[0] != 0.0) if cancelled else tuple(out)
-
-
 def _binomials(b):
     """(rows, ratio): rows[i] = (C(b, k), C(b+1, k), k) for k = 3 + i up to the order.
 
@@ -309,7 +285,8 @@ def _zero_series_g(m: MassTriple, b, binomials) -> _Series:
     pairs += [(m13 * cb - m3 * cb1, k) for cb, cb1, k in rows[:-1]]
     pairs.sort(key=itemgetter(1))
     cb, cb1, order = rows[-1]
-    return _Series(_merge(pairs), Tail(abs(m13) * abs(cb) + abs(m3) * abs(cb1), order, ratio))
+    return _Series(merge_sorted(pairs),
+                   Tail(abs(m13) * abs(cb) + abs(m3) * abs(cb1), order, ratio))
 
 
 def _swap13(m: MassTriple) -> MassTriple:
@@ -323,7 +300,7 @@ def _reflect(series: _Series, b) -> _Series:
     (-c, e - b - 1), which keeps the exponent order, so only the merge of
     exponents that rounding made equal is needed.
     """
-    p = _merge([(-c, e - b - 1.0) for c, e in series.pairs])
+    p = merge_sorted([(-c, e - b - 1.0) for c, e in series.pairs])
     t = series.tail
     return _Series(p, Tail(t.coeff, t.exponent - b - 1.0, t.ratio))
 
@@ -339,7 +316,7 @@ def _derivative(series: _Series, end) -> _Series:
     ratio absorbs.
     """
     sigma = 1.0 if end is Endpoint.ZERO_PLUS else -1.0
-    p = _merge([(sigma * c * e, e - sigma) for c, e in series.pairs])
+    p = merge_sorted([(sigma * c * e, e - sigma) for c, e in series.pairs])
     t = series.tail
     return _Series(p, Tail(t.coeff * t.exponent, t.exponent - sigma,
                            t.ratio * (1.0 + 1.0 / t.exponent)))

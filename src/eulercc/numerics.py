@@ -264,7 +264,8 @@ def certified_sign_near_inf(pairs, tail=None, start=4.0):
 class RootRecord:
     """An isolated root: bracketing interval, refined value, degeneracy flag.
 
-    For degenerate=False the function changes sign across [lo, hi]; for
+    For degenerate=False the function changes sign across [lo, hi], or
+    lo == hi == value where it evaluates to exactly zero; for
     degenerate=True the root sits where the bracketing derivative-chain
     function is itself below the degeneracy threshold, so the bracket is
     only a location estimate.
@@ -351,7 +352,7 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_it
     sits in rounding noise). So the result is the one plain bisection
     returns, whatever the interpolation did.
 
-    Returns (value, lo, hi, hit_zero).
+    Returns (value, lo, hi, hit_zero); at an exact zero lo == hi == value.
     """
     for _ in range(max_iter):
         if hi <= 8.0 * lo or hi - lo <= rel_tol * hi:
@@ -361,7 +362,7 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_it
             return mid, lo, hi, False
         s, _ = eval_fn(mid)
         if s == 0:
-            return mid, lo, hi, True
+            return mid, mid, mid, True
         if s == sign_lo:
             lo = mid
         else:
@@ -380,7 +381,7 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_it
         else:
             s, _ = eval_fn(mid)
             if s == 0:
-                return mid, lo, hi, True
+                return mid, mid, mid, True
         if s == sign_lo:
             lo = mid
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .numerics import (
     BOUNDARY_ZERO_REL,
@@ -82,23 +83,37 @@ class Signomial:
         return len(self.terms)
 
 
+def merge_sorted(pairs):
+    """Exponent-sorted (c, e) pairs as a tuple with strictly increasing exponents.
+
+    Zero coefficients are skipped, neighbours with equal exponents are summed
+    in order, and zero sums are dropped. Exponents coincide through exact
+    relations or rounding after a shift, so float equality is the intended test.
+    """
+    out = []
+    last = None
+    cancelled = False
+    for c, e in pairs:
+        if c == 0.0:
+            continue
+        if e == last:
+            c += out[-1][0]
+            out[-1] = (c, last)
+            cancelled = cancelled or c == 0.0
+        else:
+            out.append((c, e))
+            last = e
+    return tuple(p for p in out if p[0] != 0.0) if cancelled else tuple(out)
+
+
 def normalize(raw_terms) -> Signomial:
     """Build a Signomial from (coefficient, exponent) pairs.
 
-    Terms with exactly equal exponents are merged by coefficient addition
-    (exponent coincidences in this library arise from exact relations, so
-    float equality is the intended test); zero coefficients are dropped.
+    The pairs are sorted by exponent (stably, so equal exponents sum in
+    input order) and merged by merge_sorted.
     """
-    merged: dict[float, float] = {}
-    for c, e in raw_terms:
-        c = float(c)
-        e = float(e)
-        if c == 0.0:
-            continue
-        acc = merged.get(e, 0.0) + c
-        merged[e] = acc
-    terms = tuple(Term(c, e) for e, c in sorted(merged.items()) if c != 0.0)
-    return Signomial(terms)
+    pairs = sorted([(float(c), float(e)) for c, e in raw_terms], key=itemgetter(1))
+    return Signomial(tuple(Term(c, e) for c, e in merge_sorted(pairs)))
 
 
 def _triples(p: Signomial, x: float):

@@ -14,6 +14,8 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
+from eulercc.acceptance import horner
+
 LOG10 = math.log(10.0)
 
 # Fixed million-point log grid on [1e-6, 1e6] shared by the signomial scans.
@@ -30,24 +32,6 @@ def signomial_scan_count(pairs, logx=None):
     signs = np.sign(vals)
     nonzero = signs[signs != 0.0]
     return int(np.sum(nonzero[1:] != nonzero[:-1]))
-
-
-def quintic_coeffs(m1, m2, m3):
-    """Coefficients (s^0..s^5) of (1+s)^2 s^2 g(s) at b = -2."""
-    return [m2 + m3, 2 * m2 + 3 * m3, m2 + 3 * m3,
-            -(3 * m1 + m2), -(3 * m1 + 2 * m2), -(m1 + m2)]
-
-
-def cubic_coeffs(m1, m2, m3):
-    """Coefficients (s^0..s^3) of (1+s) s g(s) at b = -1."""
-    return [m2 + m3, m2 + 2 * m3, -(2 * m1 + m2), -(m1 + m2)]
-
-
-def horner(coeffs, s):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
 
 
 def positive_roots_of_poly(coeffs_ascending):
@@ -108,7 +92,3 @@ def cell_scan_counts(m1, m2, m3, b, n=400_001):
 
 def diff1(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def diff2(f, x, h):
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)

@@ -1,45 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines. Every tolerance is pinned here; the random draws are seeded so runs
-are reproducible.
+lines. The criteria live in eulercc.acceptance, which pins every tolerance
+and seeds every draw; here they run at their default draw counts, with the
+numpy oracles for the quintic's root and the signomial scan.
 """
 
-import random
 from contextlib import contextmanager
 
-from eulercc.classifier import frontier_curve_m2, grid_scan
-from eulercc.euler import (
-    INFINITE,
-    MassTriple,
-    celli_identity_residual,
-    count_all,
-    count_cell,
-    degenerate_family,
-    eval_g,
-    h_signomial,
-)
-from eulercc.qps import count_on_line, euler_line_system, khovanskii_bound, straight_bound
-from eulercc.signomial import (
-    count_and_isolate,
-    derivative_chain,
-    evaluate,
-    normalize,
-    sign_variations,
-)
+from eulercc import acceptance
 
-from oracles import (
-    cubic_coeffs,
-    diff2,
-    horner,
-    positive_roots_of_poly,
-    quintic_coeffs,
-    signomial_scan_count,
-)
+from oracles import positive_roots_of_poly, signomial_scan_count
 
 
 @contextmanager
-def criterion(number, description):
+def criterion(number):
+    description = acceptance.CRITERIA[number - 1].description
     try:
         yield
     except BaseException:
@@ -49,206 +25,55 @@ def criterion(number, description):
 
 
 def test_criterion_01_classic_uniqueness():
-    with criterion(1, "positive masses at b=-2: one sign variation, one root, "
-                      "root matches the quintic to 1e-9 relative"):
-        rng = random.Random(101)
-        for _ in range(200):
-            m = MassTriple(*(rng.uniform(0.1, 10.0) for _ in range(3)))
-            coeffs = quintic_coeffs(*m.as_tuple())
-            p = normalize([(c, k) for k, c in enumerate(coeffs)])
-            assert sign_variations(p) == 1
-            n, sols = count_cell(m, -2.0, 2)
-            assert n == 1
-            oracle_roots = positive_roots_of_poly(coeffs)
-            assert len(oracle_roots) == 1
-            assert abs(sols[0].s - oracle_roots[0]) <= 1e-9 * oracle_roots[0]
+    with criterion(1):
+        acceptance.classic_uniqueness(positive_roots=positive_roots_of_poly)
 
 
 def test_criterion_02_vortex_total_bound():
-    with criterion(2, "b=-1, 1000 real mass triples: total count <= 3"):
-        rng = random.Random(102)
-        draws = 0
-        while draws < 1000:
-            m = MassTriple(*(rng.uniform(-10.0, 10.0) for _ in range(3)))
-            if degenerate_family(m, -1.0) is not None:
-                continue
-            counts, _ = count_all(m, -1.0)
-            assert counts.total <= 3
-            draws += 1
+    with criterion(2):
+        acceptance.vortex_total_bound()
 
 
 def test_criterion_03_middle_cell_bound():
-    with criterion(3, "1000 random (m, b): middle-cell count <= 3; "
-                      "at 3 no root is degenerate"):
-        rng = random.Random(103)
-        draws = 0
-        while draws < 1000:
-            m = MassTriple(*(rng.uniform(-10.0, 10.0) for _ in range(3)))
-            b = rng.uniform(-5.0, 5.0)
-            if degenerate_family(m, b) is not None:
-                continue
-            n, sols = count_cell(m, b, 2)
-            assert n <= 3
-            if n == 3:
-                assert not any(s.degenerate for s in sols)
-            draws += 1
+    with criterion(3):
+        acceptance.middle_cell_bound()
 
 
 def test_criterion_04_positive_masses_one_per_cell():
-    with criterion(4, "1000 positive triples, b in [-5, 0.99]: counts (1,1,1)"):
-        rng = random.Random(104)
-        for _ in range(1000):
-            m = MassTriple(*(rng.uniform(0.1, 10.0) for _ in range(3)))
-            b = rng.uniform(-5.0, 0.99)
-            counts, _ = count_all(m, b)
-            assert (counts.e1, counts.e2, counts.e3, counts.total) == (1, 1, 1, 3)
+    with criterion(4):
+        acceptance.positive_masses_one_per_cell()
 
 
 def test_criterion_05_total_bounds_by_regime():
-    with criterion(5, "totals <= 3 for b < 0 and <= 5 for 0 < b < 1; "
-                      "(1, -0.9, 1) at b = 0.5 attains 5"):
-        rng = random.Random(105)
-        draws = 0
-        while draws < 500:
-            m = MassTriple(*(rng.uniform(-10.0, 10.0) for _ in range(3)))
-            b = rng.uniform(-5.0, 0.0)
-            if b == 0.0 or degenerate_family(m, b) is not None:
-                continue
-            assert count_all(m, b)[0].total <= 3
-            draws += 1
-        draws = 0
-        while draws < 500:
-            m = MassTriple(*(rng.uniform(-10.0, 10.0) for _ in range(3)))
-            b = rng.uniform(0.0, 1.0)
-            if b in (0.0, 1.0) or degenerate_family(m, b) is not None:
-                continue
-            assert count_all(m, b)[0].total <= 5
-            draws += 1
-        counts, _ = count_all(MassTriple(1.0, -0.9, 1.0), 0.5)
-        assert counts.total == 5
+    with criterion(5):
+        acceptance.total_bounds_by_regime()
 
 
 def test_criterion_06_zero_count_and_zero_sum():
-    with criterion(6, "(0,-1,1) has no configurations at b=-2,-1; (1,2,-3) has one "
-                      "with center-of-mass residual < 1e-9"):
-        for b in (-2.0, -1.0):
-            counts, sols = count_all(MassTriple(0.0, -1.0, 1.0), b)
-            assert counts.total == 0 and sols == []
-        m = MassTriple(1.0, 2.0, -3.0)
-        counts, sols = count_all(m, -2.0)
-        assert counts.total == 1
-        assert abs(celli_identity_residual(m, sols[0])) < 1e-9
+    with criterion(6):
+        acceptance.zero_count_and_zero_sum()
 
 
 def test_criterion_07_expansion_equivalences():
-    with criterion(7, "polynomial specializations at b=-2,-1 to 1e-9 relative; "
-                      "second-derivative transform identity to 1e-5"):
-        rng = random.Random(107)
-        for _ in range(100):
-            m = MassTriple(*(rng.uniform(-5.0, 5.0) for _ in range(3)))
-            s = rng.uniform(0.05, 8.0)
-            q = quintic_coeffs(*m.as_tuple())
-            scale = sum(abs(c) * s ** k for k, c in enumerate(q))
-            assert abs((1 + s) ** 2 * s ** 2 * eval_g(m, -2.0, s)
-                       - horner(q, s)) <= 1e-9 * max(scale, 1e-9)
-            cu = cubic_coeffs(*m.as_tuple())
-            scale = sum(abs(c) * s ** k for k, c in enumerate(cu))
-            assert abs((1 + s) * s * eval_g(m, -1.0, s)
-                       - horner(cu, s)) <= 1e-9 * max(scale, 1e-9)
-        checked = 0
-        while checked < 100:
-            m = MassTriple(*(rng.uniform(-5.0, 5.0) for _ in range(3)))
-            b = rng.uniform(-3.0, 3.0)
-            if min(abs(b), abs(b - 1.0)) < 0.1 or degenerate_family(m, b):
-                continue
-            y = rng.uniform(0.15, 0.85)
-            s = y / (1.0 - y)
-            big_h = h_signomial(m, b)
-            rhs = (1.0 - y) ** (1.0 - b) * evaluate(big_h, y)
-            lhs = diff2(lambda t: eval_g(m, b, t), s, 3e-4 * s)
-            scale = (1.0 - y) ** (1.0 - b) * sum(abs(c) * y ** e for c, e in big_h.pairs())
-            assert abs(lhs - rhs) <= 1e-5 * max(scale, abs(lhs), 1.0)
-            checked += 1
+    with criterion(7):
+        acceptance.expansion_equivalences()
 
 
 def test_criterion_08_degenerate_families():
-    with criterion(8, "the five identically-vanishing families report infinite "
-                      "counts; 1e-3 perturbations are finite"):
-        rng = random.Random(108)
-        cases = [
-            (MassTriple(0.0, 0.0, 0.0), -2.0),
-            (MassTriple(1.0, -1.0, 1.0), 0.0),
-            (MassTriple(0.4, -1.1, 2.2), 1.0),
-            (MassTriple(1.3, 0.0, 1.3), 2.0),
-            (MassTriple(0.8, 0.8, 0.8), 3.0),
-        ]
-        for m, b in cases:
-            counts, _ = count_all(m, b)
-            assert counts.total == INFINITE
-            perturbed = 0
-            while perturbed < 100:
-                dm = MassTriple(*(v + rng.uniform(-1e-3, 1e-3) for v in m.as_tuple()))
-                db = b + rng.uniform(-1e-3, 1e-3)
-                if degenerate_family(dm, db) is not None:
-                    continue
-                counts, _ = count_all(dm, db)
-                assert counts.is_finite
-                perturbed += 1
+    with criterion(8):
+        acceptance.degenerate_families()
 
 
 def test_criterion_09_figure_reconstruction():
-    with criterion(9, "50x50 grid over m2 in [-4,2], b in [-4,4], margin 0.05: "
-                      "classifier matches the numeric counter everywhere"):
-        result = grid_scan((-4.0, 2.0), (-4.0, 4.0), (50, 50),
-                           cross_check=True, margin=0.05)
-        assert result.mismatches == ()
-        assert result.checked > 2000
-        assert abs(frontier_curve_m2(-2.0) - (0.25 + 4.0) / (-3.0)) <= 1e-12
-        # the half-line frontier at b=-2 sits at m2 = -1 exactly
-        from eulercc.classifier import classify_E1, classify_E2
-        assert classify_E1(-1.0, -2.0)[1] and classify_E2(-1.0, -2.0)[1]
+    with criterion(9):
+        acceptance.figure_reconstruction()
 
 
 def test_criterion_10_root_engine_vs_oracle():
-    with criterion(10, "500 random signomials: certified count <= min(variations, "
-                       "terms-1), equals the 1e6-point scan, chain decrements hold"):
-        rng = random.Random(110)
-        draws = 0
-        while draws < 500:
-            n = rng.randint(1, 6)
-            exps = sorted(rng.uniform(-5.0, 5.0) for _ in range(n))
-            if n > 1 and min(y - x for x, y in zip(exps, exps[1:])) < 1e-3:
-                continue
-            p = normalize([(rng.uniform(-10.0, 10.0), e) for e in exps])
-            if p.is_zero:
-                continue
-            # compare on the oracle's window; roots beyond it are invisible
-            # to the pinned scan grid
-            count, _ = count_and_isolate(p, 1e-6, 1e6)
-            assert count <= min(sign_variations(p), len(p) - 1)
-            assert count == signomial_scan_count(p.pairs())
-            full, _ = count_and_isolate(p)
-            assert full >= count
-            sv, terms = sign_variations(p), len(p)
-            for _, q in derivative_chain(p):
-                assert sign_variations(q) == sv - 1
-                assert len(q) == terms - 1
-                sv, terms = sign_variations(q), len(q)
-            draws += 1
+    with criterion(10):
+        acceptance.root_engine_vs_oracle(scan_count=signomial_scan_count)
 
 
 def test_criterion_11_bound_formulas_and_line_reduction():
-    with criterion(11, "straight_bound(6)=62, khovanskii_bound(1,2,4)=32768; "
-                       "line reduction matches the cell counter on 50 draws"):
-        assert straight_bound(6) == 62
-        assert khovanskii_bound(1, 2, 4) == 32768
-        rng = random.Random(111)
-        draws = 0
-        while draws < 50:
-            m = MassTriple(*(rng.uniform(-3.0, 3.0) for _ in range(3)))
-            b = rng.uniform(-3.0, 0.9)
-            if degenerate_family(m, b) is not None:
-                continue
-            f, c = euler_line_system(*m.as_tuple(), b)
-            assert count_on_line(f, c).count == count_cell(m, b, 2)[0]
-            draws += 1
+    with criterion(11):
+        acceptance.bound_formulas_and_line_reduction()

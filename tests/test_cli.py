@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eulercc
+from eulercc import euler
+from eulercc.acceptance import CRITERIA
 from eulercc.cli import main
 
 
@@ -147,3 +154,39 @@ def test_output_file_writing(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["total"] == 3
+
+
+def test_verify_runs_every_criterion(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert out.splitlines() == [f"PASS {c.name}" for c in CRITERIA] + ["11/11 checks passed"]
+
+
+def _wrong_counts(m, b, tol=None):
+    return euler.CellCount.of(9, 9, 9), []
+
+
+def test_verify_reports_failed_criteria(capsys, monkeypatch):
+    monkeypatch.setattr(euler, "count_all", _wrong_counts)
+    code, out, _ = run(capsys, "verify")
+    assert code == 4
+    failed = [line.split(":")[0][len("FAIL "):] for line in out.splitlines()
+              if line.startswith("FAIL ")]
+    assert failed == ["vortex-total-bound", "positive-masses-one-per-cell",
+                      "total-bounds-by-regime", "zero-sum-masses", "degenerate-families"]
+    assert out.splitlines()[-1] == "6/11 checks passed"
+
+
+def test_verify_fails_under_optimize():
+    # python -O strips assert statements; a failed criterion must still fail.
+    script = ("import sys\n"
+              "from eulercc import euler\n"
+              "from eulercc.cli import main\n"
+              "euler.count_all = lambda m, b, tol=None: (euler.CellCount.of(9, 9, 9), [])\n"
+              "sys.exit(main(['verify']))\n")
+    src = str(Path(eulercc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600)
+    assert proc.returncode == 4, proc.stderr
+    assert "FAIL vortex-total-bound: " in proc.stdout

@@ -55,6 +55,28 @@ def test_normalize_idempotent(raw):
     assert all(c != 0.0 for c in p.coefficients())
 
 
+def _dict_normalize_pairs(raw_terms):
+    # The dict-based merge that normalize used before merge_sorted, kept as
+    # the reference: equal exponents summed in input order, zeros dropped.
+    merged = {}
+    for c, e in raw_terms:
+        c, e = float(c), float(e)
+        if c != 0.0:
+            merged[e] = merged.get(e, 0.0) + c
+    return tuple((c, e) for e, c in sorted(merged.items()) if c != 0.0)
+
+
+def test_normalize_matches_the_dict_merge():
+    # Few distinct exponents (with 0.0 and -0.0) and coefficients that
+    # cancel exactly, so collisions, zero sums and signed zeros all occur.
+    rng = random.Random(5)
+    for _ in range(3000):
+        exps = [rng.choice([0.0, -0.0, 1.0, 0.5, rng.uniform(-3, 3)]) for _ in range(3)]
+        raw = [(rng.choice([0.0, 1.0, -1.0, 0.1, 0.2, -0.3, rng.uniform(-5, 5)]), rng.choice(exps))
+               for _ in range(rng.randint(0, 8))]
+        assert repr(normalize(raw).pairs()) == repr(_dict_normalize_pairs(raw))
+
+
 # --- evaluate -------------------------------------------------------------------
 
 
@@ -318,6 +340,18 @@ def test_isolation_windows_are_disjoint_and_sorted(n, seed):
         assert r.lo < r.value < r.hi or r.lo == r.hi == r.value
 
 
+@pytest.mark.parametrize("raw", [
+    [(2, 0), (5, 1), (4, 2), (-4, 3), (-5, 4), (-2, 5)],
+    [(1, 1), (-1, 2)],
+])
+def test_root_at_an_exact_zero_has_a_zero_width_bracket(raw):
+    # The geometric midpoint of the anchors is the root 1, where the sum is
+    # exactly 0: the bracket closes on it instead of staying unrefined.
+    count, roots = count_and_isolate(normalize(raw))
+    assert count == 1
+    assert roots[0].lo == roots[0].hi == roots[0].value == 1.0
+
+
 # --- refinement ------------------------------------------------------------------
 
 
@@ -374,6 +408,18 @@ def test_refinement_steps_are_bounded_by_bisection():
     assert itp_calls[0] <= plain_calls[0] + 1 + 2
     assert lo < 1.0 < hi and hi - lo <= DEFAULT_REL_TOL * hi
     assert lo < value < hi
+
+
+def test_exact_zero_on_the_replayed_path_closes_the_bracket():
+    # z is a midpoint of bisection's path from [0.5, 1.5] that the ITP steps
+    # do not land on, so the replay is the one to evaluate the exact zero.
+    z = 1.0 + 2.0 ** -30
+
+    def eval_fn(x):
+        v = (x - z) ** 3
+        return (v > 0.0) - (v < 0.0), v
+
+    assert bisect_sign_change(eval_fn, 0.5, 1.5, -1) == (z, z, z, True)
 
 
 @pytest.mark.parametrize("raw, lo, hi, sign_lo", [
