@@ -200,7 +200,7 @@ def expansion_equivalences(draws=100):
         big_h = euler.h_signomial(m, b)
         rhs = (1.0 - y) ** (1.0 - b) * signomial.evaluate(big_h, y)
         lhs = diff2(lambda t: euler.eval_g(m, b, t), s, 3e-4 * s)
-        scale = (1.0 - y) ** (1.0 - b) * sum(abs(c) * y ** e for c, e in big_h.pairs())
+        scale = (1.0 - y) ** (1.0 - b) * sum(abs(c) * y ** e for c, e in big_h.pairs)
         _require(abs(lhs - rhs) <= 1e-5 * max(scale, abs(lhs), 1.0),
                  f"{m}, b={b!r}, y={y!r}: g'' {lhs!r}, transformed h {rhs!r}")
 
@@ -255,14 +255,14 @@ def root_engine_vs_oracle(draws=500, scan_count=log_scan_count):
         # compare on the oracle's window; roots beyond it are invisible to
         # the scan grid
         count, _ = signomial.count_and_isolate(p, 1e-6, 1e6)
-        _require(count <= min(sv, terms - 1), f"{p.pairs()}: count {count} over the bound")
-        scan = scan_count(p.pairs())
-        _require(count == scan, f"{p.pairs()}: count {count}, scan {scan}")
+        _require(count <= min(sv, terms - 1), f"{p.pairs}: count {count} over the bound")
+        scan = scan_count(p.pairs)
+        _require(count == scan, f"{p.pairs}: count {count}, scan {scan}")
         full, _ = signomial.count_and_isolate(p)
-        _require(full >= count, f"{p.pairs()}: {full} roots on (0, inf), {count} in the window")
+        _require(full >= count, f"{p.pairs}: {full} roots on (0, inf), {count} in the window")
         for _, q in signomial.derivative_chain(p):
             _require(signomial.sign_variations(q) == sv - 1 and len(q) == terms - 1,
-                     f"{p.pairs()}: a chain step did not drop one term and one variation")
+                     f"{p.pairs}: a chain step did not drop one term and one variation")
             sv, terms = sv - 1, terms - 1
         done += 1
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .euler import INFINITE, MassTriple, count_all
+from .numerics import check_tol
 from .signomial import Endpoint
 from . import euler
 
@@ -39,9 +40,6 @@ __all__ = [
 ]
 
 SPECIAL_POINTS = ((-1.0, 0.0), (0.0, 2.0), (1.0, 3.0))
-
-FRONTIER_KINDS = ("curve", "halfline_low", "halfline_high", "hyperbola",
-                  "line_b1", "special_point")
 
 
 @dataclass(frozen=True)
@@ -218,11 +216,15 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
 
     resolution is (nx, ny) for the m2 and b axes. Rows are emitted in
     row-major order, b outer and m2 inner. Raises ValueError when a range
-    end is NaN or infinite.
+    end is NaN or infinite, tol is not finite and positive, or margin is
+    not finite and non-negative.
     """
     for name, (lo, hi) in (("m2", m2_range), ("b", b_range)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"{name} range must be finite, got {lo!r}:{hi!r}")
+    check_tol(tol)
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be finite and non-negative, got {margin!r}")
     m2_values = _axis(float(m2_range[0]), float(m2_range[1]), int(resolution[0]))
     b_values = _axis(float(b_range[0]), float(b_range[1]), int(resolution[1]))
     rows = []

@@ -32,6 +32,7 @@ from .numerics import (
     Tail,
     ToleranceError,
     certified_sign_near_zero,
+    check_tol,
     isolate_between,
     sum_value,
 )
@@ -40,7 +41,6 @@ from .signomial import Endpoint, Signomial, count_and_isolate, merge_sorted, nor
 __all__ = [
     "INFINITE",
     "MassTriple",
-    "Exponent",
     "CellCount",
     "ConfigurationSolution",
     "abc_terms",
@@ -58,9 +58,6 @@ __all__ = [
 
 # Cell counts are ints, or this marker for the identically-vanishing families.
 INFINITE = math.inf
-
-# The force-law exponent is a plain real number.
-Exponent = float
 
 CELLS = (1, 2, 3)
 
@@ -445,7 +442,7 @@ def _cell_roots(mv: MassTriple, b, h, tol):
     # Stage 2: g' is strictly monotone between curvature breakpoints.
     gp_roots = isolate_between(
         lambda s: _gp_triples(mv, b, s),
-        lambda s: [(t.coefficient, t.exponent, s / (1.0 + s)) for t in h.terms],
+        lambda s: [(c, e, s / (1.0 + s)) for c, e in h.pairs],
         _anchor(_derivative(zero, Endpoint.ZERO_PLUS), Endpoint.ZERO_PLUS),
         _anchor(_derivative(inf, Endpoint.INFINITY), Endpoint.INFINITY),
         curvature_breaks, tol,
@@ -465,13 +462,15 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL):
 
     Returns (count, solutions); count is INFINITE (with no enumerable
     solutions) exactly on the degenerate families of the cell's mass view.
-    Raises ValueError when a mass or b is NaN or infinite.
+    Raises ValueError when a mass or b is NaN or infinite, or tol is not
+    finite and positive.
     """
     m = _masses(m)
     if not all(map(math.isfinite, m.as_tuple())):
         raise ValueError(f"masses must be finite, got {m.as_tuple()}")
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b!r}")
+    check_tol(tol)
     if cell not in CELLS:
         raise ValueError("cell must be 1, 2 or 3")
     mv = cell_mass_view(m, cell)

@@ -26,6 +26,13 @@ BOUNDARY_ZERO_REL = 1e-12
 # Default relative width at which refinement stops.
 DEFAULT_REL_TOL = 1e-12
 
+
+def check_tol(tol):
+    """Raise ValueError unless the refinement width tol is finite and positive."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 # |exponent * log(base)| beyond which float powers may overflow and the
 # log-rescaled path is used instead.
 _LOG_SAFE = 660.0

@@ -24,13 +24,13 @@ from .numerics import (
     RootRecord,
     certified_sign_near_inf,
     certified_sign_near_zero,
+    check_tol,
     isolate_between,
     sum_sign,
     sum_value,
 )
 
 __all__ = [
-    "Term",
     "Signomial",
     "RootRecord",
     "Endpoint",
@@ -55,32 +55,21 @@ class Endpoint(Enum):
 
 
 @dataclass(frozen=True)
-class Term:
-    coefficient: float
-    exponent: float
-
-
-@dataclass(frozen=True)
 class Signomial:
-    """Terms with strictly increasing exponents; empty means identically zero."""
+    """A normalized signomial: (coefficient, exponent) pairs with strictly
+    increasing exponents and nonzero coefficients; empty means identically zero.
 
-    terms: tuple[Term, ...]
+    Build one with normalize; the derivative chain keeps the invariant.
+    """
+
+    pairs: tuple[tuple[float, float], ...]
 
     @property
     def is_zero(self):
-        return not self.terms
-
-    def pairs(self):
-        return tuple((t.coefficient, t.exponent) for t in self.terms)
-
-    def exponents(self):
-        return tuple(t.exponent for t in self.terms)
-
-    def coefficients(self):
-        return tuple(t.coefficient for t in self.terms)
+        return not self.pairs
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.pairs)
 
 
 def merge_sorted(pairs):
@@ -109,27 +98,34 @@ def merge_sorted(pairs):
 def normalize(raw_terms) -> Signomial:
     """Build a Signomial from (coefficient, exponent) pairs.
 
-    The pairs are sorted by exponent (stably, so equal exponents sum in
-    input order) and merged by merge_sorted.
+    The pairs are converted to float, sorted by exponent (stably, so equal
+    exponents sum in input order) and merged by merge_sorted. This is the
+    one entry point; the derivative chain never normalizes again.
     """
     pairs = sorted([(float(c), float(e)) for c, e in raw_terms], key=itemgetter(1))
-    return Signomial(tuple(Term(c, e) for c, e in merge_sorted(pairs)))
+    return Signomial(merge_sorted(pairs))
 
 
-def _triples(p: Signomial, x: float):
-    return [(t.coefficient, t.exponent, x) for t in p.terms]
+def _triples(pairs, x: float):
+    return [(c, e, x) for c, e in pairs]
 
 
 def evaluate(p: Signomial, x: float) -> float:
     """Evaluate p at x > 0."""
     if x <= 0.0:
         raise ValueError("signomials are defined on x > 0")
-    return sum_value(_triples(p, x))
+    return sum_value(_triples(p.pairs, x))
+
+
+def _shift_differentiate(pairs, pivot: float):
+    # Subtracting a constant keeps the float order of the exponents (ties
+    # included), so the terms stay sorted and only need the merge.
+    return merge_sorted([(c * (e - pivot), e - pivot - 1.0) for c, e in pairs])
 
 
 def derivative(p: Signomial) -> Signomial:
     """Term-wise derivative; constants vanish."""
-    return normalize((t.coefficient * t.exponent, t.exponent - 1.0) for t in p.terms)
+    return Signomial(_shift_differentiate(p.pairs, 0.0))
 
 
 def shift_and_differentiate(p: Signomial, pivot_exponent: float) -> Signomial:
@@ -137,22 +133,19 @@ def shift_and_differentiate(p: Signomial, pivot_exponent: float) -> Signomial:
 
     The pivot term is annihilated, so the result has exactly one term
     fewer, and by Rolle its positive roots interlace the monotone pieces
-    of x**(-pivot) * p(x), which has the same roots as p.
+    of x**(-pivot) * p(x), which has the same roots as p. Exponents that
+    round together after the shift are merged as normalize merges them.
     """
-    exps = p.exponents()
-    if pivot_exponent not in exps:
+    if pivot_exponent not in (e for _, e in p.pairs):
         raise ValueError(f"pivot exponent {pivot_exponent!r} is not an exponent of p")
-    return normalize(
-        (t.coefficient * (t.exponent - pivot_exponent), t.exponent - pivot_exponent - 1.0)
-        for t in p.terms
-    )
+    return Signomial(_shift_differentiate(p.pairs, pivot_exponent))
 
 
 def sign_variations(p: Signomial) -> int:
     """Strict sign changes in the coefficient sequence, exponents increasing."""
     count = 0
     prev = 0.0
-    for c in p.coefficients():
+    for c, _ in p.pairs:
         if prev != 0.0 and (c > 0.0) != (prev > 0.0):
             count += 1
         prev = c
@@ -163,17 +156,17 @@ def limit_sign(p: Signomial, endpoint: Endpoint) -> int:
     """Sign of p at 0+ or +infinity: the dominant term decides; 0 only if p is zero."""
     if p.is_zero:
         return 0
-    term = p.terms[0] if endpoint is Endpoint.ZERO_PLUS else p.terms[-1]
-    return 1 if term.coefficient > 0.0 else -1
+    c, _ = p.pairs[0] if endpoint is Endpoint.ZERO_PLUS else p.pairs[-1]
+    return 1 if c > 0.0 else -1
 
 
-def _first_variation_pivot(p: Signomial) -> float:
-    coeffs = p.coefficients()
-    first = coeffs[0]
-    for t in p.terms:
-        if (t.coefficient > 0.0) != (first > 0.0):
-            return t.exponent
-    raise ValueError("signomial has no sign variation")
+def _first_variation_pivot(pairs):
+    """The exponent of the first term whose sign differs from the first term's, or None."""
+    positive = bool(pairs) and pairs[0][0] > 0.0
+    for c, e in pairs:
+        if (c > 0.0) != positive:
+            return e
+    return None
 
 
 def derivative_chain(p: Signomial):
@@ -182,36 +175,36 @@ def derivative_chain(p: Signomial):
     Yields (pivot_exponent, reduced_signomial) steps; each step removes
     exactly one term and one sign variation.
     """
-    while sign_variations(p) > 0:
-        pivot = _first_variation_pivot(p)
-        p = shift_and_differentiate(p, pivot)
-        yield pivot, p
+    pairs = p.pairs
+    while (pivot := _first_variation_pivot(pairs)) is not None:
+        pairs = _shift_differentiate(pairs, pivot)
+        yield pivot, Signomial(pairs)
 
 
 # --- counting and isolation ---------------------------------------------------
 
 
-def _isolate(p: Signomial, lo: float, hi: float, tol: float) -> list[RootRecord]:
-    if len(p) <= 1 or sign_variations(p) == 0:
-        # All stored coefficients share one sign: no positive roots at all.
+def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
+    pivot = _first_variation_pivot(pairs)
+    if pivot is None:
+        # All coefficients share one sign: no positive roots at all.
         return []
-    pivot = _first_variation_pivot(p)
-    q = shift_and_differentiate(p, pivot)
+    q = _shift_differentiate(pairs, pivot)
     q_roots = _isolate(q, lo, hi, tol)
 
     # Left anchor: domination probe for the open end at 0, direct evaluation
     # for a finite boundary (a boundary zero is excluded, not counted).
     inner = q_roots[0].value if q_roots else (hi if math.isfinite(hi) else 2.0)
     if lo == 0.0:
-        left = certified_sign_near_zero(p.pairs(), start=0.5 * min(1.0, inner))
+        left = certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner))
     else:
-        left = (lo, sum_sign(_triples(p, lo), BOUNDARY_ZERO_REL)[0])
+        left = (lo, sum_sign(_triples(pairs, lo), BOUNDARY_ZERO_REL)[0])
     if math.isinf(hi):
         outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
-        right = certified_sign_near_inf(p.pairs(), start=2.0 * outer)
+        right = certified_sign_near_inf(pairs, start=2.0 * outer)
     else:
-        right = (hi, sum_sign(_triples(p, hi), BOUNDARY_ZERO_REL)[0])
-    return isolate_between(lambda x: _triples(p, x), lambda x: _triples(q, x),
+        right = (hi, sum_sign(_triples(pairs, hi), BOUNDARY_ZERO_REL)[0])
+    return isolate_between(lambda x: _triples(pairs, x), lambda x: _triples(q, x),
                            left, right, q_roots, rel_tol=tol)
 
 
@@ -224,17 +217,16 @@ def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,
     the derivative-chain function is also below the degeneracy threshold
     is flagged degenerate and counted once. Raises ToleranceError when a
     sign cannot be certified at evaluation precision, and ValueError when
-    a coefficient or exponent is NaN or infinite.
+    a coefficient or exponent is NaN or infinite, or tol is not finite and
+    positive.
     """
     if not (0.0 <= lo < hi):
         raise ValueError("need 0 <= lo < hi")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    for t in p.terms:
-        if not (math.isfinite(t.coefficient) and math.isfinite(t.exponent)):
-            raise ValueError(f"signomial terms must be finite, got term "
-                             f"[{t.coefficient!r}, {t.exponent!r}]")
+    check_tol(tol)
+    for c, e in p.pairs:
+        if not (math.isfinite(c) and math.isfinite(e)):
+            raise ValueError(f"signomial terms must be finite, got term [{c!r}, {e!r}]")
     if p.is_zero:
         return IDENTICALLY_ZERO, []
-    roots = _isolate(p, lo, hi, tol)
+    roots = _isolate(p.pairs, lo, hi, tol)
     return len(roots), roots

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -13,6 +14,24 @@ from eulercc.classifier import (
     grid_to_csv,
 )
 from eulercc.euler import INFINITE, MassTriple, count_all, count_cell, eval_g_prime
+from eulercc.signomial import count_and_isolate, normalize
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+def test_bad_tol_is_rejected(tol):
+    # b = 0 takes count_cell's affine path, which never reaches the root engine
+    for call in (lambda: count_cell((1.0, 1.0, 1.0), -2.0, 2, tol),
+                 lambda: count_cell((1.0, 1.0, 1.0), 0.0, 2, tol),
+                 lambda: count_and_isolate(normalize([(1, 0), (-1, 1)]), tol=tol),
+                 lambda: grid_scan((-2.0, 0.0), (-2.0, 0.0), (3, 3), cross_check=True, tol=tol)):
+        with pytest.raises(ValueError, match="^tol must be finite and positive"):
+            call()
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -0.05])
+def test_bad_margin_is_rejected(margin):
+    with pytest.raises(ValueError, match="^margin must be finite and non-negative"):
+        grid_scan((-2.0, 0.0), (-2.0, 0.0), (3, 3), cross_check=True, margin=margin)
 
 
 def test_frontier_curve_values():

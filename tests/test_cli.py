@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -64,12 +65,55 @@ def test_solve_parse_error_exits_2(capsys):
     (("solve", "-m", "1,1,1", "-b", "-inf"), "b must be finite"),
     (("grid", "--m2", "0:1", "--b", "nan:1", "-n", "2x2"), "b range must be finite"),
     (("grid", "--m2", "0:inf", "--b", "-2:-1", "-n", "2x2"), "m2 range must be finite"),
+    (("solve", "-m", "1,1,1", "-b", "-2", "--tol", "nan"), "tol must be finite and positive"),
+    (("solve", "-m", "1,1,1", "-b", "0", "--tol", "nan"), "tol must be finite and positive"),
+    (("signomial", "--terms", "[[1,0],[-1,1]]", "--tol", "nan"), "tol must be finite and positive"),
+    (("signomial", "--terms", "[[1,0],[-1,1]]", "--tol", "inf"), "tol must be finite and positive"),
+    (("grid", "--m2", "-2:0", "--b", "-2:0", "-n", "3x3", "--check", "--margin", "nan"),
+     "margin must be finite and non-negative"),
+    (("grid", "--m2", "-2:0", "--b", "-2:0", "-n", "3x3", "--check", "--margin", "inf"),
+     "margin must be finite and non-negative"),
+    (("grid", "--m2", "-2:0", "--b", "-2:0", "-n", "3x3", "--check", "--tol", "nan"),
+     "tol must be finite and positive"),
 ])
 def test_non_finite_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert message in err
+
+
+# The exact stdout of the README examples; a refactor must leave these bytes alone
+README_OUTPUTS = [
+    (("solve", "-m", "1,1,1", "-b", "-2"),
+     '{"e1": 1, "e2": 1, "e3": 1, "total": 3, "solutions": [{"cell": 1, "s": 1, '
+     '"positions": [1, 0, 2], "degenerate": false}, {"cell": 2, "s": 1, "positions": '
+     '[0, 1, 2], "degenerate": false}, {"cell": 3, "s": 1, "positions": [0, 2, 1], '
+     '"degenerate": false}], "degenerate_family": null}\n'),
+    (("signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]"),
+     '{"sign_variations": 2, "laguerre_bound": 2, "count": 2, "roots": [{"lo": '
+     '0.12061475842816455, "hi": 0.12061475842822487, "value": 0.12061475842819472, '
+     '"degenerate": false}, {"lo": 2.3472963553324684, "hi": 2.3472963553344464, '
+     '"value": 2.3472963553334574, "degenerate": false}]}\n'),
+    (("signomial", "--terms", "[[2,0],[5,1],[4,2],[-4,3],[-5,4],[-2,5]]"),
+     '{"sign_variations": 1, "laguerre_bound": 1, "count": 1, "roots": [{"lo": 1, '
+     '"hi": 1, "value": 1, "degenerate": false}]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", README_OUTPUTS)
+def test_readme_examples_print_the_same_bytes(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_readme_grid_check_prints_the_same_bytes(capsys):
+    code, out, err = run(capsys, "grid", "--m2", "-4:2", "--b", "-4:4", "-n", "50x50",
+                         "--check", "--margin", "0.05")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f5b5ea06abe57986d5748e5a5c23a0e5bdf2ff010500fb8d1d19b97b870aee70")
 
 
 def test_solve_accepts_values_starting_with_minus(capsys):

@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import dataclass
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -14,17 +16,28 @@ from eulercc.signomial import (
     derivative_chain,
     evaluate,
     limit_sign,
+    merge_sorted,
     normalize,
     shift_and_differentiate,
     sign_variations,
 )
 
-from eulercc.numerics import DEFAULT_REL_TOL, bisect_sign_change, sum_sign, sum_value
+from eulercc.numerics import (
+    BOUNDARY_ZERO_REL,
+    DEFAULT_REL_TOL,
+    ToleranceError,
+    bisect_sign_change,
+    certified_sign_near_inf,
+    certified_sign_near_zero,
+    isolate_between,
+    sum_sign,
+    sum_value,
+)
 from oracles import signomial_scan_count
 
 
 def pairs(p: Signomial):
-    return list(p.pairs())
+    return list(p.pairs)
 
 
 # --- normalize ------------------------------------------------------------------
@@ -49,10 +62,10 @@ def test_normalize_drops_zero_coefficients_and_sorts():
 @given(st.lists(st.tuples(st.floats(-10, 10), st.integers(-4, 4)), max_size=8))
 def test_normalize_idempotent(raw):
     p = normalize(raw)
-    assert normalize(p.pairs()).pairs() == p.pairs()
-    exps = p.exponents()
+    assert normalize(p.pairs).pairs == p.pairs
+    exps = [e for _, e in p.pairs]
     assert all(a < b for a, b in zip(exps, exps[1:]))
-    assert all(c != 0.0 for c in p.coefficients())
+    assert all(c != 0.0 for c, _ in p.pairs)
 
 
 def _dict_normalize_pairs(raw_terms):
@@ -74,7 +87,7 @@ def test_normalize_matches_the_dict_merge():
         exps = [rng.choice([0.0, -0.0, 1.0, 0.5, rng.uniform(-3, 3)]) for _ in range(3)]
         raw = [(rng.choice([0.0, 1.0, -1.0, 0.1, 0.2, -0.3, rng.uniform(-5, 5)]), rng.choice(exps))
                for _ in range(rng.randint(0, 8))]
-        assert repr(normalize(raw).pairs()) == repr(_dict_normalize_pairs(raw))
+        assert repr(normalize(raw).pairs) == repr(_dict_normalize_pairs(raw))
 
 
 # --- evaluate -------------------------------------------------------------------
@@ -123,7 +136,7 @@ def test_derivative_matches_finite_differences():
             h = 1e-6 * x
             fd = (evaluate(p, x + h) - evaluate(p, x - h)) / (2 * h)
             want = evaluate(dp, x)
-            scale = sum(abs(c) * x ** e for c, e in dp.pairs()) + abs(fd)
+            scale = sum(abs(c) * x ** e for c, e in dp.pairs) + abs(fd)
             assert abs(fd - want) <= 1e-6 * max(scale, 1e-12)
 
 
@@ -150,7 +163,7 @@ def test_shift_drops_exactly_one_term_any_pivot():
         p = normalize([(rng.uniform(-10, 10), rng.uniform(-5, 5)) for _ in range(n)])
         if p.is_zero:
             continue
-        pivot = rng.choice(p.exponents())
+        pivot = rng.choice([e for _, e in p.pairs])
         q = shift_and_differentiate(p, pivot)
         assert len(q) == len(p) - 1
 
@@ -177,7 +190,7 @@ def test_extreme_pivots_never_increase_variations():
         p = normalize([(rng.uniform(-10, 10), rng.uniform(-5, 5)) for _ in range(n)])
         if p.is_zero:
             continue
-        for pivot in (p.exponents()[0], p.exponents()[-1]):
+        for pivot in (p.pairs[0][1], p.pairs[-1][1]):
             assert sign_variations(shift_and_differentiate(p, pivot)) <= sign_variations(p)
 
 
@@ -247,6 +260,152 @@ def test_count_rejects_non_finite_terms(raw, bad):
     assert bad in str(exc.value)
 
 
+# --- the chain on (c, e) pairs against the Term/normalize reference ---------------
+
+# The representation the chain ran on before Signomial held the merged pairs:
+# Term records, and normalize (sort plus merge) at every level. The functions
+# below are that code kept verbatim, with names prefixed.
+
+
+@dataclass(frozen=True)
+class _RefTerm:
+    coefficient: float
+    exponent: float
+
+
+@dataclass(frozen=True)
+class _RefSignomial:
+    terms: tuple[_RefTerm, ...]
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def pairs(self):
+        return tuple((t.coefficient, t.exponent) for t in self.terms)
+
+    def exponents(self):
+        return tuple(t.exponent for t in self.terms)
+
+    def coefficients(self):
+        return tuple(t.coefficient for t in self.terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+
+def _ref_normalize(raw_terms):
+    pairs = sorted([(float(c), float(e)) for c, e in raw_terms], key=itemgetter(1))
+    return _RefSignomial(tuple(_RefTerm(c, e) for c, e in merge_sorted(pairs)))
+
+
+def _ref_triples(p, x):
+    return [(t.coefficient, t.exponent, x) for t in p.terms]
+
+
+def _ref_derivative(p):
+    return _ref_normalize((t.coefficient * t.exponent, t.exponent - 1.0) for t in p.terms)
+
+
+def _ref_shift_and_differentiate(p, pivot_exponent):
+    exps = p.exponents()
+    if pivot_exponent not in exps:
+        raise ValueError(f"pivot exponent {pivot_exponent!r} is not an exponent of p")
+    return _ref_normalize(
+        (t.coefficient * (t.exponent - pivot_exponent), t.exponent - pivot_exponent - 1.0)
+        for t in p.terms
+    )
+
+
+def _ref_sign_variations(p):
+    count = 0
+    prev = 0.0
+    for c in p.coefficients():
+        if prev != 0.0 and (c > 0.0) != (prev > 0.0):
+            count += 1
+        prev = c
+    return count
+
+
+def _ref_first_variation_pivot(p):
+    coeffs = p.coefficients()
+    first = coeffs[0]
+    for t in p.terms:
+        if (t.coefficient > 0.0) != (first > 0.0):
+            return t.exponent
+    raise ValueError("signomial has no sign variation")
+
+
+def _ref_derivative_chain(p):
+    while _ref_sign_variations(p) > 0:
+        pivot = _ref_first_variation_pivot(p)
+        p = _ref_shift_and_differentiate(p, pivot)
+        yield pivot, p
+
+
+def _ref_isolate(p, lo, hi, tol):
+    if len(p) <= 1 or _ref_sign_variations(p) == 0:
+        # All stored coefficients share one sign: no positive roots at all.
+        return []
+    pivot = _ref_first_variation_pivot(p)
+    q = _ref_shift_and_differentiate(p, pivot)
+    q_roots = _ref_isolate(q, lo, hi, tol)
+
+    # Left anchor: domination probe for the open end at 0, direct evaluation
+    # for a finite boundary (a boundary zero is excluded, not counted).
+    inner = q_roots[0].value if q_roots else (hi if math.isfinite(hi) else 2.0)
+    if lo == 0.0:
+        left = certified_sign_near_zero(p.pairs(), start=0.5 * min(1.0, inner))
+    else:
+        left = (lo, sum_sign(_ref_triples(p, lo), BOUNDARY_ZERO_REL)[0])
+    if math.isinf(hi):
+        outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
+        right = certified_sign_near_inf(p.pairs(), start=2.0 * outer)
+    else:
+        right = (hi, sum_sign(_ref_triples(p, hi), BOUNDARY_ZERO_REL)[0])
+    return isolate_between(lambda x: _ref_triples(p, x), lambda x: _ref_triples(q, x),
+                           left, right, q_roots, rel_tol=tol)
+
+
+def _ref_count_and_isolate(p, lo, hi):
+    if p.is_zero:
+        return IDENTICALLY_ZERO, []
+    roots = _ref_isolate(p, lo, hi, DEFAULT_REL_TOL)
+    return len(roots), roots
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ToleranceError as exc:
+        return "ToleranceError", str(exc)
+
+
+# Exponents that round together after a shift by 1 (the derivative) or by a
+# pivot of larger magnitude (1 + 2**-52 - 16 == 1 - 16), with both zeros.
+_CLUSTERED_EXPONENTS = (0.0, -0.0, 2.0 ** -60, -(2.0 ** -60), 2.0 ** -58,
+                        1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51, 1.0 - 2.0 ** -53,
+                        1.0 - 2.0 ** -52, 0.5, 2.0, -1.5, 16.0, -16.0, 33.0)
+
+
+def test_chain_on_pairs_matches_the_term_reference():
+    # About 1,200 shift steps merge colliding exponents, 20 of them to a zero
+    # sum, and in 12 draws the merged sum depends on the summation order.
+    rng = random.Random(61)
+    for i in range(3000):
+        raw = [(rng.choice([1.0, -1.0, rng.uniform(-5, 5), rng.uniform(-5, 5)]),
+                rng.choice(_CLUSTERED_EXPONENTS)) for _ in range(rng.randint(1, 9))]
+        p, ref = normalize(raw), _ref_normalize(raw)
+        assert repr(p.pairs) == repr(ref.pairs()), raw
+        assert repr(derivative(p).pairs) == repr(_ref_derivative(ref).pairs()), raw
+        chain = [(pivot, q.pairs) for pivot, q in derivative_chain(p)]
+        ref_chain = [(pivot, q.pairs()) for pivot, q in _ref_derivative_chain(ref)]
+        assert repr(chain) == repr(ref_chain), raw
+        lo, hi = ((0.0, math.inf), (0.0, 1.0), (0.5, 4.0))[i % 3]
+        got = _outcome(count_and_isolate, p, lo, hi)
+        assert repr(got) == repr(_outcome(_ref_count_and_isolate, ref, lo, hi)), raw
+
+
 # --- overflowing float terms --------------------------------------------------------
 
 
@@ -312,7 +471,7 @@ def test_count_agrees_with_dense_scan_on_window():
             continue
         count, _ = count_and_isolate(p, 1e-6, 1e6)
         import numpy as np
-        assert count == signomial_scan_count(p.pairs(), np.linspace(-6, 6, 200_001))
+        assert count == signomial_scan_count(p.pairs, np.linspace(-6, 6, 200_001))
 
 
 def test_subinterval_counts_are_consistent():
@@ -367,7 +526,7 @@ def counted(eval_fn):
 
 
 def signomial_eval(p):
-    return lambda x: sum_sign([(t.coefficient, t.exponent, x) for t in p.terms], 0.0)
+    return lambda x: sum_sign([(c, e, x) for c, e in p.pairs], 0.0)
 
 
 @pytest.mark.parametrize("raw", [
@@ -382,7 +541,7 @@ def test_interpolation_step_beside_the_root_keeps_a_bracket(raw):
     # bracket to one ulp, inside rounding noise, and the whole bisection
     # path then had to be evaluated again (more than 50 evaluations).
     p = normalize(raw)
-    (c0, e0), (c1, e1) = p.pairs()
+    (c0, e0), (c1, e1) = p.pairs
     root = (-c0 / c1) ** (1.0 / (e1 - e0))
     eval_fn, calls = counted(signomial_eval(p))
     value, lo, hi, hit_zero = bisect_sign_change(eval_fn, root / 1.5, root * 1.5, 1)
