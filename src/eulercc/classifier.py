@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 from .euler import INFINITE, MassTriple, count_all
 from .numerics import check_tol
-from .signomial import Endpoint
-from . import euler
 
 __all__ = [
     "RegionClass",
@@ -75,6 +73,8 @@ def classify_E2(m2, b):
 
     Interior rule: 1 + 2*[sign(g at 0+) != sign(-g'(1))]; the count is 3
     exactly when the sign of g flips between 0+ and the symmetric root.
+    g at 0+ has the sign of its leading coefficient: m2 + 1 (on s^b) for
+    b < 1 and b - 2 - m2 (on s) for b > 1, which vanish on the half-lines.
     """
     m2 = float(m2)
     b = float(b)
@@ -89,7 +89,9 @@ def classify_E2(m2, b):
         return 1, True, "halfline_low"
     if b > 1.0 and m2 == b - 2.0:
         return 1, True, "halfline_high"
-    sigma0 = euler.endpoint_sign_g(MassTriple(1.0, m2, 1.0), b, Endpoint.ZERO_PLUS)
+    # The sign of a float sum is exact, and b - 2.0 is exact for 1 < b < 2**53.
+    lead = m2 + 1.0 if b < 1.0 else (b - 2.0) - m2
+    sigma0 = 1 if lead > 0.0 else -1
     sigma1 = 1 if -gp1 > 0.0 else -1
     return (1 if sigma0 == sigma1 else 3), False, None
 
@@ -216,8 +218,8 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
 
     resolution is (nx, ny) for the m2 and b axes. Rows are emitted in
     row-major order, b outer and m2 inner. Raises ValueError when a range
-    end is NaN or infinite, tol is not finite and positive, or margin is
-    not finite and non-negative.
+    end is NaN or infinite, tol is not in (0, 1), or margin is not finite
+    and non-negative.
     """
     for name, (lo, hi) in (("m2", m2_range), ("b", b_range)):
         if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -255,8 +255,9 @@ def _low_coefficients(m: MassTriple, b):
     written in canonical forms, so a combination that is zero in exact
     arithmetic on exact inputs is exactly zero here (a naive binomial
     evaluation leaves ~1e-16 residues in the structurally-zero slots, which
-    would masquerade as leading terms). Both the series below and the
-    limit sign of endpoint_sign_g start from these coefficients.
+    would masquerade as leading terms). They open the series below, from
+    which endpoint_sign_g reads the sign of g at 0+ and the affine branch
+    reads g = alpha + beta*s.
     """
     return (
         m.m2 + m.m3,
@@ -328,35 +329,21 @@ def _anchor(series: _Series, end):
     return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
 
 
-def _sign_of(x):
-    return 0 if x == 0.0 else (1 if x > 0.0 else -1)
-
-
-def _zero_limit_sign(m: MassTriple, b) -> int:
-    # The first nonzero coefficient of the two lowest exponents: b < b+1 < 1
-    # for b < 0, b < 1 < b+1 for 0 < b < 1, then 1 < b < 2 and 1 < 2 < b. At
-    # b in {0, 2} two exponents coincide, and the certified anchor decides.
-    if b != 0.0 and b != 2.0:
-        cb, cb1, c1, c2 = _low_coefficients(m, b)
-        if b < 1.0:
-            first, second = cb, (cb1 if b < 0.0 else c1)
-        else:
-            first, second = c1, (cb if b < 2.0 else c2)
-        if first != 0.0:
-            return _sign_of(first)
-        if second != 0.0:
-            return _sign_of(second)
-    return _anchor(_zero_series_g(m, b, _binomials(b)), Endpoint.ZERO_PLUS)[1]
+def _leading_sign(m: MassTriple, b) -> int:
+    """Sign of g at 0+: that of the lowest-order coefficient of its exact series."""
+    pairs = _zero_series_g(m, b, _binomials(b)).pairs
+    if not pairs:
+        raise ToleranceError("series vanished to working order; cannot certify a sign")
+    return 1 if pairs[0][0] > 0.0 else -1
 
 
 def endpoint_sign_g(m, b, endpoint) -> int:
-    """Sign of g near 0+ or +infinity: a fast limit-sign test.
+    """Sign of g near 0+ or +infinity, read from the exact series at 0+.
 
-    At 0+ the first nonzero of the two lowest-order exact coefficients
-    decides; at the regime boundaries b in {0, 2}, and when both vanish, the
-    sign comes from the certified series probe instead. The sign at
-    +infinity is minus the 0+ sign for the masses m1 <-> m3 (reflection
-    identity). Requires b != 1 and (m, b) outside the degenerate families.
+    At 0+ it is the sign of the series' leading coefficient; at +infinity it
+    is minus that sign for the masses m1 <-> m3 (reflection identity).
+    Requires b != 1 and (m, b) outside the degenerate families; raises
+    ToleranceError when the series vanishes to working order.
     """
     m = _masses(m)
     if b == 1.0:
@@ -364,9 +351,9 @@ def endpoint_sign_g(m, b, endpoint) -> int:
     if degenerate_family(m, b) is not None:
         raise ValueError("g vanishes identically for this degenerate family")
     if endpoint is Endpoint.ZERO_PLUS:
-        return _zero_limit_sign(m, b)
+        return _leading_sign(m, b)
     if endpoint is Endpoint.INFINITY:
-        return -_zero_limit_sign(_swap13(m), b)
+        return -_leading_sign(_swap13(m), b)
     raise ValueError(f"unknown endpoint {endpoint!r}")
 
 
@@ -405,17 +392,12 @@ def _affine_roots(mv: MassTriple, b):
 
     Outside the degenerate families this happens exactly on the b = 0
     plane, the b = 2 plane m1 + m2 = m3, and the b = -1 line m1 = m2 = -m3,
-    where g(s) = alpha + beta*s with exactly computable coefficients.
+    where the exact 0+ series of g is alpha + beta*s.
     """
-    beta = (b - 1.0) * mv.m1 - mv.m2 - mv.m3
-    if b == 0.0:
-        alpha = mv.m2 + mv.m3
-        beta += mv.m3
-    elif b == -1.0:
-        alpha = mv.m3
-    elif b == 2.0:
-        alpha = 0.0
-    else:
+    coeffs = {e: c for c, e in _zero_series_g(mv, b, _binomials(b)).pairs}
+    alpha = coeffs.pop(0.0, 0.0)
+    beta = coeffs.pop(1.0, 0.0)
+    if coeffs:
         raise ToleranceError("curvature kernel vanished on an unexpected parameter set")
     if beta == 0.0:
         if alpha == 0.0:
@@ -462,8 +444,8 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL):
 
     Returns (count, solutions); count is INFINITE (with no enumerable
     solutions) exactly on the degenerate families of the cell's mass view.
-    Raises ValueError when a mass or b is NaN or infinite, or tol is not
-    finite and positive.
+    Raises ValueError when a mass or b is NaN or infinite, or tol is not in
+    (0, 1).
     """
     m = _masses(m)
     if not all(map(math.isfinite, m.as_tuple())):

@@ -28,9 +28,13 @@ DEFAULT_REL_TOL = 1e-12
 
 
 def check_tol(tol):
-    """Raise ValueError unless the refinement width tol is finite and positive."""
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    """Raise ValueError unless the relative refinement width tol is in (0, 1).
+
+    A breakpoint s is bracketed as s*(1 - tol)..s*(1 + tol), whose low end
+    is no longer positive once tol >= 1.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be finite and positive and below 1, got {tol!r}")
 
 
 # |exponent * log(base)| beyond which float powers may overflow and the
@@ -256,14 +260,13 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     raise ToleranceError("no probe point dominated by the leading terms")
 
 
-def certified_sign_near_inf(pairs, tail=None, start=4.0):
+def certified_sign_near_inf(pairs, start=4.0):
     """(x1, sign) with the sign of sum(c x^e) certified constant on [x1, inf).
 
-    Realized by reflecting x -> 1/x onto the 0+ case; tail, when given,
-    must already be expressed in the reflected variable.
+    Realized by reflecting x -> 1/x onto the 0+ case.
     """
     reflected = [(c, -e) for c, e in reversed(list(pairs))]
-    u0, sign = certified_sign_near_zero(reflected, tail=tail, start=1.0 / start)
+    u0, sign = certified_sign_near_zero(reflected, start=1.0 / start)
     return 1.0 / u0, sign
 
 

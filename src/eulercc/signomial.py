@@ -217,8 +217,7 @@ def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,
     the derivative-chain function is also below the degeneracy threshold
     is flagged degenerate and counted once. Raises ToleranceError when a
     sign cannot be certified at evaluation precision, and ValueError when
-    a coefficient or exponent is NaN or infinite, or tol is not finite and
-    positive.
+    a coefficient or exponent is NaN or infinite, or tol is not in (0, 1).
     """
     if not (0.0 <= lo < hi):
         raise ValueError("need 0 <= lo < hi")

@@ -1,7 +1,9 @@
 import io
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from eulercc.classifier import (
@@ -17,7 +19,7 @@ from eulercc.euler import INFINITE, MassTriple, count_all, count_cell, eval_g_pr
 from eulercc.signomial import count_and_isolate, normalize
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, 1.0, 2.0])
 def test_bad_tol_is_rejected(tol):
     # b = 0 takes count_cell's affine path, which never reaches the root engine
     for call in (lambda: count_cell((1.0, 1.0, 1.0), -2.0, 2, tol),
@@ -67,6 +69,45 @@ def test_classify_E2_frontier_returns():
     assert (value, on_frontier, kind) == (1, True, "halfline_low")
     value, on_frontier, kind = classify_E2(0.5, 2.5)
     assert (value, on_frontier, kind) == (1, True, "halfline_high")
+
+
+def _exact_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _near_half_line_points(rng, n):
+    """(m2, b) within a few ulps of the half-lines, b kept 0.01 from 0, 1, 2 and 3."""
+    points = [(2.0 ** -53, 2.0), (-2.0 ** -53, 2.0), (5e-324, 2.0), (-5e-324, 2.0)]
+    while len(points) < n:
+        low = rng.random() < 0.5
+        b = rng.uniform(-4.0, 0.99) if low else rng.uniform(1.01, 6.0)
+        if min(abs(b - k) for k in (0.0, 2.0, 3.0)) < 0.01:
+            continue
+        m2 = -1.0 if low else b - 2.0
+        toward = rng.choice((-math.inf, math.inf))
+        for _ in range(rng.randint(1, 4)):
+            m2 = math.nextafter(m2, toward)
+        points.append((m2, b))
+    for k in range(1, 5):
+        points += [(k * 2.0 ** -53, 2.0), (-k * 5e-324, 2.0)]
+    return points
+
+
+def test_classify_E2_near_the_half_lines_matches_exact_arithmetic():
+    # g at 0+ has the sign of m2 + 1 (b < 1) or b - 2 - m2 (b > 1), taken
+    # here in exact rationals; sign(-g'(1)) comes from 60-digit arithmetic.
+    # A float evaluation of the leading series coefficient (b - 1) - m2 - 1
+    # loses m2 within a few ulps of the half-line b > 1.
+    rng = random.Random(53)
+    with mpmath.workdps(60):
+        for m2, b in _near_half_line_points(rng, 4000):
+            m2q, bq = Fraction(m2), Fraction(b)
+            sigma0 = _exact_sign(m2q + 1 if b < 1.0 else bq - 2 - m2q)
+            bm = mpmath.mpf(b)
+            gp1 = 2 * bm - mpmath.power(2, bm) + mpmath.mpf(m2) * (bm - 1)
+            assert sigma0 != 0 and gp1 != 0
+            expected = 1 + 2 * (sigma0 != _exact_sign(-gp1))
+            assert classify_E2(m2, b) == (expected, False, None), (m2, b)
 
 
 def test_classify_E1_examples():

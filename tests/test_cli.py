@@ -75,6 +75,8 @@ def test_solve_parse_error_exits_2(capsys):
      "margin must be finite and non-negative"),
     (("grid", "--m2", "-2:0", "--b", "-2:0", "-n", "3x3", "--check", "--tol", "nan"),
      "tol must be finite and positive"),
+    (("solve", "-m", "1,-0.5,1", "-b", "-2", "--tol", "1"), "tol must be finite and positive"),
+    (("solve", "-m", "1,-0.5,1", "-b", "-2", "--tol", "2"), "tol must be finite and positive"),
 ])
 def test_non_finite_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -29,6 +29,7 @@ from eulercc.euler import (
     _derivative,
     _low_coefficients,
     _reflect,
+    _solution,
     _swap13,
     _zero_series_g,
 )
@@ -611,6 +612,80 @@ def test_count_cell_affine_zero_exponent():
     n, sols = count_cell((2.0, 1.0, 1.0), 0.0, 2)
     assert n == 1
     assert sols[0].s == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+def reference_affine_roots(mv: MassTriple, b):
+    """Roots of g when the curvature kernel vanishes identically.
+
+    Outside the degenerate families this happens exactly on the b = 0
+    plane, the b = 2 plane m1 + m2 = m3, and the b = -1 line m1 = m2 = -m3,
+    where g(s) = alpha + beta*s with exactly computable coefficients.
+    """
+    beta = (b - 1.0) * mv.m1 - mv.m2 - mv.m3
+    if b == 0.0:
+        alpha = mv.m2 + mv.m3
+        beta += mv.m3
+    elif b == -1.0:
+        alpha = mv.m3
+    elif b == 2.0:
+        alpha = 0.0
+    else:
+        raise ToleranceError("curvature kernel vanished on an unexpected parameter set")
+    if beta == 0.0:
+        if alpha == 0.0:
+            raise ToleranceError("identically-zero balance outside a known family")
+        return []
+    s = -alpha / beta
+    return [(s, False)] if s > 0.0 else []
+
+
+def _plane_draw(rng, plane):
+    # dyadic masses keep the plane relations exact; plain floats let rounding
+    # push some views off the plane, onto the full chain
+    if rng.random() < 0.5:
+        x, y, z = (rng.randint(-20, 20) * 2.0 ** rng.randint(-8, 8) for _ in range(3))
+    else:
+        x, y, z = (rng.uniform(-10.0, 10.0) for _ in range(3))
+    if plane == 0:
+        b, m = 0.0, [x, y, z]
+    elif plane == 1:
+        b, m = 2.0, [x, y, x + y]
+    else:
+        b, m = -1.0, [x, x, -x]
+    rng.shuffle(m)
+    return m, b
+
+
+def test_affine_branch_matches_the_per_plane_reference():
+    # The affine coefficients are read from the exact 0+ series; the
+    # reference writes alpha and beta out per plane.
+    rng = random.Random(71)
+    draws = [_plane_draw(rng, i % 3) for i in range(3300)]
+    draws += [((1.0, 5e-324, 1.0), 2.0), ((1.0, -2.0 ** -53, 1.0), 2.0),
+              ((0.0, 1.0, -1.0), 0.0), ((-0.0, 2.0, 3.0), -0.0)]
+    affine = raised = 0
+    for m, b in draws:
+        for cell in (1, 2, 3):
+            mv = cell_mass_view(m, cell)
+            if degenerate_family(mv, b) is not None:
+                continue
+            if b != 0.0 and not h_signomial(mv, b).is_zero:
+                continue
+            try:
+                roots = reference_affine_roots(mv, b)
+            except ToleranceError as exc:
+                expected = f"ToleranceError: {exc}"
+                raised += 1
+            else:
+                sols = [_solution(cell, s, deg) for s, deg in roots]
+                expected = repr((len(sols), sols))
+            try:
+                got = repr(count_cell(m, b, cell))
+            except ToleranceError as exc:
+                got = f"ToleranceError: {exc}"
+            assert got == expected, (m, b, cell)
+            affine += 1
+    assert affine >= 3000 and raised >= 1
 
 
 def test_count_all_examples():
