@@ -9,24 +9,17 @@ parse error, 3 tolerance failure, 4 verification or cross-check mismatch.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
 
 from . import classifier, euler, qps, signomial
 from .euler import INFINITE, MassTriple
-from .numerics import ToleranceError
+from .numerics import DEFAULT_REL_TOL, ToleranceError
 
 
 # --- formatting -----------------------------------------------------------------
-
-
-def _fmt_float(x: float) -> str:
-    if math.isinf(x) or math.isnan(x):
-        return f'"{x}"'
-    s = format(x, ".17g")
-    # Guarantee the token stays a JSON number.
-    return s
 
 
 def _json_text(obj) -> str:
@@ -37,7 +30,7 @@ def _json_text(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return format(obj, ".17g") if math.isfinite(obj) else f'"{obj}"'
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
@@ -59,35 +52,51 @@ def _write(text, path):
             fh.write(text)
 
 
-# --- argument parsing helpers -----------------------------------------------------
+# --- argument types ------------------------------------------------------------------
 
 
-def _parse_masses(text) -> MassTriple:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("expected three comma-separated masses")
-    return MassTriple(*(float(p) for p in parts))
+def _expects(form):
+    """Make a converter an argparse type whose error gives the expected form."""
+    def wrap(convert):
+        def parse(text):
+            try:
+                return convert(text)
+            except (TypeError, ValueError):
+                raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        return parse
+    return wrap
 
 
-def _parse_range(text):
-    lo, _, hi = text.partition(":")
-    if not _:
-        raise ValueError("expected lo:hi")
-    return float(lo), float(hi)
+@_expects("m1,m2,m3")
+def _masses(text) -> MassTriple:
+    m1, m2, m3 = text.split(",")
+    return MassTriple(float(m1), float(m2), float(m3))
 
 
-def _parse_resolution(text):
-    nx, _, ny = text.lower().partition("x")
-    if not _:
-        raise ValueError("expected NXxNY, e.g. 50x50")
+@_expects("lo:hi, hi may be empty or inf")
+def _range(text):
+    lo, hi = text.split(":")
+    return float(lo), float(hi) if hi.strip() else math.inf
+
+
+@_expects("NXxNY, e.g. 50x50")
+def _resolution(text):
+    nx, ny = text.lower().split("x")
     return int(nx), int(ny)
 
 
-def _parse_interval(text):
-    lo, _, hi = text.partition(":")
-    if not _:
-        raise ValueError("expected lo:hi (hi may be inf)")
-    return float(lo), math.inf if hi.strip().lower() in ("inf", "") else float(hi)
+@_expects("a JSON array of [coefficient, exponent] pairs")
+def _terms(text):
+    terms = json.loads(text)
+    if not all(isinstance(t, list) and len(t) == 2 for t in terms):
+        raise ValueError
+    return [(float(c), float(e)) for c, e in terms]
+
+
+@_expects("d1,d2")
+def _degrees(text):
+    d1, d2 = text.split(",")
+    return int(d1), int(d2)
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -121,8 +130,6 @@ def _cmd_grid(args) -> int:
         args.m2, args.b, args.resolution,
         cross_check=args.check, margin=args.margin, tol=args.tol,
     )
-    import io
-
     buf = io.StringIO()
     classifier.grid_to_csv(result, buf)
     _write(buf.getvalue(), args.output)
@@ -154,13 +161,13 @@ def _cmd_signomial(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    if args.kind == "straight":
-        value = qps.straight_bound(args.n)
-    else:
-        d1, d2 = args.d
-        value = qps.khovanskii_bound(d1, d2, args.k)
-    sys.stdout.write(f"{value}\n")
+def _cmd_straight(args) -> int:
+    sys.stdout.write(f"{qps.straight_bound(args.n)}\n")
+    return 0
+
+
+def _cmd_khovanskii(args) -> int:
+    sys.stdout.write(f"{qps.khovanskii_bound(*args.d, args.k)}\n")
     return 0
 
 
@@ -170,7 +177,7 @@ def _cmd_bounds(args) -> int:
 _VERIFY_DRAWS = (50, 100, 100, 100, 50, None, 50, 20, 25, 100, 10)
 
 
-def _verify() -> int:
+def _verify(args) -> int:
     from .acceptance import CRITERIA  # here, so that other commands do not load it
 
     failures = 0
@@ -195,103 +202,87 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Count, isolate and classify collinear three-body central configurations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=DEFAULT_REL_TOL,
+                        help="relative width at which root refinement stops")
+    common.add_argument("-o", "--output", default=None, help="output file; - or none is stdout")
 
-    p = sub.add_parser("solve", help="count configurations and list isolated solutions")
-    p.add_argument("-m", "--masses", required=True, help="m1,m2,m3")
+    p = sub.add_parser("solve", parents=[common],
+                       help="count configurations and list isolated solutions")
+    p.add_argument("-m", "--masses", type=_masses, required=True, metavar="M1,M2,M3")
     p.add_argument("-b", type=float, required=True, help="force-law exponent")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(run=_cmd_solve)
 
-    p = sub.add_parser("grid", help="classify a (m2, b) grid for m1 = m3 = 1, as CSV")
-    p.add_argument("--m2", required=True, help="lo:hi")
-    p.add_argument("--b", required=True, help="lo:hi")
-    p.add_argument("-n", "--resolution", required=True, help="NXxNY, e.g. 50x50")
+    p = sub.add_parser("grid", parents=[common],
+                       help="classify a (m2, b) grid for m1 = m3 = 1, as CSV")
+    p.add_argument("--m2", type=_range, required=True, metavar="LO:HI")
+    p.add_argument("--b", type=_range, required=True, metavar="LO:HI")
+    p.add_argument("-n", "--resolution", type=_resolution, required=True, metavar="NXxNY")
     p.add_argument("--check", action="store_true",
                    help="cross-check off-frontier points against the numeric counter")
     p.add_argument("--margin", type=float, default=0.05,
                    help="frontier distance below which cross-checks are skipped")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("-o", "--output", default=None)
+    p.set_defaults(run=_cmd_grid)
 
-    p = sub.add_parser("signomial", help="count and isolate roots of a signomial")
-    p.add_argument("--terms", required=True,
+    p = sub.add_parser("signomial", parents=[common],
+                       help="count and isolate roots of a signomial")
+    p.add_argument("--terms", type=_terms, required=True,
                    help="JSON array of [coefficient, exponent] pairs")
-    p.add_argument("--interval", default="0:inf", help="lo:hi, hi may be inf")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("--interval", type=_range, default=(0.0, math.inf), metavar="LO:HI",
+                   help="hi may be empty or inf (default 0:inf)")
+    p.set_defaults(run=_cmd_signomial)
 
     p = sub.add_parser("bounds", help="root-count bound formulas")
     bsub = p.add_subparsers(dest="kind", required=True)
-    ps = bsub.add_parser("straight")
-    ps.add_argument("-n", type=int, required=True)
-    pk = bsub.add_parser("khovanskii")
-    pk.add_argument("-d", required=True, help="d1,d2")
-    pk.add_argument("-k", type=int, required=True)
+    p = bsub.add_parser("straight", help="2^n - 2, a trinomial with an n-nomial")
+    p.add_argument("-n", type=int, required=True)
+    p.set_defaults(run=_cmd_straight)
+    p = bsub.add_parser("khovanskii", help="d1*d2*(d1+d2+1)^k * 2^(k(k-1)/2)")
+    p.add_argument("-d", type=_degrees, required=True, metavar="D1,D2")
+    p.add_argument("-k", type=int, required=True)
+    p.set_defaults(run=_cmd_khovanskii)
 
-    sub.add_parser("verify", help="run the acceptance criteria on a prefix of their draws")
+    sub.add_parser("verify", help="run the acceptance criteria on a prefix of their draws"
+                   ).set_defaults(run=_verify)
     return parser
 
 
-def _merge_value_flags(argv):
+def _value_options(parser):
+    """The option strings of parser and its subcommands that take one value."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for p in action.choices.values():
+                yield from _value_options(p)
+        elif action.option_strings and action.nargs is None:
+            yield from action.option_strings
+
+
+def _join_values(argv, options):
     # argparse mistakes values that start with "-" but are not plain numbers
     # (ranges like "-4:2", mass lists like "-1,2,3", "-inf") for option
-    # strings; fold the value into the flag token so `grid --m2 -4:2 --b -4:4`
+    # strings; join each value to its option token so `grid --m2 -4:2 --b -4:4`
     # and `solve -m -1,2,3 -b -inf` parse as typed.
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--m2", "--b", "-m", "--masses", "-b") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in options:
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_merge_value_flags(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_join_values(argv, set(_value_options(parser))))
     try:
-        if args.command == "solve":
-            args.masses = _parse_masses(args.masses)
-        elif args.command == "grid":
-            args.m2 = _parse_range(args.m2)
-            args.b = _parse_range(args.b)
-            args.resolution = _parse_resolution(args.resolution)
-        elif args.command == "signomial":
-            terms = json.loads(args.terms)
-            args.terms = [(float(c), float(e)) for c, e in terms]
-            args.interval = _parse_interval(args.interval)
-        elif args.command == "bounds" and args.kind == "khovanskii":
-            d1, _, d2 = args.d.partition(",")
-            if not _:
-                raise ValueError("expected -d d1,d2")
-            args.d = (int(d1), int(d2))
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        parser.error(str(exc))  # exits 2
-
-    try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "signomial":
-            return _cmd_signomial(args)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "verify":
-            return _verify()
+        return args.run(args)
     except ToleranceError as exc:
         sys.stderr.write(f"tolerance failure: {exc}\n")
         return 3
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -85,6 +85,48 @@ def test_non_finite_input_exits_2(capsys, argv, message):
     assert message in err
 
 
+
+@pytest.mark.parametrize("argv, flag", [
+    (("solve", "-m", "1,1", "-b", "-2"), "-m/--masses"),
+    (("solve", "--masses", "1,x,1", "-b", "-2"), "-m/--masses"),
+    (("grid", "--m2", "0", "--b", "0:1", "-n", "2x2"), "--m2"),
+    (("grid", "--m2", "-1:1", "--b", "0:1:2", "-n", "2x2"), "--b"),
+    (("grid", "--m2", "0:1", "--b", "0:1", "-n", "2y2"), "-n/--resolution"),
+    (("grid", "--m2", "0:1", "--b", "0:1", "--resolution", "2x2.5"), "-n/--resolution"),
+    (("signomial", "--terms", "[[1,0],"), "--terms"),
+    (("signomial", "--terms", "[[1,0,2]]"), "--terms"),
+    (("signomial", "--terms", "[1, 2]"), "--terms"),
+    (("signomial", "--terms", '["10"]'), "--terms"),
+    (("signomial", "--terms", "[[1,0]]", "--interval", "0"), "--interval"),
+    (("signomial", "--terms", "[[1,0]]", "--interval", "0:x"), "--interval"),
+    (("bounds", "khovanskii", "-d", "1", "-k", "2"), "-d"),
+    (("bounds", "khovanskii", "-d", "1,x", "-k", "2"), "-d"),
+])
+def test_malformed_argument_exits_2_naming_it(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert f"error: argument {flag}: expected " in out.err
+
+
+@pytest.mark.parametrize("interval", ["0:", "0:inf", "0: INF", "0:Infinity"])
+def test_interval_upper_end_may_be_empty_or_inf(capsys, interval):
+    terms = ("signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]")
+    assert run(capsys, *terms, "--interval", interval) == run(capsys, *terms)
+
+
+@pytest.mark.parametrize("argv", [(), ("solve",), ("grid",), ("signomial",), ("bounds",),
+                                  ("bounds", "straight"), ("bounds", "khovanskii"),
+                                  ("verify",)])
+def test_help_works_for_every_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(("usage: eulercc",) + argv))
+
+
 # The exact stdout of the README examples; a refactor must leave these bytes alone
 README_OUTPUTS = [
     (("solve", "-m", "1,1,1", "-b", "-2"),
