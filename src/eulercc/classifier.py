@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .euler import INFINITE, MassTriple, count_all
-from .numerics import check_tol
+from .numerics import DEFAULT_REL_TOL, check_tol
 
 __all__ = [
     "RegionClass",
@@ -213,7 +213,7 @@ def _scan_row(b, m2_values, cross_check, margin, tol):
 
 
 def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
-              tol=1e-12) -> GridResult:
+              tol=DEFAULT_REL_TOL) -> GridResult:
     """Classify a grid; optionally cross-check off-frontier points numerically.
 
     resolution is (nx, ny) for the m2 and b axes. Rows are emitted in

@@ -161,14 +161,37 @@ def _cmd_signomial(args) -> int:
     return 0
 
 
-def _cmd_straight(args) -> int:
-    sys.stdout.write(f"{qps.straight_bound(args.n)}\n")
+# Python prints no int of more than 4,300 digits (its default
+# int_max_str_digits); a bound that long is refused before it is built.
+_MAX_DIGITS = 4300
+
+
+def _print_bound(log10_of_bound, bound) -> int:
+    try:
+        digits = math.floor(log10_of_bound()) + 1
+    except OverflowError:  # more digits than a float can count
+        digits = math.inf
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"the bound has about {digits:,} decimal digits, "
+                         f"more than the {_MAX_DIGITS:,} that can be printed")
+    sys.stdout.write(f"{bound()}\n")
     return 0
+
+
+def _cmd_straight(args) -> int:
+    # 2^n - 2 has the digits of 2^n; n < 1 is left for straight_bound to refuse
+    n = max(args.n, 0)
+    return _print_bound(lambda: n * math.log10(2.0), lambda: qps.straight_bound(args.n))
 
 
 def _cmd_khovanskii(args) -> int:
-    sys.stdout.write(f"{qps.khovanskii_bound(*args.d, args.k)}\n")
-    return 0
+    # log10 of d1*d2*(d1+d2+1)^k * 2^(k(k-1)/2); out-of-domain input is left
+    # small here, for khovanskii_bound to refuse with its own message
+    (d1, d2), k = args.d, max(args.k, 0)
+    return _print_bound(
+        lambda: (math.log10(max(d1 * d2, 1)) + k * math.log10(max(d1 + d2 + 1, 1))
+                 + k * (k - 1) / 2 * math.log10(2.0)),
+        lambda: qps.khovanskii_bound(d1, d2, args.k))
 
 
 # --- verify: the acceptance criteria on a prefix of their draws -------------------

@@ -59,7 +59,10 @@ __all__ = [
 # Cell counts are ints, or this marker for the identically-vanishing families.
 INFINITE = math.inf
 
-CELLS = (1, 2, 3)
+# The (left, middle, right) particle indices of each cell. Each entry is its
+# own inverse, so it also maps particles to their (left, middle, right) slots.
+_CELL_ORDER = {1: (1, 0, 2), 2: (0, 1, 2), 3: (0, 2, 1)}
+CELLS = tuple(_CELL_ORDER)
 
 
 @dataclass(frozen=True)
@@ -367,23 +370,15 @@ def cell_mass_view(m, cell) -> MassTriple:
     for the requested cell; by reflection the left/right choice is
     immaterial.
     """
-    m = _masses(m)
-    if cell == 2:
-        return m
-    if cell == 3:
-        return MassTriple(m.m1, m.m3, m.m2)
-    if cell == 1:
-        return MassTriple(m.m2, m.m1, m.m3)
-    raise ValueError("cell must be 1, 2 or 3")
+    masses = _masses(m).as_tuple()
+    if cell not in CELLS:
+        raise ValueError("cell must be 1, 2 or 3")
+    return MassTriple(*(masses[i] for i in _CELL_ORDER[cell]))
 
 
 def _solution(cell, s, degenerate) -> ConfigurationSolution:
-    if cell == 2:
-        pos = (0.0, 1.0, 1.0 + s)
-    elif cell == 1:
-        pos = (1.0, 0.0, 1.0 + s)
-    else:
-        pos = (0.0, 1.0 + s, 1.0)
+    slots = (0.0, 1.0, 1.0 + s)
+    pos = tuple(slots[j] for j in _CELL_ORDER[cell])
     return ConfigurationSolution(cell=cell, s=s, positions=pos, degenerate=degenerate)
 
 
@@ -453,8 +448,6 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL):
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b!r}")
     check_tol(tol)
-    if cell not in CELLS:
-        raise ValueError("cell must be 1, 2 or 3")
     mv = cell_mass_view(m, cell)
     if degenerate_family(mv, b) is not None:
         return INFINITE, []

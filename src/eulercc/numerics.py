@@ -260,16 +260,6 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     raise ToleranceError("no probe point dominated by the leading terms")
 
 
-def certified_sign_near_inf(pairs, start=4.0):
-    """(x1, sign) with the sign of sum(c x^e) certified constant on [x1, inf).
-
-    Realized by reflecting x -> 1/x onto the 0+ case.
-    """
-    reflected = [(c, -e) for c, e in reversed(list(pairs))]
-    u0, sign = certified_sign_near_zero(reflected, start=1.0 / start)
-    return 1.0 / u0, sign
-
-
 @dataclass(frozen=True)
 class RootRecord:
     """An isolated root: bracketing interval, refined value, degeneracy flag.

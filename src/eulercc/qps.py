@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .numerics import RootRecord, bisect_sign_change
+from .numerics import DEFAULT_REL_TOL, RootRecord, bisect_sign_change
+from .signomial import merge_sorted
 
 __all__ = [
     "BivariateSignomial",
@@ -39,17 +41,19 @@ class BivariateSignomial:
 
     @classmethod
     def from_triples(cls, triples):
-        merged: dict[tuple[float, float], float] = {}
-        for c, xe, ye in triples:
-            c = float(c)
-            if c == 0.0:
-                continue
-            key = (float(xe), float(ye))
-            merged[key] = merged.get(key, 0.0) + c
-        terms = tuple(
-            (c, xe, ye) for (xe, ye), c in sorted(merged.items()) if c != 0.0
-        )
-        return cls(terms)
+        """Terms summed over equal (xe, ye) and sorted by them; zero terms dropped.
+
+        Raises ValueError when a coefficient or exponent is NaN or infinite.
+        """
+        pairs = []
+        for triple in triples:
+            c, xe, ye = map(float, triple)
+            if not all(map(math.isfinite, (c, xe, ye))):
+                raise ValueError(f"bivariate signomial terms must be finite, "
+                                 f"got term {[c, xe, ye]!r}")
+            pairs.append((c, (xe, ye)))
+        pairs.sort(key=itemgetter(1))
+        return cls(tuple((c, xe, ye) for c, (xe, ye) in merge_sorted(pairs)))
 
     def evaluate(self, x, y):
         if x <= 0.0 or y <= 0.0:
@@ -68,6 +72,9 @@ class AffineConstraint:
     a2: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a1) and math.isfinite(self.a2)):
+            raise ValueError(f"line coefficients must be finite, got a1={self.a1!r}, "
+                             f"a2={self.a2!r}")
         if self.a2 == 0.0:
             raise ValueError("a2 must be nonzero")
 
@@ -150,7 +157,7 @@ def _probe_grid(xlo, xhi):
     return sorted(pts)
 
 
-def count_on_line(f: BivariateSignomial, c: AffineConstraint, tol=1e-12,
+def count_on_line(f: BivariateSignomial, c: AffineConstraint, tol=DEFAULT_REL_TOL,
                   cap=None) -> LineCount:
     """Count sign changes of the restriction on an adaptive probe grid.
 

@@ -22,7 +22,6 @@ from .numerics import (
     BOUNDARY_ZERO_REL,
     DEFAULT_REL_TOL,
     RootRecord,
-    certified_sign_near_inf,
     certified_sign_near_zero,
     check_tol,
     isolate_between,
@@ -201,7 +200,10 @@ def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
         left = (lo, sum_sign(_triples(pairs, lo), BOUNDARY_ZERO_REL)[0])
     if math.isinf(hi):
         outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
-        right = certified_sign_near_inf(pairs, start=2.0 * outer)
+        # x -> 1/x carries the open end at infinity to 0+
+        u, sign = certified_sign_near_zero([(c, -e) for c, e in reversed(pairs)],
+                                           start=1.0 / (2.0 * outer))
+        right = (1.0 / u, sign)
     else:
         right = (hi, sum_sign(_triples(pairs, hi), BOUNDARY_ZERO_REL)[0])
     return isolate_between(lambda x: _triples(pairs, x), lambda x: _triples(q, x),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import eulercc
-from eulercc import euler
+from eulercc import euler, qps
 from eulercc.acceptance import CRITERIA
 from eulercc.cli import main
 
@@ -234,6 +234,38 @@ def test_bounds_commands(capsys):
     code, out, _ = run(capsys, "bounds", "straight", "-n", "1")
     assert code == 0 and out.strip() == "0"
 
+
+
+def _not_called(*args):
+    raise AssertionError("the bound was computed")
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (("bounds", "khovanskii", "-d", "1,1", "-k", "1000000"), "about 150,515,324,439 "),
+    (("bounds", "straight", "-n", str(10 ** 12)), "about 301,029,995,664 "),
+    (("bounds", "straight", "-n", "14285"), "about 4,301 "),
+    (("bounds", "khovanskii", "-d", "1,1", "-k", "168"), "about 4,304 "),
+    (("bounds", "khovanskii", "-d", "7,9", "-k", "166"), "about 4,329 "),
+    (("bounds", "straight", "-n", str(10 ** 400)), ""),
+    (("bounds", "khovanskii", "-d", "1,1", "-k", str(10 ** 400)), ""),
+])
+def test_bounds_refuse_unprintable_values_before_computing(capsys, monkeypatch, argv, digits):
+    monkeypatch.setattr(qps, "straight_bound", _not_called)
+    monkeypatch.setattr(qps, "khovanskii_bound", _not_called)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{digits}decimal digits, more than the 4,300 that can be printed" in err
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("bounds", "straight", "-n", "14284"), qps.straight_bound(14284)),
+    (("bounds", "khovanskii", "-d", "1,1", "-k", "167"), qps.khovanskii_bound(1, 1, 167)),
+    (("bounds", "khovanskii", "-d", "7,9", "-k", "165"), qps.khovanskii_bound(7, 9, 165)),
+])
+def test_bounds_print_values_up_to_the_digit_limit(capsys, argv, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out) <= 4301 and int(out) == value
 
 def test_output_file_writing(tmp_path, capsys):
     path = tmp_path / "out.json"

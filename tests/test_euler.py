@@ -9,6 +9,7 @@ import pytest
 
 from eulercc.acceptance import cubic_coeffs, diff2, horner, quintic_coeffs
 from eulercc.euler import (
+    CELLS,
     INFINITE,
     MassTriple,
     abc_terms,
@@ -548,6 +549,26 @@ def test_cell_mass_view_permutations():
     with pytest.raises(ValueError):
         cell_mass_view(m, 4)
 
+
+
+@pytest.mark.parametrize("cell", [0, 4, 2.5, "2", None])
+def test_bad_cell_is_refused(cell):
+    with pytest.raises(ValueError, match="cell must be 1, 2 or 3"):
+        cell_mass_view((1.0, 2.0, 3.0), cell)
+    with pytest.raises(ValueError, match="cell must be 1, 2 or 3"):
+        count_cell((1.0, 2.0, 3.0), -2.0, cell)
+
+
+def test_positions_put_the_view_masses_at_0_1_and_1_plus_s():
+    m = MassTriple(1.0, 2.0, 3.0)
+    assert CELLS == (1, 2, 3)
+    expected = {1: (1.0, 0.0, 1.25), 2: (0.0, 1.0, 1.25), 3: (0.0, 1.25, 1.0)}
+    for cell in CELLS:
+        pos = _solution(cell, 0.25, False).positions
+        assert pos == expected[cell]
+        # the particles at 0, 1 and 1 + s carry the view's left, middle and right masses
+        assert tuple(mass for _, mass in sorted(zip(pos, m.as_tuple()))) == \
+            cell_mass_view(m, cell).as_tuple()
 
 def test_reflection_invariance_of_counts():
     rng = random.Random(18)

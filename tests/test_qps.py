@@ -76,6 +76,56 @@ def test_bivariate_normalization_merges_duplicates():
     assert f.terms == ((1.0, 0.0, 0.0),)
 
 
+
+def _dict_from_triples(triples):
+    # The dict merge from_triples used before merge_sorted, kept as the
+    # reference: equal (xe, ye) summed in input order, zeros dropped.
+    merged = {}
+    for c, xe, ye in triples:
+        c = float(c)
+        if c == 0.0:
+            continue
+        key = (float(xe), float(ye))
+        merged[key] = merged.get(key, 0.0) + c
+    return tuple((c, xe, ye) for (xe, ye), c in sorted(merged.items()) if c != 0.0)
+
+
+def test_bivariate_merge_matches_dict_merge():
+    rng = random.Random(42)
+    exps = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0)
+    coeffs = (0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 0.1, 0.2, -0.3)
+    for _ in range(5000):
+        triples = [(rng.choice(coeffs + (rng.uniform(-3, 3),)), rng.choice(exps),
+                    rng.choice(exps)) for _ in range(rng.randint(0, 8))]
+        got = BivariateSignomial.from_triples(triples).terms
+        want = _dict_from_triples(triples)
+        assert repr(got) == repr(want), triples
+
+
+@pytest.mark.parametrize("triple", [(math.nan, 1.0, 0.0), (1.0, math.inf, 0.0),
+                                    (1.0, 0.0, -math.inf), (0.0, math.nan, 0.0)])
+def test_bivariate_rejects_non_finite_terms(triple):
+    with pytest.raises(ValueError, match="terms must be finite") as exc:
+        BivariateSignomial.from_triples([(1.0, 0.0, 0.0), triple])
+    assert repr(list(triple)) in str(exc.value)
+
+
+@pytest.mark.parametrize("a1, a2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                    (-1.0, -math.inf)])
+def test_constraint_rejects_non_finite(a1, a2):
+    with pytest.raises(ValueError, match="line coefficients must be finite"):
+        AffineConstraint(a1, a2)
+
+
+def test_count_on_line_rejects_non_finite_masses():
+    # used to count 0 roots as a "certified lower bound"
+    with pytest.raises(ValueError, match="terms must be finite"):
+        count_on_line(*euler_line_system(1.0, math.nan, 1.0, -2.0))
+    # used to count one root at x = 1 on the line nan*x + y = 1
+    with pytest.raises(ValueError, match="line coefficients must be finite"):
+        count_on_line(BivariateSignomial.from_triples([(1, 0, 0), (-1, 1, 0)]),
+                      AffineConstraint(math.nan, 1.0))
+
 def test_balance_system_restriction_reproduces_g():
     rng = random.Random(40)
     for _ in range(50):

@@ -27,7 +27,6 @@ from eulercc.numerics import (
     DEFAULT_REL_TOL,
     ToleranceError,
     bisect_sign_change,
-    certified_sign_near_inf,
     certified_sign_near_zero,
     isolate_between,
     sum_sign,
@@ -341,6 +340,16 @@ def _ref_derivative_chain(p):
         pivot = _ref_first_variation_pivot(p)
         p = _ref_shift_and_differentiate(p, pivot)
         yield pivot, p
+
+
+def certified_sign_near_inf(pairs, start=4.0):
+    """(x1, sign) with the sign of sum(c x^e) certified constant on [x1, inf).
+
+    Realized by reflecting x -> 1/x onto the 0+ case.
+    """
+    reflected = [(c, -e) for c, e in reversed(list(pairs))]
+    u0, sign = certified_sign_near_zero(reflected, start=1.0 / start)
+    return 1.0 / u0, sign
 
 
 def _ref_isolate(p, lo, hi, tol):
