@@ -34,7 +34,7 @@ def main():
             m = MassTriple(*(rng.uniform(-args.lim, args.lim) for _ in range(3)))
         if degenerate_family(m, args.b) is not None:
             continue
-        counts, _ = count_all(m, args.b)
+        counts, _ = count_all(m, args.b, roots=False)
         histogram[counts.total] += 1
         drawn += 1
 

@@ -204,7 +204,7 @@ def _scan_row(b, m2_values, cross_check, margin, tol):
         row.append((m2, b, rc))
         if cross_check and not rc.on_frontier and _frontier_distance(m2, b) > margin:
             checked += 1
-            counts, _ = count_all(MassTriple(1.0, m2, 1.0), b, tol)
+            counts, _ = count_all(MassTriple(1.0, m2, 1.0), b, tol, roots=False)
             got = (counts.e1, counts.e2, counts.e3, counts.total)
             expected = (rc.e1, rc.e2, rc.e3, rc.total)
             if got != expected:

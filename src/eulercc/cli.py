@@ -3,7 +3,8 @@
 Machine-readable output only: JSON documents for solve/signomial, CSV for
 grid, a bare integer for bounds. Floats are printed with 17 significant
 digits so every value round-trips. Exit codes: 0 success, 2 usage or
-parse error, 3 tolerance failure, 4 verification or cross-check mismatch.
+parse error or an output file that cannot be written, 3 tolerance failure,
+4 verification or cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def _write(text, path):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 # --- argument types ------------------------------------------------------------------

@@ -402,8 +402,13 @@ def _affine_roots(mv: MassTriple, b):
     return [(s, False)] if s > 0.0 else []
 
 
-def _cell_roots(mv: MassTriple, b, h, tol):
-    """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}."""
+def _cell_roots(mv: MassTriple, b, h, tol, refine=True):
+    """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}.
+
+    With refine=False the roots of g are only counted (isolate_between's
+    unrefined records); the h and g' breakpoints are refined either way,
+    since a coarse breakpoint could hide a pair of roots of g.
+    """
     # Stage 1: sign changes of g'' as breakpoints, via the signomial engine
     # on (0, 1) in y (the forced boundary zero at y = 1 is excluded), mapped
     # to s = y/(1-y).
@@ -430,17 +435,18 @@ def _cell_roots(mv: MassTriple, b, h, tol):
         lambda s: _gp_triples(mv, b, s),
         _anchor(zero, Endpoint.ZERO_PLUS),
         _anchor(inf, Endpoint.INFINITY),
-        gp_roots, tol,
+        gp_roots, tol, refine=refine,
     )
 
 
-def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL):
+def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     """Certified count and solutions for one cell.
 
     Returns (count, solutions); count is INFINITE (with no enumerable
     solutions) exactly on the degenerate families of the cell's mass view.
-    Raises ValueError when a mass or b is NaN or infinite, or tol is not in
-    (0, 1).
+    With roots=False the count is the same but the roots of g are not
+    refined and solutions is []. Raises ValueError when a mass or b is NaN
+    or infinite, or tol is not in (0, 1).
     """
     m = _masses(m)
     if not all(map(math.isfinite, m.as_tuple())):
@@ -458,20 +464,21 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL):
         if h.is_zero:
             pairs = _affine_roots(mv, b)
         else:
-            pairs = [(r.value, r.degenerate) for r in _cell_roots(mv, b, h, tol)]
-    return len(pairs), [_solution(cell, s, deg) for s, deg in pairs]
+            pairs = [(r.value, r.degenerate) for r in _cell_roots(mv, b, h, tol, roots)]
+    return len(pairs), ([_solution(cell, s, deg) for s, deg in pairs] if roots else [])
 
 
-def count_all(m, b, tol=DEFAULT_REL_TOL):
+def count_all(m, b, tol=DEFAULT_REL_TOL, *, roots=True):
     """Counts for all three cells. Returns (CellCount, solutions).
 
+    With roots=False only the counts are computed and solutions is [].
     Raises ValueError when a mass or b is NaN or infinite.
     """
     m = _masses(m)
     counts = {}
     solutions = []
     for cell in CELLS:
-        n, sols = count_cell(m, b, cell, tol)
+        n, sols = count_cell(m, b, cell, tol, roots=roots)
         counts[cell] = n
         solutions.extend(sols)
     solutions.sort(key=lambda sol: (sol.cell, sol.s))

@@ -156,17 +156,61 @@ _PROBE_FLOOR = 1e-280
 _SHRINK = 0.0625
 _MARGIN = 0.5
 _PAIR_MARGIN_LOG = 3.0
+# The linear-space domination test decides only outside this relative band
+# around its threshold, far wider than the rounding of either test; inside
+# it, and for a lead coefficient below _LINEAR_MIN_LEAD (where |c0|/2 and
+# the other terms may round in the subnormal range), the log-space test
+# decides.
+_GUARD_BAND = 1e-9
+_LINEAR_MIN_LEAD = 1e-250
 
 
-def _tail_rel(tail, lead_log, e0, lx):
-    # log of tail bound relative to the leading term magnitude at x = e**lx
-    if tail is None or tail.coeff == 0.0:
+def _linear_rest(pairs, tail, x):
+    """sum(|c| x^(e - e0)) over pairs[1:], plus the tail bound over x^e0, or None.
+
+    None when the linear sum cannot be trusted: it overflowed, or the tail
+    bound's ratio * x is within the guard band of 0.9, where the log-space
+    test, which reads x back from its log, refuses.
+    """
+    e0 = pairs[0][1]
+    try:
+        s = math.fsum([abs(c) * x ** (e - e0) for c, e in pairs[1:]])
+        if tail is not None and tail.coeff != 0.0:
+            if tail.ratio * x >= 0.9 * (1.0 - _GUARD_BAND):
+                return None
+            s += tail.coeff * x ** (tail.exponent - e0) / (1.0 - tail.ratio * x)
+    except OverflowError:
         return None
-    x = math.exp(lx)
-    if tail.ratio * x >= 0.9:
-        return math.inf
-    return (math.log(tail.coeff) - lead_log + (tail.exponent - e0) * lx
-            - math.log(1.0 - tail.ratio * x))
+    return s if math.isfinite(s) else None
+
+
+def _log_space(pairs, tail):
+    """(rel_log, rest, lead_log): the log-space form of the domination test.
+
+    rest holds (log|c/c0|, e - e0) for pairs[1:]; rel_log(others, lx) is the
+    log of the summed magnitudes of others (and the tail) relative to the
+    leading term at x = e**lx.
+    """
+    c0, e0 = pairs[0]
+    lead_log = math.log(abs(c0))
+    rest = [(math.log(abs(c)) - lead_log, e - e0) for c, e in pairs[1:]]
+
+    def rel_log(others, lx):
+        parts = [lc + de * lx for lc, de in others]
+        if tail is not None and tail.coeff != 0.0:
+            x = math.exp(lx)
+            if tail.ratio * x >= 0.9:
+                return math.inf
+            parts.append(math.log(tail.coeff) - lead_log + (tail.exponent - e0) * lx
+                         - math.log(1.0 - tail.ratio * x))
+        if not parts:
+            return -math.inf
+        top = max(parts)
+        if top == math.inf:
+            return math.inf
+        return top + math.log(math.fsum(math.exp(v - top) for v in parts))
+
+    return rel_log, rest, lead_log
 
 
 def certified_sign_near_zero(pairs, tail=None, start=0.25):
@@ -176,13 +220,19 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     coefficients; tail optionally bounds a truncated remainder. Two phases:
 
     1. magnitude domination of the leading term, whose ratios to all other
-       contributions only shrink as x decreases;
+       contributions only shrink as x decreases. At each probe x the other
+       magnitudes S = sum(|c| x^(e-e0)) plus the tail bound are compared
+       with |c0|/2 in linear space; within a relative guard band of 1e-9
+       of |c0|/2, or when S overflows, |c0| is below 1e-250 or the tail's
+       ratio * x nears 0.9, the per-term logs are taken and the same
+       comparison is made in log space at the same probe, so the answer is
+       the log-space test's;
     2. when the two lowest exponents are too close for (1), the leading
        pair w(x) = c0 x^e0 + c1 x^e1 is handled exactly: it has at most one
        positive root at x* = (|c0|/|c1|)^(1/(e1-e0)), is monotone on either
        side, and keeps the sign of c0 below x*. Probing below x* until the
        remaining terms are dominated by the pair's certified minimum
-       magnitude yields the anchor.
+       magnitude (in log space) yields the anchor.
 
     Raises ToleranceError when neither phase certifies above the probe
     floor (three or more exponents would have to cluster at the bottom of
@@ -192,22 +242,9 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
         raise ToleranceError("cannot certify the sign of an empty sum")
     c0, e0 = pairs[0]
     sign0 = 1 if c0 > 0.0 else -1
-    lead_log = math.log(abs(c0))
-    rest = [(math.log(abs(c)) - lead_log, e - e0) for c, e in pairs[1:]]
-
-    def rel_log(others, lx):
-        # log of the summed magnitudes of others (and the tail) relative to
-        # the leading term at x = e**lx
-        parts = [lc + de * lx for lc, de in others]
-        t = _tail_rel(tail, lead_log, e0, lx)
-        if t is not None:
-            parts.append(t)
-        if not parts:
-            return -math.inf
-        top = max(parts)
-        if top == math.inf:
-            return math.inf
-        return top + math.log(math.fsum(math.exp(v - top) for v in parts))
+    half = _MARGIN * abs(c0)
+    linear = abs(c0) >= _LINEAR_MIN_LEAD
+    log_space = None  # built on first use
 
     floor_log = math.log(_PROBE_FLOOR)
     shrink_log = math.log(_SHRINK)
@@ -218,7 +255,15 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     for _ in range(phase1):
         if x < _PROBE_FLOOR:
             raise ToleranceError("tail bound refused to shrink below the leading term")
-        if rel_log(rest, math.log(x)) < math.log(_MARGIN):
+        s = _linear_rest(pairs, tail, x) if linear else None
+        if s is not None and abs(s - half) > _GUARD_BAND * half:
+            dominated = s < half
+        else:
+            if log_space is None:
+                log_space = _log_space(pairs, tail)
+            rel_log, rest, _ = log_space
+            dominated = rel_log(rest, math.log(x)) < math.log(_MARGIN)
+        if dominated:
             return x, sign0
         x *= _SHRINK
 
@@ -228,6 +273,7 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     # safe log-margin away from that root; when the root falls below the
     # representable floor the zone sits above it and carries the opposite of
     # the 0+ limit sign (structure below the floor is out of numeric scope).
+    rel_log, rest, lead_log = log_space or _log_space(pairs, tail)
     c1, e1 = pairs[1]
     eps = e1 - e0
     pair_log = math.log(abs(c1)) - lead_log
@@ -246,7 +292,9 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     remote = rest[1:]
 
     def rel_abs(lx):
-        return abs(1.0 + math.copysign(math.exp(pair_log + eps * lx), c0 * c1))
+        # only ever a lower bound inside min(1, ...), so a clamped exponent,
+        # whose |rel| is still far above 1, leaves the result unchanged
+        return abs(1.0 + math.copysign(math.exp(min(pair_log + eps * lx, 700.0)), c0 * c1))
 
     floor_rel = rel_abs(zone_floor_log)
     lx = cap_log
@@ -390,7 +438,7 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_it
 
 
 def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
-                    rel_tol=DEFAULT_REL_TOL):
+                    rel_tol=DEFAULT_REL_TOL, refine=True):
     """One stage of a derivative chain: the roots of a target between anchors.
 
     terms_fn(x) and chain_terms_fn(x) build the (c, e, base) terms of the
@@ -407,6 +455,12 @@ def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
     bisect_sign_change refines a sign change; and DEGENERACY_REL for the
     chain function at a refined root, which flags it degenerate when that
     sign is 0.
+
+    With refine=False each sign change between breakpoints is counted
+    without being refined or tested for degeneracy: its record is the
+    certified bracket between the two breakpoints, with value nan and
+    degenerate False, so only the number of records is meaningful. A
+    caller that needs only the count of roots saves the bisection.
     """
     xl, sl = left
     xr, sr = right
@@ -427,11 +481,15 @@ def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
     for (xa, sa), (xb, sb) in zip(pts, pts[1:]):
         if sa == 0 or sb == 0 or sa == sb:
             continue
+        if not refine:
+            out.append(RootRecord(lo=xa, hi=xb, value=math.nan, degenerate=False))
+            continue
         value, lo, hi, _ = bisect_sign_change(
             lambda x: sum_sign(terms_fn(x), 0.0), xa, xb, sa, rel_tol)
         # A mid-point landing exactly on zero says nothing about degeneracy;
         # only the chain function's magnitude at the root does.
         degenerate = sum_sign(chain_terms_fn(value), DEGENERACY_REL)[0] == 0
         out.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=degenerate))
-    out.sort(key=lambda r: r.value)
+    if refine:
+        out.sort(key=lambda r: r.value)
     return out

@@ -276,6 +276,33 @@ def test_output_file_writing(tmp_path, capsys):
     assert doc["total"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "-m", "1,1,1", "-b", "-2"),
+    ("grid", "--m2", "-4:2", "--b", "-4:4", "-n", "3x3"),
+    ("signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "-o", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {str(path)!r}: ")
+    code, _, err = run(capsys, *argv, "-o", str(tmp_path))  # a directory
+    assert code == 2
+    assert err.startswith(f"error: cannot write {str(tmp_path)!r}: ")
+
+
+@pytest.mark.parametrize("b", ["1e-320", "5e-324", "-1e-320"])
+def test_subnormal_b_exits_cleanly(capsys, b):
+    # |b| this small puts subnormal coefficients into the endpoint series
+    code, out, err = run(capsys, "solve", "-m", "1,1,1", "-b", b)
+    assert code in (0, 3), err
+    if code == 0:
+        assert json.loads(out)["total"] == 3
+    else:
+        assert err.startswith("tolerance failure: ")
+
+
 def test_verify_runs_every_criterion(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

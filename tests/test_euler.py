@@ -734,6 +734,31 @@ def test_count_all_matches_golden_results():
             assert abs(sol.s - s) <= 4.0 * tol * s, case
 
 
+def _counts_or_error(m, b, **kw):
+    try:
+        counts, sols = count_all(m, b, **kw)
+    except ToleranceError as exc:
+        return repr(exc), []
+    return repr(counts), sols
+
+
+def test_count_only_matches_full_counts():
+    # roots=False leaves the roots of g unrefined; the counts must be the
+    # full run's on the golden draws, a 60 x 60 figure grid at masses
+    # (1, m2, 1), and 1,000 census and 1,000 band draws.
+    golden = json.loads((Path(__file__).parent / "data" / "count_all_golden.json").read_text())
+    cases = [(case["masses"], case["b"]) for case in golden["cases"]]
+    cases += [((1.0, -4.0 + 6.0 * i / 59, 1.0), -4.0 + 8.0 * j / 59)
+              for j in range(60) for i in range(60)]
+    rng = random.Random(90)
+    for b_range in ((-5.0, 5.0), (0.8, 1.2)):
+        cases += [(rand_masses(rng), rng.uniform(*b_range)) for _ in range(1000)]
+    for m, b in cases:
+        want, _ = _counts_or_error(m, b)
+        got, sols = _counts_or_error(m, b, roots=False)
+        assert got == want and sols == [], (m, b)
+
+
 @pytest.mark.parametrize("m, b", [
     ((math.nan, 1.0, 1.0), -2.0),
     ((1.0, math.inf, 1.0), -2.0),
