@@ -13,6 +13,7 @@ few evaluations; the root reported is still the one bisection reports.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # Relative threshold below which a function value at a breakpoint is treated
@@ -168,17 +169,25 @@ _LINEAR_MIN_LEAD = 1e-250
 def _linear_rest(pairs, tail, x):
     """sum(|c| x^(e - e0)) over pairs[1:], plus the tail bound over x^e0, or None.
 
-    None when the linear sum cannot be trusted: it overflowed, or the tail
+    None when the linear sum cannot be trusted: it overflowed, a power
+    x^(e - e0) fell below the normal range (where pow underflows to a
+    subnormal or to 0 and a large |c| would scale up that loss), or the tail
     bound's ratio * x is within the guard band of 0.9, where the log-space
     test, which reads x back from its log, refuses.
     """
     e0 = pairs[0][1]
+    # x < 1 and the exponents increase, so the last power is the smallest
+    if len(pairs) > 1 and x ** (pairs[-1][1] - e0) < sys.float_info.min:
+        return None
     try:
         s = math.fsum([abs(c) * x ** (e - e0) for c, e in pairs[1:]])
         if tail is not None and tail.coeff != 0.0:
             if tail.ratio * x >= 0.9 * (1.0 - _GUARD_BAND):
                 return None
-            s += tail.coeff * x ** (tail.exponent - e0) / (1.0 - tail.ratio * x)
+            power = x ** (tail.exponent - e0)
+            if power < sys.float_info.min:
+                return None
+            s += tail.coeff * power / (1.0 - tail.ratio * x)
     except OverflowError:
         return None
     return s if math.isfinite(s) else None
@@ -223,8 +232,9 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
        contributions only shrink as x decreases. At each probe x the other
        magnitudes S = sum(|c| x^(e-e0)) plus the tail bound are compared
        with |c0|/2 in linear space; within a relative guard band of 1e-9
-       of |c0|/2, or when S overflows, |c0| is below 1e-250 or the tail's
-       ratio * x nears 0.9, the per-term logs are taken and the same
+       of |c0|/2, or when S overflows, a power x^(e-e0) leaves the normal
+       float range, |c0| is below 1e-250 or the tail's ratio * x nears
+       0.9, the per-term logs are taken and the same
        comparison is made in log space at the same probe, so the answer is
        the log-space test's;
     2. when the two lowest exponents are too close for (1), the leading
@@ -316,7 +326,10 @@ class RootRecord:
     lo == hi == value where it evaluates to exactly zero; for
     degenerate=True the root sits where the bracketing derivative-chain
     function is itself below the degeneracy threshold, so the bracket is
-    only a location estimate.
+    only a location estimate. A record from isolate_between(refine=False)
+    is unrefined: value is nan and only the number of records means
+    anything, so it must not serve as a chain root of a later stage
+    (isolate_between refuses it).
     """
 
     lo: float
@@ -460,7 +473,8 @@ def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
     without being refined or tested for degeneracy: its record is the
     certified bracket between the two breakpoints, with value nan and
     degenerate False, so only the number of records is meaningful. A
-    caller that needs only the count of roots saves the bisection.
+    caller that needs only the count of roots saves the bisection. Such
+    records cannot be chain_roots: a nan breakpoint raises ValueError.
     """
     xl, sl = left
     xr, sr = right
@@ -472,6 +486,8 @@ def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
     pts = [(xl, sl)]
     out = []
     for r in chain_roots:
+        if math.isnan(r.value):
+            raise ValueError("an unrefined root record cannot be a breakpoint")
         if xl < r.value < xr:
             s = sum_sign(terms_fn(r.value), BOUNDARY_ZERO_REL)[0]
             pts.append((r.value, s))

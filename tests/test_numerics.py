@@ -3,9 +3,17 @@
 import math
 import random
 
+import pytest
+
 from eulercc import euler, signomial
 from eulercc.euler import count_all
-from eulercc.numerics import Tail, ToleranceError, certified_sign_near_zero
+from eulercc.numerics import (
+    RootRecord,
+    Tail,
+    ToleranceError,
+    certified_sign_near_zero,
+    isolate_between,
+)
 
 # --- reference: the anchor as it was when every probe was decided in log space ---
 # (a verbatim copy; only the function's name differs)
@@ -232,6 +240,25 @@ def _synthetic_inputs(rng):
         tail = Tail(lead * 10.0 ** rng.uniform(-3.0, 0.0), pairs[-1][1] + 1.0,
                     0.9 * (1.0 + near) / x)
         cases.append((pairs, tail, 0.25))
+    for _ in range(1000):
+        # a lead of at least 1e-250 beside a large |c| whose power x^(e - e0)
+        # underflows at the first probe, though the term decides the test
+        # there: the true other magnitudes are |c0| * 10**log_f
+        shrink = rng.uniform(300.0, 330.0)  # -log10 of x^(e - e0) at the first probe
+        log_f = rng.uniform(-3.0, 3.0)
+        log_lead = rng.uniform(-250.0, 305.0 - shrink - log_f)
+        de = rng.choice((2.0, 3.0, rng.uniform(1.2, 4.0)))
+        e0 = rng.uniform(-3.0, 3.0)
+        pairs = [(_signed(rng, 10.0 ** log_lead), e0)]
+        big = 10.0 ** (log_lead + log_f + shrink)
+        if rng.random() < 0.3:
+            tail = Tail(big, e0 + de, rng.uniform(0.0, 3.0))
+        else:
+            pairs.append((_signed(rng, big), e0 + de))
+            tail = None
+        cases.append((pairs, tail, 10.0 ** (-shrink / de)))
+    # (1.5e-162)**2 is 0.0 in floats, but the true sum is about -2.25e-16
+    cases.append(([(1e-20, 0.0), (-1e308, 2.0)], None, 1.5e-162))
     for _ in range(500):
         # magnitudes near the float limit, so the linear sum overflows
         e = rng.uniform(-2.0, 2.0)
@@ -248,6 +275,13 @@ def _outcome(fn, pairs, tail, start):
         return repr(fn(pairs, tail, start))
     except (ToleranceError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def test_unrefined_records_are_refused_as_breakpoints():
+    unrefined = RootRecord(lo=0.25, hi=0.75, value=math.nan, degenerate=False)
+    with pytest.raises(ValueError, match="unrefined"):
+        isolate_between(lambda x: [(1.0, 1.0, x), (-0.5, 0.0, x)], lambda x: [(1.0, 0.0, x)],
+                        (0.1, -1), (0.9, 1), [unrefined])
 
 
 def test_anchor_fast_path_matches_log_reference(monkeypatch):
