@@ -1,10 +1,10 @@
 """The acceptance criteria of the source paper, each written once.
 
-CRITERIA lists the eleven criteria as (number, name, description, fn).
-Each fn draws from its own seeded generator (seeds 101-111) and takes its
-draw count, so a smaller count runs a prefix of the default draws;
-`eulercc verify` runs them that way, and the test suite runs them at the
-default counts with numpy oracles in place of the stdlib defaults below. A
+CRITERIA lists the eleven criteria as (number, name, description, fn,
+verify_draws). Each fn draws from its own seeded generator (seeds 101-111)
+and takes its draw count, so a smaller count runs a prefix of the default
+draws; `eulercc verify` runs verify_draws of them, and the test suite runs
+them at the default counts with numpy oracles in place of the stdlib defaults below. A
 criterion fails by raising AssertionError naming the input, never by a
 bare assert, so it also fails under `python -O`.
 """
@@ -93,15 +93,20 @@ class Criterion(NamedTuple):
     name: str
     description: str
     fn: Callable
+    verify_draws: int | None
 
 
 CRITERIA: list[Criterion] = []
 
 
-def _criterion(name, description):
-    """Register the decorated function as the next criterion of CRITERIA."""
+def _criterion(name, description, verify_draws=None):
+    """Register the decorated function as the next criterion of CRITERIA.
+
+    verify_draws is the draw count `eulercc verify` passes it, None for a
+    criterion that takes no draws.
+    """
     def register(fn):
-        CRITERIA.append(Criterion(len(CRITERIA) + 1, name, description, fn))
+        CRITERIA.append(Criterion(len(CRITERIA) + 1, name, description, fn, verify_draws))
         return fn
     return register
 
@@ -110,7 +115,7 @@ def _criterion(name, description):
 
 
 @_criterion("classic-uniqueness", "positive masses at b=-2: one sign variation, one root, "
-                                  "root matches the quintic to 1e-9 relative")
+                                  "root matches the quintic to 1e-9 relative", 50)
 def classic_uniqueness(draws=200, positive_roots=one_positive_root):
     rng = random.Random(101)
     for _ in range(draws):
@@ -126,7 +131,7 @@ def classic_uniqueness(draws=200, positive_roots=one_positive_root):
                                                                f"quintic root {roots[0]!r}")
 
 
-@_criterion("vortex-total-bound", "b=-1, 1000 real mass triples: total count <= 3")
+@_criterion("vortex-total-bound", "b=-1, 1000 real mass triples: total count <= 3", 100)
 def vortex_total_bound(draws=1000):
     rng = random.Random(102)
     for m, b in _draws(rng, draws, 10.0, lambda: -1.0):
@@ -135,7 +140,7 @@ def vortex_total_bound(draws=1000):
 
 
 @_criterion("middle-cell-bound", "1000 random (m, b): middle-cell count <= 3; "
-                                 "at 3 no root is degenerate")
+                                 "at 3 no root is degenerate", 100)
 def middle_cell_bound(draws=1000):
     rng = random.Random(103)
     for m, b in _draws(rng, draws, 10.0, lambda: rng.uniform(-5.0, 5.0)):
@@ -145,7 +150,7 @@ def middle_cell_bound(draws=1000):
 
 
 @_criterion("positive-masses-one-per-cell",
-            "1000 positive triples, b in [-5, 0.99]: counts (1,1,1)")
+            "1000 positive triples, b in [-5, 0.99]: counts (1,1,1)", 100)
 def positive_masses_one_per_cell(draws=1000):
     rng = random.Random(104)
     for _ in range(draws):
@@ -156,7 +161,7 @@ def positive_masses_one_per_cell(draws=1000):
 
 
 @_criterion("total-bounds-by-regime", "totals <= 3 for b < 0 and <= 5 for 0 < b < 1; "
-                                      "(1, -0.9, 1) at b = 0.5 attains 5")
+                                      "(1, -0.9, 1) at b = 0.5 attains 5", 50)
 def total_bounds_by_regime(draws=500):
     rng = random.Random(105)
     for (lo, hi), bound in (((-5.0, 0.0), 3), ((0.0, 1.0), 5)):
@@ -182,7 +187,7 @@ def zero_count_and_zero_sum():
 
 
 @_criterion("polynomial-expansions", "polynomial specializations at b=-2,-1 to 1e-9 relative; "
-                                     "second-derivative transform identity to 1e-5")
+                                     "second-derivative transform identity to 1e-5", 50)
 def expansion_equivalences(draws=100):
     rng = random.Random(107)
     for _ in range(draws):
@@ -206,7 +211,7 @@ def expansion_equivalences(draws=100):
 
 
 @_criterion("degenerate-families", "the five identically-vanishing families report infinite "
-                                   "counts; 1e-3 perturbations are finite")
+                                   "counts; 1e-3 perturbations are finite", 20)
 def degenerate_families(draws=100):
     rng = random.Random(108)
     for m, b in ((MassTriple(0.0, 0.0, 0.0), -2.0), (MassTriple(1.0, -1.0, 1.0), 0.0),
@@ -225,7 +230,7 @@ def degenerate_families(draws=100):
 
 
 @_criterion("figure-grid-crosscheck", "50x50 grid over m2 in [-4,2], b in [-4,4], margin 0.05: "
-                                      "classifier matches the numeric counter everywhere")
+                                      "classifier matches the numeric counter everywhere", 25)
 def figure_reconstruction(n=50):
     result = classifier.grid_scan((-4.0, 2.0), (-4.0, 4.0), (n, n),
                                   cross_check=True, margin=0.05)
@@ -239,7 +244,7 @@ def figure_reconstruction(n=50):
 
 
 @_criterion("signomial-engine", "500 random signomials: certified count <= min(variations, "
-                                "terms-1), equals the 1e6-point scan, chain decrements hold")
+                                "terms-1), equals the 1e6-point scan, chain decrements hold", 100)
 def root_engine_vs_oracle(draws=500, scan_count=log_scan_count):
     rng = random.Random(110)
     done = 0
@@ -268,7 +273,7 @@ def root_engine_vs_oracle(draws=500, scan_count=log_scan_count):
 
 
 @_criterion("bound-formulas", "straight_bound(6)=62, khovanskii_bound(1,2,4)=32768; "
-                              "line reduction matches the cell counter on 50 draws")
+                              "line reduction matches the cell counter on 50 draws", 10)
 def bound_formulas_and_line_reduction(draws=50):
     _require(qps.straight_bound(6) == 62, f"straight_bound(6) = {qps.straight_bound(6)}")
     k = qps.khovanskii_bound(1, 2, 4)

@@ -195,23 +195,6 @@ def _frontier_distance(m2, b):
     return min(dists)
 
 
-def _scan_row(b, m2_values, cross_check, margin, tol):
-    row = []
-    mismatches = []
-    checked = 0
-    for m2 in m2_values:
-        rc = classify_total(m2, b)
-        row.append((m2, b, rc))
-        if cross_check and not rc.on_frontier and _frontier_distance(m2, b) > margin:
-            checked += 1
-            counts, _ = count_all(MassTriple(1.0, m2, 1.0), b, tol, roots=False)
-            got = (counts.e1, counts.e2, counts.e3, counts.total)
-            expected = (rc.e1, rc.e2, rc.e3, rc.total)
-            if got != expected:
-                mismatches.append(GridMismatch(m2=m2, b=b, expected=expected, got=got))
-    return row, mismatches, checked
-
-
 def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
               tol=DEFAULT_REL_TOL) -> GridResult:
     """Classify a grid; optionally cross-check off-frontier points numerically.
@@ -233,10 +216,16 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
     mismatches = []
     checked = 0
     for b in b_values:
-        row, miss, n = _scan_row(b, m2_values, cross_check, margin, tol)
-        rows.extend(row)
-        mismatches.extend(miss)
-        checked += n
+        for m2 in m2_values:
+            rc = classify_total(m2, b)
+            rows.append((m2, b, rc))
+            if cross_check and not rc.on_frontier and _frontier_distance(m2, b) > margin:
+                checked += 1
+                counts, _ = count_all(MassTriple(1.0, m2, 1.0), b, tol, roots=False)
+                got = (counts.e1, counts.e2, counts.e3, counts.total)
+                expected = (rc.e1, rc.e2, rc.e3, rc.total)
+                if got != expected:
+                    mismatches.append(GridMismatch(m2=m2, b=b, expected=expected, got=got))
     return GridResult(
         m2_values=tuple(m2_values),
         b_values=tuple(b_values),

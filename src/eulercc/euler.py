@@ -22,6 +22,7 @@ g_{m1,m2,m3}(1/s) = -s^(-b-1) g_{m3,m2,m1}(s).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -128,42 +129,33 @@ def abc_terms(b, s):
     return a, bb, c
 
 
-# The triples are grouped by base, so sum_sign takes one log per base.
-def _g_triples(m: MassTriple, b, s):
-    u = 1.0 + s
-    return [
-        (m.m2 + m.m3, b, s),
-        (m.m3, b + 1.0, s),
-        (-m.m2, 1.0, s),
-        (m.m1 + m.m3, b, u),
-        (-m.m3, b + 1.0, u),
-        (-m.m1, 1.0, u),
-    ]
+def _g_groups(m: MassTriple, b):
+    """s -> the (pairs, base) groups of g at s; the pairs are built once."""
+    on_s = ((m.m2 + m.m3, b), (m.m3, b + 1.0), (-m.m2, 1.0))
+    on_u = ((m.m1 + m.m3, b), (-m.m3, b + 1.0), (-m.m1, 1.0))
+    return lambda s: ((on_s, s), (on_u, 1.0 + s))
 
 
-def _gp_triples(m: MassTriple, b, s):
-    u = 1.0 + s
-    return [
-        (b * (m.m2 + m.m3), b - 1.0, s),
-        ((b + 1.0) * m.m3, b, s),
-        (b * (m.m1 + m.m3), b - 1.0, u),
-        (-(b + 1.0) * m.m3, b, u),
-        (-(m.m1 + m.m2), 0.0, 1.0),
-    ]
+def _gp_groups(m: MassTriple, b):
+    """s -> the (pairs, base) groups of g' at s; the pairs are built once."""
+    on_s = ((b * (m.m2 + m.m3), b - 1.0), ((b + 1.0) * m.m3, b))
+    on_u = ((b * (m.m1 + m.m3), b - 1.0), (-(b + 1.0) * m.m3, b))
+    constant = ((-(m.m1 + m.m2), 0.0),)
+    return lambda s: ((on_s, s), (on_u, 1.0 + s), (constant, 1.0))
 
 
 def eval_g(m, b, s) -> float:
     """The configuration balance function g at shape parameter s > 0."""
     if s <= 0.0:
         raise ValueError("eval_g requires s > 0")
-    return sum_value(_g_triples(_masses(m), b, s))
+    return sum_value(_g_groups(_masses(m), b)(s))
 
 
 def eval_g_prime(m, b, s) -> float:
     """d/ds of the balance function; at s=1 with m1=m3=1 this is 2b - 2^b + m2(b-1)."""
     if s <= 0.0:
         raise ValueError("eval_g_prime requires s > 0")
-    return sum_value(_gp_triples(_masses(m), b, s))
+    return sum_value(_gp_groups(_masses(m), b)(s))
 
 
 def eval_h(m, b, y) -> float:
@@ -177,12 +169,10 @@ def eval_h(m, b, y) -> float:
         raise ValueError("eval_h is undefined at b = 1")
     m = _masses(m)
     w = 2.0 * m.m3 / (b - 1.0)
-    return sum_value([
-        (-(m.m2 - w), b - 1.0, y),
-        (m.m2 + m.m3, b - 2.0, y),
-        (-(m.m1 + m.m3), 1.0, y),
-        (m.m1 - w, 0.0, 1.0),
-    ])
+    return sum_value((
+        (((-(m.m2 - w), b - 1.0), (m.m2 + m.m3, b - 2.0), (-(m.m1 + m.m3), 1.0)), y),
+        (((m.m1 - w, 0.0),), 1.0),
+    ))
 
 
 def h_signomial(m, b) -> Signomial:
@@ -362,6 +352,29 @@ def endpoint_sign_g(m, b, endpoint) -> int:
 
 # --- cells ---------------------------------------------------------------------
 
+# Above this mass magnitude the terms of g and h may overflow; count_cell then
+# divides the masses by a power of two, which changes no count.
+_RESCALE_ABOVE = 2.0 ** 512
+
+
+def _rescaled(m: MassTriple) -> MassTriple:
+    """m divided by the power of two that puts its largest |mass| in [1, 2).
+
+    Masses at or below _RESCALE_ABOVE are returned as they are. Raises
+    ValueError when the division would leave a nonzero mass subnormal or
+    zero, where it would no longer be exact.
+    """
+    masses = m.as_tuple()
+    top = max(map(abs, masses))
+    if top <= _RESCALE_ABOVE:
+        return m
+    shift = 1 - math.frexp(top)[1]
+    scaled = tuple(math.ldexp(x, shift) for x in masses)
+    if any(x != 0.0 and abs(y) < sys.float_info.min for x, y in zip(masses, scaled)):
+        raise ValueError(f"masses {masses} span too wide a range to be scaled down "
+                         f"exactly by a power of two")
+    return MassTriple(*scaled)
+
 
 def cell_mass_view(m, cell) -> MassTriple:
     """Masses reindexed as (left, middle, right) so the cell becomes s > 0.
@@ -420,19 +433,20 @@ def _cell_roots(mv: MassTriple, b, h, tol, refine=True):
     binomials = _binomials(b)
     zero = _zero_series_g(mv, b, binomials)
     inf = _reflect(_zero_series_g(_swap13(mv), b, binomials), b)
+    gp = _gp_groups(mv, b)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints.
     gp_roots = isolate_between(
-        lambda s: _gp_triples(mv, b, s),
-        lambda s: [(c, e, s / (1.0 + s)) for c, e in h.pairs],
+        gp,
+        lambda s: ((h.pairs, s / (1.0 + s)),),
         _anchor(_derivative(zero, Endpoint.ZERO_PLUS), Endpoint.ZERO_PLUS),
         _anchor(_derivative(inf, Endpoint.INFINITY), Endpoint.INFINITY),
         curvature_breaks, tol,
     )
     # Stage 3: g is strictly monotone between g' roots.
     return isolate_between(
-        lambda s: _g_triples(mv, b, s),
-        lambda s: _gp_triples(mv, b, s),
+        _g_groups(mv, b),
+        gp,
         _anchor(zero, Endpoint.ZERO_PLUS),
         _anchor(inf, Endpoint.INFINITY),
         gp_roots, tol, refine=refine,
@@ -446,7 +460,8 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     solutions) exactly on the degenerate families of the cell's mass view.
     With roots=False the count is the same but the roots of g are not
     refined and solutions is []. Raises ValueError when a mass or b is NaN
-    or infinite, or tol is not in (0, 1).
+    or infinite, or tol is not in (0, 1), and when masses above 2^512 cannot
+    be scaled down by a power of two exactly (see _rescaled).
     """
     m = _masses(m)
     if not all(map(math.isfinite, m.as_tuple())):
@@ -454,7 +469,7 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b!r}")
     check_tol(tol)
-    mv = cell_mass_view(m, cell)
+    mv = cell_mass_view(_rescaled(m), cell)
     if degenerate_family(mv, b) is not None:
         return INFINITE, []
     if b == 0.0:

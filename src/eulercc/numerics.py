@@ -54,94 +54,91 @@ class ToleranceError(RuntimeError):
     """A sign could not be certified within the configured evaluation precision."""
 
 
-def _log_abs(x):
-    return math.log(abs(x))
+def _fsum_tier(groups):
+    """(value, scale): the fsum of the terms and of their magnitudes, in floats.
 
-
-def _float_terms(terms):
-    """[c * base**e] over the nonzero terms, or None when a power may overflow.
-
-    A run of terms with the same base shares one log, so the library's
-    callers, which list their terms grouped by base, take each distinct
-    base's log once per point.
+    groups are (pairs, base) with the (c, e) pairs on one base listed once,
+    so each base takes one log per point. scale is inf when it overflowed;
+    both are inf when the value's fsum fails or a power may overflow.
     """
     vals = []
-    last = None
-    for c, e, base in terms:
-        if c != 0.0:
-            if base != last:
-                last, log_base = base, math.log(base)
-            if abs(e * log_base) > _LOG_SAFE:
-                return None
-            vals.append(c * base ** e)
-    return vals
+    for pairs, base in groups:
+        log_base = math.log(base)
+        for c, e in pairs:
+            if c != 0.0:
+                if abs(e * log_base) > _LOG_SAFE:
+                    return math.inf, math.inf
+                vals.append(c * base ** e)
+    try:
+        value = math.fsum(vals)
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+        return math.inf, math.inf
+    try:
+        scale = math.fsum(map(abs, vals))
+    except OverflowError:
+        scale = math.inf
+    return value, scale
 
 
-def sum_value(terms):
-    """Value of sum(c * base**e) over (c, e, base) triples, all bases > 0.
+def _mp_tier(groups, zero_rel):
+    """(value, sign) of the sum at _MP_DPS digits; value as a float, maybe +/-inf."""
+    import mpmath
+
+    with mpmath.workdps(_MP_DPS):
+        vals = [mpmath.mpf(c) * mpmath.power(base, e)
+                for pairs, base in groups for c, e in pairs if c != 0.0]
+        value = mpmath.fsum(vals)
+        scale = mpmath.fsum(abs(v) for v in vals)
+        if scale == 0 or abs(value) <= mpmath.mpf(zero_rel) * scale:
+            return float(value), 0
+        return float(value), (1 if value > 0 else -1)
+
+
+def sum_value(groups):
+    """Value of sum(c * base**e) over (pairs, base) groups, all bases > 0.
 
     Uses exact float summation (fsum); falls back to mpmath when the float
     range is exceeded by a power, a term or the sum, so the returned value
     may be +/-inf for results that genuinely overflow doubles.
     """
-    vals = _float_terms(terms)
-    if vals is not None:
-        try:
-            value = math.fsum(vals)
-        except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    import mpmath
-
-    with mpmath.workdps(_MP_DPS):
-        tot = mpmath.fsum(mpmath.mpf(c) * mpmath.power(base, e)
-                          for c, e, base in terms if c != 0.0)
-        return float(tot)
+    value, _ = _fsum_tier(groups)
+    if math.isfinite(value):
+        return value
+    return _mp_tier(groups, 0.0)[0]
 
 
-def sum_sign(terms, zero_rel=DEGENERACY_REL):
+def sum_sign(groups, zero_rel=DEGENERACY_REL):
     """(sign, value) of sum(c * base**e); the sign is 0 below zero_rel * scale.
 
-    sign is in {-1, 0, 1}; scale is the sum of term magnitudes at the
-    point. Three tiers: plain fsum when exponents are safely in float
-    range and the terms and their magnitude sum stay finite, a log-rescaled
-    sum when they do not, and mpmath when the rescaled sum cannot resolve
-    the sign. value is the fsum that decided the sign, or None when a later
-    tier decided it or the fsum is within rounding noise of the terms.
-    terms is a list, read twice when the first tier refuses.
+    groups are (pairs, base) as for sum_value; sign is in {-1, 0, 1}; scale
+    is the sum of term magnitudes at the point. Three tiers: plain fsum
+    when exponents are safely in float range and the terms and their
+    magnitude sum stay finite, a log-rescaled sum when they do not, and
+    mpmath when the rescaled sum cannot resolve the sign. value is the fsum
+    that decided the sign, or None when a later tier decided it or the fsum
+    is within rounding noise of the terms. groups is read again when the
+    first tier refuses.
     """
-    vals = _float_terms(terms)
-    if vals is not None:
-        try:
-            value = math.fsum(vals)
-            scale = math.fsum(map(abs, vals))
-        except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
-            scale = math.inf
-        if math.isfinite(scale):
-            if abs(value) <= zero_rel * scale:
-                sign = 0
-            else:
-                sign = 1 if value > 0.0 else -1
-            return sign, (value if abs(value) > _NOISE_REL * scale else None)
+    value, scale = _fsum_tier(groups)
+    if math.isfinite(scale):
+        if abs(value) <= zero_rel * scale:
+            sign = 0
+        else:
+            sign = 1 if value > 0.0 else -1
+        return sign, (value if abs(value) > _NOISE_REL * scale else None)
     # Log-rescaled: divide everything by the largest term magnitude.
-    terms = [t for t in terms if t[0] != 0.0]
-    logs = [(_log_abs(c) + e * math.log(base), 1.0 if c > 0 else -1.0) for c, e, base in terms]
+    logs = []
+    for pairs, base in groups:
+        log_base = math.log(base)
+        logs += [(math.log(abs(c)) + e * log_base, 1.0 if c > 0 else -1.0)
+                 for c, e in pairs if c != 0.0]
     top = max(lg for lg, _ in logs)
     value = math.fsum(sg * math.exp(lg - top) for lg, sg in logs)
     scale = math.fsum(math.exp(lg - top) for lg, _ in logs)
     # The rescaling itself costs ~1e-13 relative accuracy; below that, escalate.
     if abs(value) > max(zero_rel, 1e-11) * scale:
         return (1 if value > 0.0 else -1), None
-    import mpmath
-
-    with mpmath.workdps(_MP_DPS):
-        vals = [mpmath.mpf(c) * mpmath.power(base, e) for c, e, base in terms]
-        value = mpmath.fsum(vals)
-        scale = mpmath.fsum(abs(v) for v in vals)
-        if scale == 0 or abs(value) <= mpmath.mpf(zero_rel) * scale:
-            return 0, None
-        return (1 if value > 0 else -1), None
+    return _mp_tier(groups, zero_rel)[1], None
 
 
 @dataclass(frozen=True)
@@ -348,9 +345,11 @@ _ITP_N0 = 1
 # rounding noise around it (which would make the replay evaluate every
 # midpoint).
 _END_GUARD = 0.25
+# Iteration budget of the bisection walk, and of the ITP steps inside it.
+_MAX_ITER = 3000
 
 
-def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, max_iter):
+def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
     """ITP steps on [lo, hi], hi <= 8 * lo: (l, h, trusted) around the sign change.
 
     l has sign sign_lo and h the other sign, h - l <= rel_tol * h, or
@@ -363,7 +362,7 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, max_iter):
     v_lo = v_hi = None  # values at the current ends
     interpolated = False
     w0 = hi - lo
-    for step in range(max_iter):
+    for step in range(_MAX_ITER):
         width = hi - lo
         if width <= rel_tol * hi:
             return lo, hi, not (interpolated and v_lo is None and v_hi is None)
@@ -398,42 +397,35 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, max_iter):
     raise ToleranceError("ITP refinement failed to converge within iteration budget")
 
 
-def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL, max_iter=3000):
+def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
     """Refine a certified sign change on [lo, hi], 0 < lo < hi, as bisection does.
 
-    eval_fn(x) returns (sign, value) as sum_sign(terms, 0.0) does; value may
-    be None. Brackets spanning more than a factor of 8 are split at their
-    geometric midpoint, so brackets reaching toward 0 or infinity converge
-    in O(log log-range) steps; after that the midpoint. The bracket moves
-    only on a certified sign.
+    eval_fn(x) returns (sign, value) as sum_sign(groups, 0.0) does; value
+    may be None. One walk: brackets spanning more than a factor of 8 are
+    split at their geometric midpoint, so brackets reaching toward 0 or
+    infinity converge in O(log log-range) steps; after that the midpoint.
+    The bracket moves only on a certified sign.
 
-    The sign change is found by ITP steps (_itp_bracket), which need far
-    fewer evaluations; bisection's path is then replayed, evaluating only
-    the midpoints that the ITP bracket does not decide (all of them when it
-    sits in rounding noise). So the result is the one plain bisection
-    returns, whatever the interpolation did.
+    Once the bracket spans at most a factor of 8, the sign change is found
+    by ITP steps (_itp_bracket), which need far fewer evaluations; the walk
+    then evaluates only the midpoints that the ITP bracket does not decide
+    (all of them when it sits in rounding noise). So the result is the one
+    plain bisection returns, whatever the interpolation did.
 
     Returns (value, lo, hi, hit_zero); at an exact zero lo == hi == value.
     """
-    for _ in range(max_iter):
-        if hi <= 8.0 * lo or hi - lo <= rel_tol * hi:
-            break
-        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        if not (lo < mid < hi):  # bracket exhausted float resolution
-            return mid, lo, hi, False
-        s, _ = eval_fn(mid)
-        if s == 0:
-            return mid, mid, mid, True
-        if s == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    l, h, trusted = _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, max_iter)
-    for _ in range(max_iter):
+    l = h = None  # the ITP bracket, found once the walk turns linear
+    trusted = False
+    for _ in range(_MAX_ITER):
         if hi - lo <= rel_tol * hi:
             return 0.5 * (lo + hi), lo, hi, False
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
+        if hi > 8.0 * lo:
+            mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        else:
+            if l is None:
+                l, h, trusted = _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol)
+            mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):  # bracket exhausted float resolution
             return mid, lo, hi, False
         if trusted and mid <= l:
             s = sign_lo
@@ -454,7 +446,7 @@ def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
                     rel_tol=DEFAULT_REL_TOL, refine=True):
     """One stage of a derivative chain: the roots of a target between anchors.
 
-    terms_fn(x) and chain_terms_fn(x) build the (c, e, base) terms of the
+    terms_fn(x) and chain_terms_fn(x) build the (pairs, base) groups of the
     target and of its chain function at x; chain_roots are the chain
     function's roots (the lower stage's RootRecords, sorted), between which
     the target is strictly monotone. left and right are (x, sign) anchors

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .numerics import DEFAULT_REL_TOL, RootRecord, bisect_sign_change
+from .numerics import DEFAULT_REL_TOL, RootRecord, ToleranceError, bisect_sign_change
 from .signomial import merge_sorted
 
 __all__ = [
@@ -165,9 +165,18 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint, tol=DEFAULT_REL_TO
     tol. The restriction passes signs without values, so every refinement
     step bisects (ITP needs values to interpolate). The count is a lower
     bound on the number of roots; it is reported as certified exactly when
-    it equals a caller-supplied cap.
+    it equals a caller-supplied cap. Raises ToleranceError naming the probe
+    where a power of the restriction overflows floats.
     """
-    restriction, (xlo, xhi) = restrict_to_line(f, c)
+    on_line, (xlo, xhi) = restrict_to_line(f, c)
+
+    def restriction(x):
+        try:
+            return on_line(x)
+        except OverflowError:
+            raise ToleranceError(
+                f"the restriction overflows floats at the probe x = {x!r}") from None
+
     pts = _probe_grid(xlo, xhi)
     signs = []
     for x in pts:

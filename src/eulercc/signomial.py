@@ -105,15 +105,11 @@ def normalize(raw_terms) -> Signomial:
     return Signomial(merge_sorted(pairs))
 
 
-def _triples(pairs, x: float):
-    return [(c, e, x) for c, e in pairs]
-
-
 def evaluate(p: Signomial, x: float) -> float:
     """Evaluate p at x > 0."""
     if x <= 0.0:
         raise ValueError("signomials are defined on x > 0")
-    return sum_value(_triples(p.pairs, x))
+    return sum_value(((p.pairs, x),))
 
 
 def _shift_differentiate(pairs, pivot: float):
@@ -197,7 +193,7 @@ def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
     if lo == 0.0:
         left = certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner))
     else:
-        left = (lo, sum_sign(_triples(pairs, lo), BOUNDARY_ZERO_REL)[0])
+        left = (lo, sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL)[0])
     if math.isinf(hi):
         outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
         # x -> 1/x carries the open end at infinity to 0+
@@ -205,8 +201,8 @@ def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
                                            start=1.0 / (2.0 * outer))
         right = (1.0 / u, sign)
     else:
-        right = (hi, sum_sign(_triples(pairs, hi), BOUNDARY_ZERO_REL)[0])
-    return isolate_between(lambda x: _triples(pairs, x), lambda x: _triples(q, x),
+        right = (hi, sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL)[0])
+    return isolate_between(lambda x: ((pairs, x),), lambda x: ((q, x),),
                            left, right, q_roots, rel_tol=tol)
 
 

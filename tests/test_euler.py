@@ -11,6 +11,7 @@ from eulercc.acceptance import cubic_coeffs, diff2, horner, quintic_coeffs
 from eulercc.euler import (
     CELLS,
     INFINITE,
+    CellCount,
     MassTriple,
     abc_terms,
     cell_mass_view,
@@ -757,6 +758,35 @@ def test_count_only_matches_full_counts():
         want, _ = _counts_or_error(m, b)
         got, sols = _counts_or_error(m, b, roots=False)
         assert got == want and sols == [], (m, b)
+
+
+def test_counts_are_invariant_under_scaling_by_powers_of_two():
+    # g is linear in the masses, and scaling by +/-2^k is exact in floats;
+    # above 2^512 count_cell scales the masses back down.
+    rng = random.Random(44)
+    cases = [(rand_masses(rng), rng.uniform(-5.0, 5.0)) for _ in range(200)]
+    cases += [(rand_masses(rng), rng.uniform(0.8, 1.2)) for _ in range(200)]
+    for m, b in cases:
+        want, _ = _counts_or_error(m, b, roots=False)
+        for k in (-700, -1, 1, 700, 1020):
+            factor = rng.choice((1.0, -1.0)) * 2.0 ** k
+            scaled = tuple(factor * x for x in m.as_tuple())
+            assert _counts_or_error(scaled, b, roots=False)[0] == want, (m, b, factor)
+
+
+def test_masses_near_the_float_limit_are_rescaled():
+    assert count_all((1e308, 1e308, 1e308), -2.0)[0] == CellCount.of(1, 1, 1)
+    # a power of two times (-3, 5, 7): the same solutions, bit for bit
+    for b in (-2.0, 0.5, 1.5):
+        big = tuple(math.ldexp(x, 1000) for x in (-3.0, 5.0, 7.0))
+        assert count_all(big, b) == count_all((-3.0, 5.0, 7.0), b)
+
+
+def test_masses_that_rescaling_would_make_subnormal_are_refused():
+    with pytest.raises(ValueError, match=r"masses \(1e\+308, 1e-300, 1e\+308\)"):
+        count_cell((1e308, 1e-300, 1e308), -2.0)
+    # a zero mass stays exact
+    assert count_cell((1e308, 0.0, 1e308), -2.0)[0] == count_cell((1.0, 0.0, 1.0), -2.0)[0]
 
 
 @pytest.mark.parametrize("m, b", [

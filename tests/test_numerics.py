@@ -280,7 +280,8 @@ def _outcome(fn, pairs, tail, start):
 def test_unrefined_records_are_refused_as_breakpoints():
     unrefined = RootRecord(lo=0.25, hi=0.75, value=math.nan, degenerate=False)
     with pytest.raises(ValueError, match="unrefined"):
-        isolate_between(lambda x: [(1.0, 1.0, x), (-0.5, 0.0, x)], lambda x: [(1.0, 0.0, x)],
+        isolate_between(lambda x: ((((1.0, 1.0), (-0.5, 0.0)), x),),
+                        lambda x: ((((1.0, 0.0),), x),),
                         (0.1, -1), (0.9, 1), [unrefined])
 
 

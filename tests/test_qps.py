@@ -6,6 +6,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from eulercc.euler import MassTriple, count_cell, degenerate_family, eval_g
+from eulercc.numerics import ToleranceError
 from eulercc.qps import (
     AffineConstraint,
     BivariateSignomial,
@@ -125,6 +126,14 @@ def test_count_on_line_rejects_non_finite_masses():
     with pytest.raises(ValueError, match="line coefficients must be finite"):
         count_on_line(BivariateSignomial.from_triples([(1, 0, 0), (-1, 1, 0)]),
                       AffineConstraint(math.nan, 1.0))
+
+
+def test_count_on_line_refuses_a_float_overflow():
+    # x^400 - 1 on the line y = 1 + x: x ** 400 overflows at the probes above ~5.6
+    with pytest.raises(ToleranceError, match=r"overflows floats at the probe x = \d"):
+        count_on_line(BivariateSignomial.from_triples([(1, 400, 0), (-1, 0, 0)]),
+                      AffineConstraint(-1.0, 1.0))
+
 
 def test_balance_system_restriction_reproduces_g():
     rng = random.Random(40)

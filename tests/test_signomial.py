@@ -298,8 +298,8 @@ def _ref_normalize(raw_terms):
     return _RefSignomial(tuple(_RefTerm(c, e) for c, e in merge_sorted(pairs)))
 
 
-def _ref_triples(p, x):
-    return [(t.coefficient, t.exponent, x) for t in p.terms]
+def _ref_groups(p, x):
+    return ((tuple((t.coefficient, t.exponent) for t in p.terms), x),)
 
 
 def _ref_derivative(p):
@@ -366,13 +366,13 @@ def _ref_isolate(p, lo, hi, tol):
     if lo == 0.0:
         left = certified_sign_near_zero(p.pairs(), start=0.5 * min(1.0, inner))
     else:
-        left = (lo, sum_sign(_ref_triples(p, lo), BOUNDARY_ZERO_REL)[0])
+        left = (lo, sum_sign(_ref_groups(p, lo), BOUNDARY_ZERO_REL)[0])
     if math.isinf(hi):
         outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
         right = certified_sign_near_inf(p.pairs(), start=2.0 * outer)
     else:
-        right = (hi, sum_sign(_ref_triples(p, hi), BOUNDARY_ZERO_REL)[0])
-    return isolate_between(lambda x: _ref_triples(p, x), lambda x: _ref_triples(q, x),
+        right = (hi, sum_sign(_ref_groups(p, hi), BOUNDARY_ZERO_REL)[0])
+    return isolate_between(lambda x: _ref_groups(p, x), lambda x: _ref_groups(q, x),
                            left, right, q_roots, rel_tol=tol)
 
 
@@ -420,18 +420,29 @@ def test_chain_on_pairs_matches_the_term_reference():
 
 def test_sum_sign_overflowing_term_takes_the_rescaled_tier():
     # 1e300 * 100**10 overflows to inf; the magnitude sum is then not finite
-    assert sum_sign([(1e300, 10.0, 100.0), (-1.0, 0.0, 1.0)]) == (1, None)
+    assert sum_sign([(((1e300, 10.0),), 100.0), (((-1.0, 0.0),), 1.0)]) == (1, None)
     # inf - inf: fsum raises ValueError
-    assert sum_sign([(2e300, 10.0, 100.0), (-1e300, 10.0, 100.0)]) == (1, None)
+    assert sum_sign([(((2e300, 10.0), (-1e300, 10.0)), 100.0)]) == (1, None)
     # finite terms whose magnitude sum overflows: fsum raises OverflowError
-    assert sum_sign([(1e308, 1.0, 1.2), (-1e308, 2.0, 1.2)]) == (-1, None)
+    assert sum_sign([(((1e308, 1.0), (-1e308, 2.0)), 1.2)]) == (-1, None)
 
 
 def test_sum_value_overflowing_terms_take_the_mpmath_tier():
-    assert sum_value([(1e308, 1.0, 2.0), (-1e308, 1.0, 1.5)]) == pytest.approx(5e307)
-    assert sum_value([(1.2e308, 0.0, 1.0), (1e308, 0.0, 1.0), (-1.5e308, 0.0, 1.0)]) == \
+    assert sum_value([(((1e308, 1.0),), 2.0), (((-1e308, 1.0),), 1.5)]) == pytest.approx(5e307)
+    assert sum_value([(((1.2e308, 0.0), (1e308, 0.0), (-1.5e308, 0.0)), 1.0)]) == \
         pytest.approx(7e307)
-    assert sum_value([(2e300, 10.0, 100.0), (-1e300, 10.0, 100.0)]) == math.inf
+    assert sum_value([(((2e300, 10.0), (-1e300, 10.0)), 100.0)]) == math.inf
+
+
+def test_sum_sign_cancellation_below_the_rescaled_resolution_takes_the_mpmath_tier():
+    # 10^400 leaves the float range, and the two terms agree to ~1e-13,
+    # below what the log-rescaled sum resolves: 60-digit mpmath decides
+    near = 10.0 * (1.0 + 2.0 ** -52)
+    groups = [(((1.0, 400.0),), 10.0), (((-1.0, 400.0),), near)]
+    assert sum_sign(groups, 0.0) == (-1, None)
+    assert sum_sign(groups) == (0, None)
+    assert sum_sign([(((1.0, 400.0), (-1.0, 400.0)), 10.0)], 0.0) == (0, None)
+    assert sum_value(groups) == -math.inf
 
 
 def test_nondegenerate_roots_bracket_a_sign_change():
@@ -535,7 +546,7 @@ def counted(eval_fn):
 
 
 def signomial_eval(p):
-    return lambda x: sum_sign([(c, e, x) for c, e in p.pairs], 0.0)
+    return lambda x: sum_sign(((p.pairs, x),), 0.0)
 
 
 @pytest.mark.parametrize("raw", [
