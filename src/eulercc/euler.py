@@ -9,14 +9,18 @@ sit at 0, 1, and 1+s with shape parameter s > 0. The balance function
 vanishes exactly at the central configurations of the cell; b = -2 is the
 gravitational case, b = -1 the point-vortex case. The counting pipeline
 walks a derivative chain: the second derivative transforms under
-y = s/(1+s) into a genuine four-term signomial H on (0, 1), whose roots
-are isolated by the certified signomial engine; the sign-constant pieces
-of g'' then locate the roots of g', and those in turn the roots of g.
-Signs at the open ends 0+ and +infinity are certified by expanding g into
-its exact generalized power series at 0 (binomial coefficients, explicit
-tail bound) and probing until the leading term dominates; the end at
-+infinity reduces to the end at 0 through the reflection identity
-g_{m1,m2,m3}(1/s) = -s^(-b-1) g_{m3,m2,m1}(s).
+y = s/(1+s) into a four-term signomial H = b(b-1)*h on (0, 1)
+(h_signomial), whose roots are isolated by the certified signomial engine;
+the sign-constant pieces of g'' then locate the roots of g', and those in
+turn the roots of g. Where H is empty and g is not identically zero, g is
+affine in s and its root is read off directly. Signs at the open ends 0+
+and +infinity are certified by expanding g into its exact generalized
+power series at 0 (binomial coefficients, explicit tail bound) and
+probing until the leading term dominates; the end at +infinity reduces to
+the end at 0 through the reflection identity
+g_{m1,m2,m3}(1/s) = -s^(-b-1) g_{m3,m2,m1}(s). A b so large that the
+binomial coefficients overflow floats has no finite tail bound, and its
+count is refused with ToleranceError.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ __all__ = [
     "abc_terms",
     "eval_g",
     "eval_g_prime",
-    "eval_h",
     "h_signomial",
     "degenerate_family",
     "endpoint_sign_g",
@@ -158,32 +161,15 @@ def eval_g_prime(m, b, s) -> float:
     return sum_value(_gp_groups(_masses(m), b)(s))
 
 
-def eval_h(m, b, y) -> float:
-    """The transformed second-derivative kernel h on 0 < y < 1.
-
-    g''(s) = (1-y)^(1-b) * b(b-1) * h(y) with s = y/(1-y); h(1) = 0 always.
-    """
-    if not 0.0 < y < 1.0:
-        raise ValueError("eval_h requires 0 < y < 1")
-    if b == 1.0:
-        raise ValueError("eval_h is undefined at b = 1")
-    m = _masses(m)
-    w = 2.0 * m.m3 / (b - 1.0)
-    return sum_value((
-        (((-(m.m2 - w), b - 1.0), (m.m2 + m.m3, b - 2.0), (-(m.m1 + m.m3), 1.0)), y),
-        (((m.m1 - w, 0.0),), 1.0),
-    ))
-
-
 def h_signomial(m, b) -> Signomial:
-    """b(b-1)*h as a signomial in y (exponents b-1, b-2, 1, 0), normalized.
+    """H = b(b-1)*h as a signomial in y (exponents b-1, b-2, 1, 0), normalized.
 
-    Empty exactly on the degenerate families; exponent collisions at
-    b in {2, 3} merge exactly. Rejected at b in {0, 1} where the prefactor
-    kills all information (callers special-case those).
+    h is the curvature kernel: g''(s) = (1-y)^(1-b) * H(y) with
+    s = y/(1-y), and h(1) = 0 always. Exponent collisions at b in {1, 2, 3}
+    merge exactly. H is empty at b in {0, 1}, where the prefactor b(b-1)
+    cancels every coefficient exactly, and on the degenerate families and
+    the parameter sets where g is affine in s (see _affine_roots).
     """
-    if b == 0.0 or b == 1.0:
-        raise ValueError("h_signomial is undefined at b in {0, 1}")
     m = _masses(m)
     bb = b * (b - 1.0)
     return normalize([
@@ -223,7 +209,10 @@ def _binomials(b):
 
     Both come from one recurrence and depend on b alone, so every 0+ series
     at this b shares them; the last row (k = order) and ratio feed the tail
-    bound.
+    bound. Once a running coefficient overflows floats, every later one is
+    +/-inf or nan and no finite tail bound exists: the rows then stop, the
+    first non-finite row is the last one, and ratio is inf. The rows above
+    it still give the low-order coefficients endpoint_sign_g reads.
     """
     big = max(abs(b), abs(b + 1.0))
     order = max(14, 2 * int(math.ceil(big)) + 6)
@@ -237,6 +226,9 @@ def _binomials(b):
         d = k + 1.0
         cb *= (b - k) / d
         cb1 *= (b1 - k) / d
+        if not (math.isfinite(cb) and math.isfinite(cb1)):
+            rows.append((cb, cb1, d))
+            return rows, math.inf
     rows.append((cb, cb1, float(order)))
     return rows, 1.0 + (big + 1.0) / (order + 1.0)
 
@@ -395,14 +387,14 @@ def _solution(cell, s, degenerate) -> ConfigurationSolution:
     return ConfigurationSolution(cell=cell, s=s, positions=pos, degenerate=degenerate)
 
 
-def _affine_roots(mv: MassTriple, b):
+def _affine_roots(mv: MassTriple, b, binomials):
     """Roots of g when the curvature kernel vanishes identically.
 
     Outside the degenerate families this happens exactly on the b = 0
     plane, the b = 2 plane m1 + m2 = m3, and the b = -1 line m1 = m2 = -m3,
     where the exact 0+ series of g is alpha + beta*s.
     """
-    coeffs = {e: c for c, e in _zero_series_g(mv, b, _binomials(b)).pairs}
+    coeffs = {e: c for c, e in _zero_series_g(mv, b, binomials).pairs}
     alpha = coeffs.pop(0.0, 0.0)
     beta = coeffs.pop(1.0, 0.0)
     if coeffs:
@@ -415,7 +407,7 @@ def _affine_roots(mv: MassTriple, b):
     return [(s, False)] if s > 0.0 else []
 
 
-def _cell_roots(mv: MassTriple, b, h, tol, refine=True):
+def _cell_roots(mv: MassTriple, b, h, binomials, tol, refine=True):
     """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}.
 
     With refine=False the roots of g are only counted (isolate_between's
@@ -430,7 +422,6 @@ def _cell_roots(mv: MassTriple, b, h, tol, refine=True):
     for r in h_roots:
         s = r.value / (1.0 - r.value)
         curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
-    binomials = _binomials(b)
     zero = _zero_series_g(mv, b, binomials)
     inf = _reflect(_zero_series_g(_swap13(mv), b, binomials), b)
     gp = _gp_groups(mv, b)
@@ -461,7 +452,10 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     With roots=False the count is the same but the roots of g are not
     refined and solutions is []. Raises ValueError when a mass or b is NaN
     or infinite, or tol is not in (0, 1), and when masses above 2^512 cannot
-    be scaled down by a power of two exactly (see _rescaled).
+    be scaled down by a power of two exactly (see _rescaled). Raises
+    ToleranceError naming b when the binomial coefficients of g's series
+    overflow floats (|b| above a few hundred), before any work that
+    depends on b's size.
     """
     m = _masses(m)
     if not all(map(math.isfinite, m.as_tuple())):
@@ -472,14 +466,16 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     mv = cell_mass_view(_rescaled(m), cell)
     if degenerate_family(mv, b) is not None:
         return INFINITE, []
-    if b == 0.0:
-        pairs = _affine_roots(mv, b)
+    binomials = _binomials(b)
+    if binomials[1] == math.inf:
+        raise ToleranceError(f"the binomial coefficients of the series of g at 0+ "
+                             f"overflow floats at b = {b!r}")
+    h = h_signomial(mv, b)
+    if h.is_zero:
+        pairs = _affine_roots(mv, b, binomials)
     else:
-        h = h_signomial(mv, b)
-        if h.is_zero:
-            pairs = _affine_roots(mv, b)
-        else:
-            pairs = [(r.value, r.degenerate) for r in _cell_roots(mv, b, h, tol, roots)]
+        pairs = [(r.value, r.degenerate)
+                 for r in _cell_roots(mv, b, h, binomials, tol, roots)]
     return len(pairs), ([_solution(cell, s, deg) for s, deg in pairs] if roots else [])
 
 

@@ -39,7 +39,7 @@ def check_tol(tol):
 
 
 # |exponent * log(base)| beyond which float powers may overflow and the
-# log-rescaled path is used instead.
+# mpmath tier is used instead.
 _LOG_SAFE = 660.0
 
 _MP_DPS = 60
@@ -111,13 +111,12 @@ def sum_sign(groups, zero_rel=DEGENERACY_REL):
     """(sign, value) of sum(c * base**e); the sign is 0 below zero_rel * scale.
 
     groups are (pairs, base) as for sum_value; sign is in {-1, 0, 1}; scale
-    is the sum of term magnitudes at the point. Three tiers: plain fsum
-    when exponents are safely in float range and the terms and their
-    magnitude sum stay finite, a log-rescaled sum when they do not, and
-    mpmath when the rescaled sum cannot resolve the sign. value is the fsum
-    that decided the sign, or None when a later tier decided it or the fsum
-    is within rounding noise of the terms. groups is read again when the
-    first tier refuses.
+    is the sum of term magnitudes at the point. Two tiers: plain fsum when
+    exponents are safely in float range and the terms and their magnitude
+    sum stay finite, and 60-digit mpmath when they do not. value is the fsum
+    that decided the sign, or None when mpmath decided it or the fsum is
+    within rounding noise of the terms. groups is read again when the first
+    tier refuses.
     """
     value, scale = _fsum_tier(groups)
     if math.isfinite(scale):
@@ -126,18 +125,6 @@ def sum_sign(groups, zero_rel=DEGENERACY_REL):
         else:
             sign = 1 if value > 0.0 else -1
         return sign, (value if abs(value) > _NOISE_REL * scale else None)
-    # Log-rescaled: divide everything by the largest term magnitude.
-    logs = []
-    for pairs, base in groups:
-        log_base = math.log(base)
-        logs += [(math.log(abs(c)) + e * log_base, 1.0 if c > 0 else -1.0)
-                 for c, e in pairs if c != 0.0]
-    top = max(lg for lg, _ in logs)
-    value = math.fsum(sg * math.exp(lg - top) for lg, sg in logs)
-    scale = math.fsum(math.exp(lg - top) for lg, _ in logs)
-    # The rescaling itself costs ~1e-13 relative accuracy; below that, escalate.
-    if abs(value) > max(zero_rel, 1e-11) * scale:
-        return (1 if value > 0.0 else -1), None
     return _mp_tier(groups, zero_rel)[1], None
 
 

@@ -123,18 +123,15 @@ def restrict_to_line(f: BivariateSignomial, c: AffineConstraint):
 
 @dataclass(frozen=True)
 class LineCount:
-    """Scan result: count certified exact only under an external cap.
+    """Scan result: the sign changes found and their refined roots.
 
     The restriction of a bivariate signomial to a line is not itself a
-    signomial, so the derivative-chain certificate does not apply; the
-    scan count is a lower bound that is exact when it reaches a bound the
-    caller knows analytically (the cap). note records which case holds.
+    signomial, so the derivative-chain certificate does not apply: count is
+    a lower bound on the number of roots, not a certified count.
     """
 
     count: int
     roots: tuple[RootRecord, ...]
-    certified: bool
-    note: str
 
 
 _SCAN_POINTS = 10_000
@@ -157,23 +154,23 @@ def _probe_grid(xlo, xhi):
     return sorted(pts)
 
 
-def count_on_line(f: BivariateSignomial, c: AffineConstraint, tol=DEFAULT_REL_TOL,
-                  cap=None) -> LineCount:
+def count_on_line(f: BivariateSignomial, c: AffineConstraint,
+                  tol=DEFAULT_REL_TOL) -> LineCount:
     """Count sign changes of the restriction on an adaptive probe grid.
 
     Sign changes are refined on their certified bracket to relative width
     tol. The restriction passes signs without values, so every refinement
     step bisects (ITP needs values to interpolate). The count is a lower
-    bound on the number of roots; it is reported as certified exactly when
-    it equals a caller-supplied cap. Raises ToleranceError naming the probe
-    where a power of the restriction overflows floats.
+    bound on the number of roots. Raises ToleranceError naming the probe
+    where a power of the restriction overflows floats, or its terms overflow
+    to infinities of both signs.
     """
     on_line, (xlo, xhi) = restrict_to_line(f, c)
 
     def restriction(x):
         try:
             return on_line(x)
-        except OverflowError:
+        except (OverflowError, ValueError):  # a power overflowed, or inf - inf in fsum
             raise ToleranceError(
                 f"the restriction overflows floats at the probe x = {x!r}") from None
 
@@ -203,12 +200,7 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint, tol=DEFAULT_REL_TO
             roots.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=hit_zero))
         prev_x, prev_s = x, s
     roots.sort(key=lambda r: r.value)
-    count = len(roots)
-    if cap is not None and count == cap:
-        return LineCount(count, tuple(roots), True,
-                         f"count reached the supplied cap {cap}; exact")
-    return LineCount(count, tuple(roots), False,
-                     f"adaptive scan with {_SCAN_POINTS} probes; certified lower bound only")
+    return LineCount(len(roots), tuple(roots))
 
 
 def euler_line_system(m1, m2, m3, b):

@@ -303,6 +303,14 @@ def test_subnormal_b_exits_cleanly(capsys, b):
         assert err.startswith("tolerance failure: ")
 
 
+@pytest.mark.parametrize("b", ["2000", "3e4", "1e8", "1e20", "-1e20", "1e308"])
+def test_solve_refuses_a_b_whose_series_overflows_with_exit_3(capsys, b):
+    code, out, err = run(capsys, "solve", "-m", "1,2,3", "-b", b)
+    assert (code, out) == (3, "")
+    assert err.startswith("tolerance failure: ")
+    assert f"at b = {float(b)!r}" in err
+
+
 def test_verify_runs_every_criterion(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0

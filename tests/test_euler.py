@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import re
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +24,6 @@ from eulercc.euler import (
     endpoint_sign_g,
     eval_g,
     eval_g_prime,
-    eval_h,
     h_signomial,
 )
 from eulercc.euler import (
@@ -149,7 +150,12 @@ def test_g_prime_matches_finite_differences():
         assert abs(fd - want) <= 1e-6 * max(abs(want), abs(fd), 1e-6)
 
 
-# --- eval_h / h_signomial ------------------------------------------------------------
+# --- h_signomial ---------------------------------------------------------------------
+
+
+def h_value(m, b, y):
+    """The curvature kernel h at y: H / (b(b-1)) with H = h_signomial(m, b)."""
+    return evaluate(h_signomial(m, b), y) / (b * (b - 1.0))
 
 
 def test_h_vanishes_at_one():
@@ -159,7 +165,7 @@ def test_h_vanishes_at_one():
         b = rng.uniform(-4, 4)
         if abs(b - 1.0) < 1e-3:
             continue
-        assert eval_h(m, b, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-9 * (1 + sum(map(abs, m.as_tuple()))))
+        assert h_value(m, b, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-9 * (1 + sum(map(abs, m.as_tuple()))))
 
 
 def test_h_value_from_transform_identity():
@@ -168,15 +174,8 @@ def test_h_value_from_transform_identity():
     s = y / (1.0 - y)
     gpp = diff2(lambda t: eval_g(m, b, t), s, 1e-5)
     implied = gpp / ((1.0 - y) ** (1.0 - b) * b * (b - 1.0))
-    assert eval_h(m, b, y) == pytest.approx(9.0, rel=1e-13)
+    assert h_value(m, b, y) == pytest.approx(9.0, rel=1e-13)
     assert implied == pytest.approx(9.0, rel=1e-4)
-
-
-def test_h_domain_errors():
-    with pytest.raises(ValueError):
-        eval_h((1, 1, 1), -1.0, 1.5)
-    with pytest.raises(ValueError):
-        eval_h((1, 1, 1), 1.0, 0.5)
 
 
 def test_h_signomial_degenerate_families_empty():
@@ -189,10 +188,13 @@ def test_h_signomial_vortex_terms():
     assert list(p.pairs) == [(4.0, -3.0), (-4.0, -2.0), (4.0, 0.0), (-4.0, 1.0)]
 
 
-def test_h_signomial_rejects_zero_and_one():
-    for b in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            h_signomial((1, 2, 3), b)
+def test_h_signomial_is_empty_at_zero_and_one():
+    # the prefactor b(b-1) cancels every coefficient exactly, on any masses
+    rng = random.Random(16)
+    for _ in range(2000):
+        m = rand_masses(rng, lim=rng.choice((1e-300, 1.0, 1e300)))
+        for b in (0.0, -0.0, 1.0):
+            assert h_signomial(m, b).is_zero, (m, b)
 
 
 def test_transform_identity_against_finite_differences():
@@ -248,6 +250,26 @@ def test_endpoint_sign_rejects_degenerate_inputs():
         endpoint_sign_g((1, 1, 1), 1.0, Endpoint.ZERO_PLUS)
     with pytest.raises(ValueError):
         endpoint_sign_g((1, -1, 1), 0.0, Endpoint.ZERO_PLUS)
+
+
+@pytest.mark.parametrize("b", [2000.0, 3e4, 1e8, 1e20, -1e20, 1e308])
+def test_count_refuses_a_b_whose_binomials_overflow_at_once(b):
+    # The running binomials of the 0+ series overflow floats, so no tail
+    # bound is finite. The rows stop at the first overflow, so the refusal
+    # takes no memory or time that grows with |b|; at 1e308 b(b-1) in h
+    # overflows as well.
+    t0 = time.perf_counter()
+    with pytest.raises(ToleranceError, match=re.escape(f"at b = {b!r}")):
+        count_all((1.0, 2.0, 3.0), b)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_endpoint_sign_reads_the_finite_low_order_terms_at_an_overflowing_b():
+    # the leading coefficient sits below the first overflowing row
+    assert endpoint_sign_g((1, 2, 3), -500.0, Endpoint.ZERO_PLUS) == 1  # m2 + m3, at s^b
+    assert endpoint_sign_g((1, 2, 3), -500.0, Endpoint.INFINITY) == -1
+    assert endpoint_sign_g((1, 2, 3), 1e8, Endpoint.ZERO_PLUS) == 1  # (b-1) m1 - m2 - m3, at s
+    assert endpoint_sign_g((-1, 2, 3), 1e8, Endpoint.ZERO_PLUS) == -1
 
 
 def _g_anchor_zero(m, b):
@@ -691,7 +713,7 @@ def test_affine_branch_matches_the_per_plane_reference():
             mv = cell_mass_view(m, cell)
             if degenerate_family(mv, b) is not None:
                 continue
-            if b != 0.0 and not h_signomial(mv, b).is_zero:
+            if not h_signomial(mv, b).is_zero:
                 continue
             try:
                 roots = reference_affine_roots(mv, b)
@@ -871,9 +893,9 @@ def test_h_basis_functions_positive_below_one():
     for _ in range(200):
         b = rng.uniform(-6.0, 0.999)
         y = rng.uniform(1e-3, 1.0 - 1e-3)
-        alpha = eval_h((1, 0, 0), b, y)
-        beta = eval_h((0, 1, 0), b, y)
-        gamma = eval_h((0, 0, 1), b, y)
+        alpha = h_value((1, 0, 0), b, y)
+        beta = h_value((0, 1, 0), b, y)
+        gamma = h_value((0, 0, 1), b, y)
         assert alpha > 0.0
         assert beta > 0.0
         assert gamma > 0.0

@@ -418,7 +418,7 @@ def test_chain_on_pairs_matches_the_term_reference():
 # --- overflowing float terms --------------------------------------------------------
 
 
-def test_sum_sign_overflowing_term_takes_the_rescaled_tier():
+def test_sum_sign_overflowing_term_takes_the_mpmath_tier():
     # 1e300 * 100**10 overflows to inf; the magnitude sum is then not finite
     assert sum_sign([(((1e300, 10.0),), 100.0), (((-1.0, 0.0),), 1.0)]) == (1, None)
     # inf - inf: fsum raises ValueError
@@ -434,9 +434,9 @@ def test_sum_value_overflowing_terms_take_the_mpmath_tier():
     assert sum_value([(((2e300, 10.0), (-1e300, 10.0)), 100.0)]) == math.inf
 
 
-def test_sum_sign_cancellation_below_the_rescaled_resolution_takes_the_mpmath_tier():
-    # 10^400 leaves the float range, and the two terms agree to ~1e-13,
-    # below what the log-rescaled sum resolves: 60-digit mpmath decides
+def test_sum_sign_cancellation_out_of_float_range_takes_the_mpmath_tier():
+    # 10^400 leaves the float range, and the two terms agree to ~1e-13:
+    # 60-digit mpmath decides
     near = 10.0 * (1.0 + 2.0 ** -52)
     groups = [(((1.0, 400.0),), 10.0), (((-1.0, 400.0),), near)]
     assert sum_sign(groups, 0.0) == (-1, None)
