@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""One digest of eulercc's observable output, to compare two checkouts.
+
+Hashes, section by section and in total:
+
+- census, band_b1: the repr of count_all(m, b) and of count_all for the
+  mirror (m3, m2, m1), or the error it raised, on the seeded draws of the
+  benchmark workloads of those names (m in [-10, 10]^3, b in [-5, 5] or
+  [0.8, 1.2], drawn in the order perfbench/workloads.py draws them);
+- grid: the CSV of `eulercc grid --m2 -4:2 --b -4:4 -n 50x50 --check`;
+- cli: stdout, stderr and exit code of the README's solve, signomial and
+  bounds examples and of `eulercc verify`.
+
+The library is imported from this checkout's src/, so running the script in
+two checkouts and comparing the last line tells whether they print the same
+bytes:
+
+    python scripts/output_digest.py --seeds 1-3 --draws 2700
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from eulercc import cli  # noqa: E402
+from eulercc.euler import count_all  # noqa: E402
+from eulercc.numerics import ToleranceError  # noqa: E402
+
+DRAW_B_RANGES = {"census": (-5.0, 5.0), "band_b1": (0.8, 1.2)}
+
+CLI_EXAMPLES = (
+    ["solve", "-m", "1,1,1", "-b", "-2"],
+    ["solve", "-m", "0,-1,1", "-b", "-2"],
+    ["signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]"],
+    ["signomial", "--terms", "[[2,0],[5,1],[4,2],[-4,3],[-5,4],[-2,5]]"],
+    ["bounds", "straight", "-n", "6"],
+    ["bounds", "khovanskii", "-d", "1,2", "-k", "4"],
+    ["verify"],
+)
+
+
+def draw_lines(name, seeds, draws):
+    """The repr lines of count_all on the first draws of a census-type workload."""
+    for seed in seeds:
+        rng = random.Random(f"{name}:{seed}")
+        for _ in range(draws):
+            m = tuple(rng.uniform(-10.0, 10.0) for _ in range(3))
+            b = rng.uniform(*DRAW_B_RANGES[name])
+            for masses in (m, m[::-1]):
+                try:
+                    result = repr(count_all(masses, b))
+                except ToleranceError as exc:
+                    result = f"ToleranceError: {exc}"
+                yield f"{masses!r} {b!r} {result}"
+
+
+def cli_run(argv):
+    """(exit code, stdout, stderr) of eulercc.cli.main(argv), run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def grid_lines():
+    code, out, err = cli_run(["grid", "--m2", "-4:2", "--b", "-4:4", "-n", "50x50", "--check"])
+    return [f"exit {code}", err, *out.splitlines()]
+
+
+def cli_lines():
+    for argv in CLI_EXAMPLES:
+        code, out, err = cli_run(argv)
+        yield f"$ eulercc {' '.join(argv)} -> exit {code}"
+        yield out
+        yield err
+
+
+def seed_list(text):
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=seed_list, default=seed_list("1-3"), metavar="A-B",
+                    help="benchmark seeds of the census and band_b1 draws")
+    ap.add_argument("--draws", type=int, default=2700,
+                    help="draws per seed and workload, each counted with its mirror")
+    ap.add_argument("--lines", action="store_true",
+                    help="print the hashed lines instead of the digests")
+    args = ap.parse_args()
+
+    sections = {name: draw_lines(name, args.seeds, args.draws) for name in DRAW_B_RANGES}
+    sections["grid"] = grid_lines()
+    sections["cli"] = cli_lines()
+    total = hashlib.sha256()
+    for name, lines in sections.items():
+        digest = hashlib.sha256()
+        count = 0
+        for line in lines:
+            data = (line + "\n").encode()
+            digest.update(data)
+            total.update(data)
+            count += 1
+            if args.lines:
+                print(f"{name}: {line}")
+        if not args.lines:
+            print(f"{name:8s} {count:6d} lines  sha256 {digest.hexdigest()}")
+    if not args.lines:
+        print(f"{'all':8s} {'':6s}        sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

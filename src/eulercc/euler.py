@@ -25,6 +25,7 @@ count is refused with ToleranceError.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -204,6 +205,7 @@ class _Series(NamedTuple):
     tail: Tail
 
 
+@functools.lru_cache(maxsize=1)
 def _binomials(b):
     """(rows, ratio): rows[i] = (C(b, k), C(b+1, k), k) for k = 3 + i up to the order.
 
@@ -212,7 +214,9 @@ def _binomials(b):
     bound. Once a running coefficient overflows floats, every later one is
     +/-inf or nan and no finite tail bound exists: the rows then stop, the
     first non-finite row is the last one, and ratio is inf. The rows above
-    it still give the low-order coefficients endpoint_sign_g reads.
+    it still give the low-order coefficients endpoint_sign_g reads. The
+    table of the latest b is kept, so the cells of count_all, which call
+    count_cell at one b, build it once.
     """
     big = max(abs(b), abs(b + 1.0))
     order = max(14, 2 * int(math.ceil(big)) + 6)
@@ -228,9 +232,9 @@ def _binomials(b):
         cb1 *= (b1 - k) / d
         if not (math.isfinite(cb) and math.isfinite(cb1)):
             rows.append((cb, cb1, d))
-            return rows, math.inf
+            return tuple(rows), math.inf
     rows.append((cb, cb1, float(order)))
-    return rows, 1.0 + (big + 1.0) / (order + 1.0)
+    return tuple(rows), 1.0 + (big + 1.0) / (order + 1.0)
 
 
 def _low_coefficients(m: MassTriple, b):
@@ -305,12 +309,23 @@ def _derivative(series: _Series, end) -> _Series:
                            t.ratio * (1.0 + 1.0 / t.exponent)))
 
 
-def _anchor(series: _Series, end):
-    """(x, sign) in s with the sign certified constant beyond x toward the end."""
+def _anchor(series: _Series, end, name, b):
+    """(x, sign) in s with the sign certified constant beyond x toward the end.
+
+    name ("g" or "g'") and b only label the ToleranceError raised when a
+    coefficient or the tail bound of the series overflowed floats.
+    """
     if not series.pairs:
         raise ToleranceError("series vanished to working order; cannot certify a sign")
     t = series.tail
-    x0, sign = certified_sign_near_zero(series.pairs, tail=t, start=min(0.25, 0.5 / t.ratio))
+    try:
+        x0, sign = certified_sign_near_zero(series.pairs, tail=t, start=min(0.25, 0.5 / t.ratio))
+    except ToleranceError as exc:
+        if all(math.isfinite(c) for c, _ in series.pairs) and math.isfinite(t.coeff):
+            raise
+        at = "0+" if end is Endpoint.ZERO_PLUS else "+infinity"
+        raise ToleranceError(f"the series of {name} at {at} overflows floats "
+                             f"at b = {b!r}") from exc
     return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
 
 
@@ -430,16 +445,16 @@ def _cell_roots(mv: MassTriple, b, h, binomials, tol, refine=True):
     gp_roots = isolate_between(
         gp,
         lambda s: ((h.pairs, s / (1.0 + s)),),
-        _anchor(_derivative(zero, Endpoint.ZERO_PLUS), Endpoint.ZERO_PLUS),
-        _anchor(_derivative(inf, Endpoint.INFINITY), Endpoint.INFINITY),
+        _anchor(_derivative(zero, Endpoint.ZERO_PLUS), Endpoint.ZERO_PLUS, "g'", b),
+        _anchor(_derivative(inf, Endpoint.INFINITY), Endpoint.INFINITY, "g'", b),
         curvature_breaks, tol,
     )
     # Stage 3: g is strictly monotone between g' roots.
     return isolate_between(
         _g_groups(mv, b),
         gp,
-        _anchor(zero, Endpoint.ZERO_PLUS),
-        _anchor(inf, Endpoint.INFINITY),
+        _anchor(zero, Endpoint.ZERO_PLUS, "g", b),
+        _anchor(inf, Endpoint.INFINITY, "g", b),
         gp_roots, tol, refine=refine,
     )
 

@@ -148,6 +148,9 @@ _PAIR_MARGIN_LOG = 3.0
 # decides.
 _GUARD_BAND = 1e-9
 _LINEAR_MIN_LEAD = 1e-250
+# A probe where one other term alone exceeds |c0|/2 by this log margin, far
+# wider than the rounding of either test, fails both and is skipped.
+_SKIP_MARGIN_LOG = 1e-6
 
 
 def _linear_rest(pairs, tail, x):
@@ -220,7 +223,12 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
        float range, |c0| is below 1e-250 or the tail's ratio * x nears
        0.9, the per-term logs are taken and the same
        comparison is made in log space at the same probe, so the answer is
-       the log-space test's;
+       the log-space test's. Once the first probe fails, the next probes
+       where the second term alone, |c1| x^(e1-e0), exceeds |c0|/2 by a
+       log margin of 1e-6 are skipped without either test, since both
+       would fail there; skipped probes still count against the phase's
+       10 probes and stop at the probe floor, so the outcome is the one
+       every probe gives (not for |c0| below 1e-250);
     2. when the two lowest exponents are too close for (1), the leading
        pair w(x) = c0 x^e0 + c1 x^e1 is handled exactly: it has at most one
        positive root at x* = (|c0|/|c1|)^(1/(e1-e0)), is monotone on either
@@ -246,9 +254,14 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     # Phase 1: quick single-term domination.
     x = min(start, 0.25)
     phase1 = 10 if len(pairs) > 1 else 10 ** 6
+    skip = None  # (e1 - e0, log threshold), set once the first probe fails
     for _ in range(phase1):
         if x < _PROBE_FLOOR:
             raise ToleranceError("tail bound refused to shrink below the leading term")
+        if skip is not None and skip[0] * math.log(x) >= skip[1]:
+            # |c1| x^(e1 - e0) alone reaches |c0|/2: both tests fail here
+            x *= _SHRINK
+            continue
         s = _linear_rest(pairs, tail, x) if linear else None
         if s is not None and abs(s - half) > _GUARD_BAND * half:
             dominated = s < half
@@ -259,6 +272,9 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
             dominated = rel_log(rest, math.log(x)) < math.log(_MARGIN)
         if dominated:
             return x, sign0
+        if skip is None and linear and len(pairs) > 1:
+            c1, e1 = pairs[1]
+            skip = (e1 - e0, math.log(half) - math.log(abs(c1)) + _SKIP_MARGIN_LOG)
         x *= _SHRINK
 
     # Phase 2: exact treatment of the leading pair w = c0 x^e0 + c1 x^e1.
@@ -337,13 +353,15 @@ _MAX_ITER = 3000
 
 
 def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
-    """ITP steps on [lo, hi], hi <= 8 * lo: (l, h, trusted) around the sign change.
+    """ITP steps on [lo, hi], hi <= 8 * lo: a bracket (l, h) of the sign change.
 
-    l has sign sign_lo and h the other sign, h - l <= rel_tol * h, or
-    l = h at an exact zero. trusted is False when interpolation was used
-    and both ends came back without a value: the bracket then sits inside
-    rounding noise, where float signs need not be monotone, so its ends say
-    nothing about the signs of points outside it.
+    l has sign sign_lo and h the other sign, or l = h at an exact zero.
+    Usually (l, h) is the final ITP bracket, h - l <= rel_tol * h. When
+    interpolation was used and both of its ends came back without a value,
+    that bracket sits inside rounding noise, where float signs need not be
+    monotone, so its ends say nothing about the signs of points outside it;
+    (l, h) are then the latest points with a value on each side, which lie
+    outside the noise and still bracket the sign change.
     """
     node_lo = node_hi = None  # latest (x, value) with a value on each side
     v_lo = v_hi = None  # values at the current ends
@@ -351,9 +369,9 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
     w0 = hi - lo
     for step in range(_MAX_ITER):
         width = hi - lo
-        if width <= rel_tol * hi:
-            return lo, hi, not (interpolated and v_lo is None and v_hi is None)
         x = 0.5 * (lo + hi)
+        if width <= rel_tol * hi or not (lo < x < hi):
+            break  # converged, or the bracket exhausted float resolution
         if node_lo is not None and node_hi is not None:
             (xa, ya), (xb, yb) = node_lo, node_hi
             xf = xa + (xb - xa) * (ya / (ya - yb))
@@ -368,11 +386,9 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
             if lo < xt < hi:
                 x = xt
                 interpolated = True
-        if not (lo < x < hi):  # bracket exhausted float resolution
-            return lo, hi, True
         s, v = eval_fn(x)
         if s == 0:
-            return x, x, True
+            return x, x
         if s == sign_lo:
             lo, v_lo = x, v
             if v is not None:
@@ -381,7 +397,12 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
             hi, v_hi = x, v
             if v is not None:
                 node_hi = (x, v)
-    raise ToleranceError("ITP refinement failed to converge within iteration budget")
+    else:
+        raise ToleranceError("ITP refinement failed to converge within iteration budget")
+    if interpolated and v_lo is None and v_hi is None:
+        # interpolation needs a value on each side, so both nodes are set
+        return node_lo[0], node_hi[0]
+    return lo, hi
 
 
 def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
@@ -395,14 +416,15 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
 
     Once the bracket spans at most a factor of 8, the sign change is found
     by ITP steps (_itp_bracket), which need far fewer evaluations; the walk
-    then evaluates only the midpoints that the ITP bracket does not decide
-    (all of them when it sits in rounding noise). So the result is the one
+    then evaluates only the midpoints inside the ITP bracket, whose signs
+    it does not decide. When that bracket had to be widened out of rounding
+    noise to the nearest points with a value, those are the midpoints whose
+    signs plain bisection reads from the noise. So the result is the one
     plain bisection returns, whatever the interpolation did.
 
     Returns (value, lo, hi, hit_zero); at an exact zero lo == hi == value.
     """
     l = h = None  # the ITP bracket, found once the walk turns linear
-    trusted = False
     for _ in range(_MAX_ITER):
         if hi - lo <= rel_tol * hi:
             return 0.5 * (lo + hi), lo, hi, False
@@ -410,14 +432,12 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
             mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         else:
             if l is None:
-                l, h, trusted = _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol)
+                l, h = _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol)
             mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):  # bracket exhausted float resolution
             return mid, lo, hi, False
-        if trusted and mid <= l:
-            s = sign_lo
-        elif trusted and mid >= h:
-            s = -sign_lo
+        if l is not None and not l < mid < h:
+            s = sign_lo if mid <= l else -sign_lo
         else:
             s, _ = eval_fn(mid)
             if s == 0:

@@ -303,7 +303,8 @@ def test_subnormal_b_exits_cleanly(capsys, b):
         assert err.startswith("tolerance failure: ")
 
 
-@pytest.mark.parametrize("b", ["2000", "3e4", "1e8", "1e20", "-1e20", "1e308"])
+@pytest.mark.parametrize("b", ["2000", "3e4", "1e8", "1e20", "-1e20", "1e308",
+                               "-372", "-370", "1025", "1028"])
 def test_solve_refuses_a_b_whose_series_overflows_with_exit_3(capsys, b):
     code, out, err = run(capsys, "solve", "-m", "1,2,3", "-b", b)
     assert (code, out) == (3, "")

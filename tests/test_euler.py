@@ -264,6 +264,16 @@ def test_count_refuses_a_b_whose_binomials_overflow_at_once(b):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("b", [-372.0, -370.0, 1025.0, 1028.0])
+def test_count_names_b_when_a_series_coefficient_overflows(b):
+    # The binomials are finite here, but c * e in the series of g' (and at
+    # -372 the tail bound of g) overflows floats, so no probe certifies the
+    # anchor; the refusal names the series and b.
+    with pytest.raises(ToleranceError, match=re.escape(f"the series of g' at 0+ overflows "
+                                                       f"floats at b = {b!r}")):
+        count_all((1.0, 2.0, 3.0), b)
+
+
 def test_endpoint_sign_reads_the_finite_low_order_terms_at_an_overflowing_b():
     # the leading coefficient sits below the first overflowing row
     assert endpoint_sign_g((1, 2, 3), -500.0, Endpoint.ZERO_PLUS) == 1  # m2 + m3, at s^b
@@ -273,11 +283,12 @@ def test_endpoint_sign_reads_the_finite_low_order_terms_at_an_overflowing_b():
 
 
 def _g_anchor_zero(m, b):
-    return _anchor(_zero_series_g(m, b, _binomials(b)), Endpoint.ZERO_PLUS)
+    return _anchor(_zero_series_g(m, b, _binomials(b)), Endpoint.ZERO_PLUS, "g", b)
 
 
 def _g_anchor_inf(m, b):
-    return _anchor(_reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b), Endpoint.INFINITY)
+    return _anchor(_reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b), Endpoint.INFINITY,
+                   "g", b)
 
 
 def _sign_of(x):
@@ -543,7 +554,7 @@ def test_flat_series_match_the_normalize_reference():
                 # repr tells -0.0 from 0.0 and round-trips every float
                 assert repr(got.pairs) == repr(want.signomial.pairs), (m, b, end)
                 assert repr(got.tail) == repr(want.tail), (m, b, end)
-                assert repr(_anchor_or_error(_anchor, got, end)) == \
+                assert repr(_anchor_or_error(lambda s, e: _anchor(s, e, "g", b), got, end)) == \
                     repr(_anchor_or_error(_ref_anchor, want, end)), (m, b, end)
 
 

@@ -1,4 +1,9 @@
-"""The endpoint anchor's linear-space domination test against its log-space form."""
+"""The numeric kernels against verbatim copies of their earlier forms.
+
+The endpoint anchor's linear-space domination test and its probe skip
+against the log-space form; the bisection replay after ITP against the walk
+that evaluated every midpoint when the ITP bracket ended in rounding noise.
+"""
 
 import math
 import random
@@ -8,9 +13,11 @@ import pytest
 from eulercc import euler, signomial
 from eulercc.euler import count_all
 from eulercc.numerics import (
+    DEFAULT_REL_TOL,
     RootRecord,
     Tail,
     ToleranceError,
+    bisect_sign_change,
     certified_sign_near_zero,
     isolate_between,
 )
@@ -124,6 +131,116 @@ def reference_sign_near_zero(pairs, tail=None, start=0.25):
             return math.exp(lx), zone_sign
         lx += shrink_log
     raise ToleranceError("no probe point dominated by the leading terms")
+
+
+# --- reference: bisection as it was when a bracket in rounding noise was replayed
+# in full (a verbatim copy; only the function names differ)
+
+# ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation by
+# k1 * w**2 with k1 = _ITP_K1 / w0 (w the bracket width, w0 its width when
+# ITP began; k2 = 2), and _ITP_N0 steps of slack over bisection.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
+# Trial points keep _END_GUARD * rel_tol * hi from both bracket ends, so a
+# step landing beside the root cannot collapse the ITP bracket into the
+# rounding noise around it (which would make the replay evaluate every
+# midpoint).
+_END_GUARD = 0.25
+# Iteration budget of the bisection walk, and of the ITP steps inside it.
+_MAX_ITER = 3000
+
+
+def reference_itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
+    """ITP steps on [lo, hi], hi <= 8 * lo: (l, h, trusted) around the sign change.
+
+    l has sign sign_lo and h the other sign, h - l <= rel_tol * h, or
+    l = h at an exact zero. trusted is False when interpolation was used
+    and both ends came back without a value: the bracket then sits inside
+    rounding noise, where float signs need not be monotone, so its ends say
+    nothing about the signs of points outside it.
+    """
+    node_lo = node_hi = None  # latest (x, value) with a value on each side
+    v_lo = v_hi = None  # values at the current ends
+    interpolated = False
+    w0 = hi - lo
+    for step in range(_MAX_ITER):
+        width = hi - lo
+        if width <= rel_tol * hi:
+            return lo, hi, not (interpolated and v_lo is None and v_hi is None)
+        x = 0.5 * (lo + hi)
+        if node_lo is not None and node_hi is not None:
+            (xa, ya), (xb, yb) = node_lo, node_hi
+            xf = xa + (xb - xa) * (ya / (ya - yb))
+            d = x - xf
+            xt = xf + math.copysign(min(_ITP_K1 * width * width / w0, abs(d)), d)
+            # After k steps the bracket is at most 2**(_ITP_N0 - k) * w0 wide.
+            r = max(math.ldexp(w0, _ITP_N0 - 1 - step) - 0.5 * width, 0.0)
+            if abs(xt - x) > r:
+                xt = x - math.copysign(r, d)
+            guard = _END_GUARD * rel_tol * hi
+            xt = min(max(xt, lo + guard), hi - guard)
+            if lo < xt < hi:
+                x = xt
+                interpolated = True
+        if not (lo < x < hi):  # bracket exhausted float resolution
+            return lo, hi, True
+        s, v = eval_fn(x)
+        if s == 0:
+            return x, x, True
+        if s == sign_lo:
+            lo, v_lo = x, v
+            if v is not None:
+                node_lo = (x, v)
+        else:
+            hi, v_hi = x, v
+            if v is not None:
+                node_hi = (x, v)
+    raise ToleranceError("ITP refinement failed to converge within iteration budget")
+
+
+def reference_bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
+    """Refine a certified sign change on [lo, hi], 0 < lo < hi, as bisection does.
+
+    eval_fn(x) returns (sign, value) as sum_sign(groups, 0.0) does; value
+    may be None. One walk: brackets spanning more than a factor of 8 are
+    split at their geometric midpoint, so brackets reaching toward 0 or
+    infinity converge in O(log log-range) steps; after that the midpoint.
+    The bracket moves only on a certified sign.
+
+    Once the bracket spans at most a factor of 8, the sign change is found
+    by ITP steps (_itp_bracket), which need far fewer evaluations; the walk
+    then evaluates only the midpoints that the ITP bracket does not decide
+    (all of them when it sits in rounding noise). So the result is the one
+    plain bisection returns, whatever the interpolation did.
+
+    Returns (value, lo, hi, hit_zero); at an exact zero lo == hi == value.
+    """
+    l = h = None  # the ITP bracket, found once the walk turns linear
+    trusted = False
+    for _ in range(_MAX_ITER):
+        if hi - lo <= rel_tol * hi:
+            return 0.5 * (lo + hi), lo, hi, False
+        if hi > 8.0 * lo:
+            mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        else:
+            if l is None:
+                l, h, trusted = reference_itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol)
+            mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):  # bracket exhausted float resolution
+            return mid, lo, hi, False
+        if trusted and mid <= l:
+            s = sign_lo
+        elif trusted and mid >= h:
+            s = -sign_lo
+        else:
+            s, _ = eval_fn(mid)
+            if s == 0:
+                return mid, mid, mid, True
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    raise ToleranceError("bisection failed to converge within iteration budget")
 
 
 # --- inputs ----------------------------------------------------------------------
@@ -267,7 +384,54 @@ def _synthetic_inputs(rng):
             pairs.append((_signed(rng, rng.uniform(1e307, 1.7e308)), e))
             e += rng.uniform(1e-6, 1e-2)
         cases.append((pairs, _random_tail(rng, pairs), rng.choice(starts)))
+    for _ in range(1500):
+        # the second term alone defeats the probes before probe k and is
+        # within a few skip margins of |c0|/2 there; k >= 10 lies past
+        # phase 1's budget, so the skipped probes lead straight to phase 2
+        start = rng.choice(starts)
+        k = rng.randint(1, 12)
+        eps = rng.choice((rng.uniform(1e-3, 0.05), rng.uniform(0.05, 3.0)))
+        log_x = math.log10(min(start, 0.25) * 0.0625 ** k)
+        lead = 10.0 ** rng.uniform(-200.0, min(200.0, 290.0 + eps * log_x))
+        pairs = _skip_pairs(rng, lead, log_x, eps)
+        cases.append((pairs, _random_tail(rng, pairs), start))
+    for _ in range(500):
+        # the second term is about |c0|/2 just below the probe floor, so it
+        # defeats the probes above it, which mostly reach the floor within
+        # phase 1's budget
+        start = 10.0 ** rng.uniform(-279.0, -268.0)
+        eps = rng.uniform(0.01, 0.5)
+        lead = 10.0 ** rng.uniform(-200.0, 290.0 - 281.0 * eps)
+        cases.append((_skip_pairs(rng, lead, -281.0, eps), None, start))
+    for lead in (5e-324, 1e-250 * (1.0 - 1e-9), math.nextafter(1e-250, 0.0), 1e-250,
+                 math.nextafter(1e-250, 1.0), 1e-250 * (1.0 + 1e-9)):
+        # leads on both sides of the linear test's minimum, where no probe
+        # is skipped below it
+        for _ in range(200):
+            start = rng.choice(starts)
+            eps = rng.uniform(1e-3, 3.0)
+            log_x = math.log10(min(start, 0.25)) + rng.randint(1, 12) * math.log10(0.0625)
+            cases.append((_skip_pairs(rng, lead, log_x, eps), None, start))
     return cases
+
+
+def _skip_pairs(rng, lead, log_x, eps):
+    """Pairs whose second term alone is about |c0|/2 at x = 10**log_x, more above.
+
+    Its excess over |c0|/2 ranges from exact ties through the skip's log
+    margin of 1e-6 to a factor of 1.5; smaller terms follow it.
+    """
+    e0 = rng.uniform(-3.0, 3.0)
+    delta = rng.choice((0.0, 1e-6, -1e-6, rng.uniform(-3e-6, 3e-6), rng.uniform(-0.5, 0.5)))
+    c1 = lead * (0.5 * (1.0 + delta) * 10.0 ** (-eps * log_x))
+    pairs = [(_signed(rng, lead), e0), (_signed(rng, c1), e0 + eps)]
+    e = e0 + eps
+    for _ in range(rng.randint(0, 3)):
+        e += rng.uniform(0.5, 3.0)
+        pairs.append((_signed(rng, lead * 10.0 ** rng.uniform(-5.0, 5.0)), e))
+    # the routine takes nonzero coefficients only (a subnormal lead's
+    # neighbours may round to 0)
+    return [(c, e) for c, e in pairs if c != 0.0]
 
 
 def _outcome(fn, pairs, tail, start):
@@ -303,3 +467,54 @@ def test_anchor_fast_path_matches_log_reference(monkeypatch):
             continue
         assert got == want, (pairs, tail, start)
     assert clamped > 0
+
+
+def _counted(eval_fn):
+    calls = [0]
+
+    def wrapped(x):
+        calls[0] += 1
+        return eval_fn(x)
+
+    return wrapped, calls
+
+
+def _noisy_eval(root, window, salt, cubic):
+    """x**3 - root**3 or x - root, read as rounding noise within window * root of root.
+
+    Inside the window the sign is pseudo-random in x and comes without a
+    value, as sum_sign reports an fsum in the noise; outside it is exact.
+    """
+    def eval_fn(x):
+        if abs(x - root) <= window * root:
+            return (1 if random.Random(f"{salt}:{x!r}").random() < 0.5 else -1), None
+        v = x ** 3 - root ** 3 if cubic else x - root
+        return (1 if v > 0.0 else -1), v
+
+    return eval_fn
+
+
+def test_untrusted_itp_bracket_uses_the_valued_points():
+    # ITP's steps land inside the noise window, so its final bracket has no
+    # value at either end. The reference then evaluated every midpoint of the
+    # bisection path; the walk now evaluates only those between the latest
+    # points with a value, and reads the same signs there.
+    rng = random.Random(5)
+    spans = (lambda: rng.uniform(1.05, 2.0), lambda: rng.uniform(2.0, 100.0))
+    new_total = ref_total = 0
+    for i in range(300):
+        root = rng.uniform(0.5, 5.0)
+        window = 10.0 ** rng.uniform(-11.0, -9.0)
+        lo = root / rng.choice(spans)()
+        hi = root * rng.choice(spans)()
+        eval_fn = _noisy_eval(root, window, i, cubic=i % 2 == 1)
+        ref_fn, ref_calls = _counted(eval_fn)
+        new_fn, new_calls = _counted(eval_fn)
+        want = reference_bisect_sign_change(ref_fn, lo, hi, -1)
+        assert bisect_sign_change(new_fn, lo, hi, -1) == want, (root, window, lo, hi)
+        assert new_calls[0] <= ref_calls[0], (root, window, lo, hi)
+        new_total += new_calls[0]
+        ref_total += ref_calls[0]
+    # about 52 evaluations per root in the reference and 30 now
+    assert ref_total >= 50 * 300
+    assert new_total <= 32 * 300
