@@ -8,6 +8,8 @@ Hashes, section by section and in total:
   benchmark workloads of those names (m in [-10, 10]^3, b in [-5, 5] or
   [0.8, 1.2], drawn in the order perfbench/workloads.py draws them);
 - grid: the CSV of `eulercc grid --m2 -4:2 --b -4:4 -n 50x50 --check`;
+- map: the CSV of `eulercc grid --m2 -4:2 --b -4:4 -n 200x200`, the map
+  of the benchmark's cold_cli workload;
 - cli: stdout, stderr and exit code of the README's solve, signomial and
   bounds examples and of `eulercc verify`.
 
@@ -68,8 +70,8 @@ def cli_run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def grid_lines():
-    code, out, err = cli_run(["grid", "--m2", "-4:2", "--b", "-4:4", "-n", "50x50", "--check"])
+def grid_lines(*options):
+    code, out, err = cli_run(["grid", "--m2", "-4:2", "--b", "-4:4", *options])
     return [f"exit {code}", err, *out.splitlines()]
 
 
@@ -97,7 +99,8 @@ def main():
     args = ap.parse_args()
 
     sections = {name: draw_lines(name, args.seeds, args.draws) for name in DRAW_B_RANGES}
-    sections["grid"] = grid_lines()
+    sections["grid"] = grid_lines("-n", "50x50", "--check")
+    sections["map"] = grid_lines("-n", "200x200")
     sections["cli"] = cli_lines()
     total = hashlib.sha256()
     for name, lines in sections.items():

@@ -174,6 +174,13 @@ def test_grid_single_infinite_point(capsys):
     assert lines[1] == "0,1,inf,inf,inf,inf,true"
 
 
+@pytest.mark.parametrize("check", [(), ("--check",)])
+def test_grid_refuses_b_where_2_to_the_b_overflows(capsys, check):
+    code, out, err = run(capsys, "grid", "--m2", "-4:2", "--b", "1000:2000", "-n", "3x3", *check)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2**b overflows a float at b = ")
+
+
 def test_grid_check_passes(capsys):
     code, out, err = run(capsys, "grid", "--m2", "-2:0", "--b", "-2:0",
                          "-n", "6x6", "--check", "--margin", "0.05")
