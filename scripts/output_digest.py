@@ -7,6 +7,10 @@ Hashes, section by section and in total:
   mirror (m3, m2, m1), or the error it raised, on the seeded draws of the
   benchmark workloads of those names (m in [-10, 10]^3, b in [-5, 5] or
   [0.8, 1.2], drawn in the order perfbench/workloads.py draws them);
+- refusals: the repr of count_all(m, b), or the error it raised, where the
+  series of g overflow floats: for two seeded mass triples per seed at every
+  integer b in [-380, -360] and in [1015, 1031], and for a tenth of --draws
+  seeded (m, b) per seed in each of b in [-700, -300] and [900, 1500];
 - grid: the CSV of `eulercc grid --m2 -4:2 --b -4:4 -n 50x50 --check`;
 - map: the CSV of `eulercc grid --m2 -4:2 --b -4:4 -n 200x200`, the map
   of the benchmark's cold_cli workload;
@@ -36,6 +40,11 @@ from eulercc.numerics import ToleranceError  # noqa: E402
 
 DRAW_B_RANGES = {"census": (-5.0, 5.0), "band_b1": (0.8, 1.2)}
 
+# Where the binomials, a series coefficient or a tail bound of g overflow
+# floats: integer b around the edges of the refusals, and the wider ranges.
+REFUSAL_B_EDGES = ((-380, -360), (1015, 1031))
+REFUSAL_B_RANGES = ((-700.0, -300.0), (900.0, 1500.0))
+
 CLI_EXAMPLES = (
     ["solve", "-m", "1,1,1", "-b", "-2"],
     ["solve", "-m", "0,-1,1", "-b", "-2"],
@@ -47,19 +56,43 @@ CLI_EXAMPLES = (
 )
 
 
+def count_line(masses, b):
+    """The repr of count_all(masses, b), or the ToleranceError it raised, with its input."""
+    try:
+        result = repr(count_all(masses, b))
+    except ToleranceError as exc:
+        result = f"ToleranceError: {exc}"
+    return f"{masses!r} {b!r} {result}"
+
+
+def draw_masses(rng):
+    return tuple(rng.uniform(-10.0, 10.0) for _ in range(3))
+
+
 def draw_lines(name, seeds, draws):
     """The repr lines of count_all on the first draws of a census-type workload."""
     for seed in seeds:
         rng = random.Random(f"{name}:{seed}")
         for _ in range(draws):
-            m = tuple(rng.uniform(-10.0, 10.0) for _ in range(3))
+            m = draw_masses(rng)
             b = rng.uniform(*DRAW_B_RANGES[name])
             for masses in (m, m[::-1]):
-                try:
-                    result = repr(count_all(masses, b))
-                except ToleranceError as exc:
-                    result = f"ToleranceError: {exc}"
-                yield f"{masses!r} {b!r} {result}"
+                yield count_line(masses, b)
+
+
+def refusal_lines(seeds, draws):
+    """The repr lines of count_all at b where the series of g overflow floats."""
+    for seed in seeds:
+        rng = random.Random(f"refusals:{seed}")
+        triples = [draw_masses(rng) for _ in range(2)]
+        for lo, hi in REFUSAL_B_EDGES:
+            for b in range(lo, hi + 1):
+                for masses in triples:
+                    yield count_line(masses, float(b))
+        for b_range in REFUSAL_B_RANGES:
+            for _ in range(max(1, draws // 10)):
+                masses = draw_masses(rng)
+                yield count_line(masses, rng.uniform(*b_range))
 
 
 def cli_run(argv):
@@ -99,6 +132,7 @@ def main():
     args = ap.parse_args()
 
     sections = {name: draw_lines(name, args.seeds, args.draws) for name in DRAW_B_RANGES}
+    sections["refusals"] = refusal_lines(args.seeds, args.draws)
     sections["grid"] = grid_lines("-n", "50x50", "--check")
     sections["map"] = grid_lines("-n", "200x200")
     sections["cli"] = cli_lines()

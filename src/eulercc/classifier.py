@@ -18,8 +18,8 @@ on b alone once and returns the classifier of m2 on that row. The point
 functions classify_E1, classify_E2 and classify_total call it for one
 point; the grid scanner calls it once per row of the map. Each classified
 point shares its RegionClass with every other point of the same
-classification. Where 2^b overflows a float (b >= 1024) every function
-raises ValueError naming b.
+classification. Every function raises ValueError naming a NaN or
+infinite m2 or b, and naming b where 2^b overflows a float (b >= 1024).
 
 The grid scanner reproduces the parameter-plane maps as CSV data and can
 cross-check every off-frontier grid point against the numeric counter.
@@ -70,8 +70,10 @@ def _pow2(b):
 def frontier_curve_m2(b) -> float:
     """m2 on the degenerate-symmetric-root curve: (2^b - 2b)/(b - 1).
 
-    Raises ValueError at b = 1 and where 2**b overflows a float (b >= 1024).
+    Raises ValueError at b = 1, at a non-finite b and where 2**b overflows (b >= 1024).
     """
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b!r}")
     if b == 1.0:
         raise ValueError("the curve is undefined at b = 1")
     return (_pow2(b) - 2.0 * b) / (b - 1.0)
@@ -110,7 +112,7 @@ def _row(b):
     b > 1 it is 1 iff m2 lies strictly between b - 2 and 2/(b - 1) (an
     interval that is empty at b = 3). On a frontier the count is 0.
 
-    Raises ValueError where 2**b overflows a float (b >= 1024).
+    Raises ValueError at a non-finite b and where 2**b overflows (b >= 1024).
     """
     b = float(b)
     if b == 1.0:
@@ -152,12 +154,19 @@ def _row(b):
     return classify
 
 
+def _point(m2, b):
+    m2 = float(m2)
+    if not math.isfinite(m2):
+        raise ValueError(f"m2 must be finite, got {m2!r}")
+    return _row(b)(m2)
+
+
 def classify_E2(m2, b):
     """(value, on_frontier, frontier_kind) for the middle cell, masses (1, m2, 1).
 
     The count is 1 or 3, and 1 on a frontier; see `_row`.
     """
-    return _row(b)(float(m2))[1]
+    return _point(m2, b)[1]
 
 
 def classify_E1(m2, b):
@@ -165,7 +174,7 @@ def classify_E1(m2, b):
 
     The count is 0 or 1, and 0 on a frontier; see `_row`.
     """
-    return _row(b)(float(m2))[0]
+    return _point(m2, b)[0]
 
 
 _KIND_PRIORITY = {k: i for i, k in enumerate(
@@ -199,7 +208,7 @@ _REGIONS = {
 
 def classify_total(m2, b) -> RegionClass:
     """Combined classification of both cells; see `_combine`."""
-    return _REGIONS[_row(b)(float(m2))]
+    return _REGIONS[_point(m2, b)]
 
 
 # --- grid scan ------------------------------------------------------------------
@@ -228,7 +237,7 @@ def _axis(lo, hi, n):
     if n == 1:
         return [float(lo)]
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return [lo, *(lo + i * step for i in range(1, n))]  # lo + 0 * step loses a -0.0
 
 
 def _frontier_distance(m2, b):

@@ -89,6 +89,16 @@ def _masses(m) -> MassTriple:
     return MassTriple(float(m1), float(m2), float(m3))
 
 
+def _finite_masses(m, b) -> MassTriple:
+    """The MassTriple of m; ValueError naming the masses or b when one is not finite."""
+    m = _masses(m)
+    if not all(map(math.isfinite, m.as_tuple())):
+        raise ValueError(f"masses must be finite, got {m.as_tuple()}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b!r}")
+    return m
+
+
 @dataclass(frozen=True)
 class CellCount:
     """Per-cell configuration counts; INFINITE marks a degenerate family."""
@@ -256,7 +266,7 @@ def _low_coefficients(m: MassTriple, b):
     )
 
 
-def _zero_series_g(m: MassTriple, b, binomials) -> _Series:
+def _zero_series_g(m: MassTriple, b) -> _Series:
     """g(s) = (m2+m3) s^b + m3 s^(b+1) + sum_k c_k s^k exactly for 0 < s < 1.
 
     The lowest four coefficients come from _low_coefficients, the c_k for
@@ -265,7 +275,7 @@ def _zero_series_g(m: MassTriple, b, binomials) -> _Series:
     exponent once (stably, so colliding exponents sum in a fixed order) and
     merged.
     """
-    rows, ratio = binomials
+    rows, ratio = _binomials(b)
     m13 = m.m1 + m.m3
     m3 = m.m3
     pairs = list(zip(_low_coefficients(m, b), (b, b + 1.0, 1.0, 2.0)))
@@ -318,20 +328,16 @@ def _anchor(series: _Series, end, name, b):
     if not series.pairs:
         raise ToleranceError("series vanished to working order; cannot certify a sign")
     t = series.tail
-    try:
-        x0, sign = certified_sign_near_zero(series.pairs, tail=t, start=min(0.25, 0.5 / t.ratio))
-    except ToleranceError as exc:
-        if all(math.isfinite(c) for c, _ in series.pairs) and math.isfinite(t.coeff):
-            raise
+    if not (math.isfinite(t.coeff) and all(math.isfinite(c) for c, _ in series.pairs)):
         at = "0+" if end is Endpoint.ZERO_PLUS else "+infinity"
-        raise ToleranceError(f"the series of {name} at {at} overflows floats "
-                             f"at b = {b!r}") from exc
+        raise ToleranceError(f"the series of {name} at {at} overflows floats at b = {b!r}")
+    x0, sign = certified_sign_near_zero(series.pairs, tail=t, start=0.5 / t.ratio)
     return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
 
 
 def _leading_sign(m: MassTriple, b) -> int:
     """Sign of g at 0+: that of the lowest-order coefficient of its exact series."""
-    pairs = _zero_series_g(m, b, _binomials(b)).pairs
+    pairs = _zero_series_g(m, b).pairs
     if not pairs:
         raise ToleranceError("series vanished to working order; cannot certify a sign")
     return 1 if pairs[0][0] > 0.0 else -1
@@ -342,10 +348,11 @@ def endpoint_sign_g(m, b, endpoint) -> int:
 
     At 0+ it is the sign of the series' leading coefficient; at +infinity it
     is minus that sign for the masses m1 <-> m3 (reflection identity).
-    Requires b != 1 and (m, b) outside the degenerate families; raises
-    ToleranceError when the series vanishes to working order.
+    Requires finite masses and b, b != 1 and (m, b) outside the degenerate
+    families, else raises ValueError; raises ToleranceError when the series
+    vanishes to working order.
     """
-    m = _masses(m)
+    m = _finite_masses(m, b)
     if b == 1.0:
         raise ValueError("g vanishes identically at b = 1")
     if degenerate_family(m, b) is not None:
@@ -402,14 +409,14 @@ def _solution(cell, s, degenerate) -> ConfigurationSolution:
     return ConfigurationSolution(cell=cell, s=s, positions=pos, degenerate=degenerate)
 
 
-def _affine_roots(mv: MassTriple, b, binomials):
+def _affine_roots(mv: MassTriple, b):
     """Roots of g when the curvature kernel vanishes identically.
 
     Outside the degenerate families this happens exactly on the b = 0
     plane, the b = 2 plane m1 + m2 = m3, and the b = -1 line m1 = m2 = -m3,
     where the exact 0+ series of g is alpha + beta*s.
     """
-    coeffs = {e: c for c, e in _zero_series_g(mv, b, binomials).pairs}
+    coeffs = {e: c for c, e in _zero_series_g(mv, b).pairs}
     alpha = coeffs.pop(0.0, 0.0)
     beta = coeffs.pop(1.0, 0.0)
     if coeffs:
@@ -422,7 +429,7 @@ def _affine_roots(mv: MassTriple, b, binomials):
     return [(s, False)] if s > 0.0 else []
 
 
-def _cell_roots(mv: MassTriple, b, h, binomials, tol, refine=True):
+def _cell_roots(mv: MassTriple, b, h, tol, refine=True):
     """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}.
 
     With refine=False the roots of g are only counted (isolate_between's
@@ -437,8 +444,8 @@ def _cell_roots(mv: MassTriple, b, h, binomials, tol, refine=True):
     for r in h_roots:
         s = r.value / (1.0 - r.value)
         curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
-    zero = _zero_series_g(mv, b, binomials)
-    inf = _reflect(_zero_series_g(_swap13(mv), b, binomials), b)
+    zero = _zero_series_g(mv, b)
+    inf = _reflect(_zero_series_g(_swap13(mv), b), b)
     gp = _gp_groups(mv, b)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints.
@@ -472,25 +479,20 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     overflow floats (|b| above a few hundred), before any work that
     depends on b's size.
     """
-    m = _masses(m)
-    if not all(map(math.isfinite, m.as_tuple())):
-        raise ValueError(f"masses must be finite, got {m.as_tuple()}")
-    if not math.isfinite(b):
-        raise ValueError(f"b must be finite, got {b!r}")
+    m = _finite_masses(m, b)
     check_tol(tol)
     mv = cell_mass_view(_rescaled(m), cell)
     if degenerate_family(mv, b) is not None:
         return INFINITE, []
-    binomials = _binomials(b)
-    if binomials[1] == math.inf:
+    if _binomials(b)[1] == math.inf:
         raise ToleranceError(f"the binomial coefficients of the series of g at 0+ "
                              f"overflow floats at b = {b!r}")
     h = h_signomial(mv, b)
     if h.is_zero:
-        pairs = _affine_roots(mv, b, binomials)
+        pairs = _affine_roots(mv, b)
     else:
         pairs = [(r.value, r.degenerate)
-                 for r in _cell_roots(mv, b, h, binomials, tol, roots)]
+                 for r in _cell_roots(mv, b, h, tol, roots)]
     return len(pairs), ([_solution(cell, s, deg) for s, deg in pairs] if roots else [])
 
 
@@ -507,7 +509,6 @@ def count_all(m, b, tol=DEFAULT_REL_TOL, *, roots=True):
         n, sols = count_cell(m, b, cell, tol, roots=roots)
         counts[cell] = n
         solutions.extend(sols)
-    solutions.sort(key=lambda sol: (sol.cell, sol.s))
     return CellCount.of(counts[1], counts[2], counts[3]), solutions
 
 

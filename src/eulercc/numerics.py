@@ -7,7 +7,8 @@ thresholds are meaningless.
 
 Roots are refined on a certified bracket, which moves only on a certified
 sign. ITP steps (interpolate, truncate, project) find the sign change in
-few evaluations; the root reported is still the one bisection reports.
+few evaluations; the root reported is still the one bisection reports,
+except after an ITP step that reads an exact zero (see bisect_sign_change).
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-# Relative threshold below which a function value at a breakpoint is treated
-# as a zero of the function itself (degenerate-root detection).
+# Relative threshold below which the chain function at a refined root is
+# treated as zero, which flags that root degenerate.
 DEGENERACY_REL = 1e-8
 
-# Tighter threshold for user-supplied finite interval endpoints: a value this
-# far down in the noise is an exact boundary zero, not a countable root.
+# Tighter threshold at breakpoints and user-supplied finite endpoints: a value
+# this far down in the noise is a zero of the function itself, not a sign.
 BOUNDARY_ZERO_REL = 1e-12
 
 # Default relative width at which refinement stops.
@@ -364,7 +365,6 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
     outside the noise and still bracket the sign change.
     """
     node_lo = node_hi = None  # latest (x, value) with a value on each side
-    v_lo = v_hi = None  # values at the current ends
     interpolated = False
     w0 = hi - lo
     for step in range(_MAX_ITER):
@@ -390,17 +390,17 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
         if s == 0:
             return x, x
         if s == sign_lo:
-            lo, v_lo = x, v
+            lo = x
             if v is not None:
                 node_lo = (x, v)
         else:
-            hi, v_hi = x, v
+            hi = x
             if v is not None:
                 node_hi = (x, v)
     else:
         raise ToleranceError("ITP refinement failed to converge within iteration budget")
-    if interpolated and v_lo is None and v_hi is None:
-        # interpolation needs a value on each side, so both nodes are set
+    # interpolation set both nodes; an end has a value iff it is its side's node
+    if interpolated and node_lo[0] != lo and node_hi[0] != hi:
         return node_lo[0], node_hi[0]
     return lo, hi
 
@@ -420,7 +420,10 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
     it does not decide. When that bracket had to be widened out of rounding
     noise to the nearest points with a value, those are the midpoints whose
     signs plain bisection reads from the noise. So the result is the one
-    plain bisection returns, whatever the interpolation did.
+    plain bisection returns, whatever the interpolation did, except when an
+    ITP step reads an exact zero: the walk then decides every later
+    midpoint against that point without evaluating it, where plain
+    bisection reads signs from the noise around the zero.
 
     Returns (value, lo, hi, hit_zero); at an exact zero lo == hi == value.
     """

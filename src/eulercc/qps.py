@@ -167,23 +167,22 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint,
     """
     on_line, (xlo, xhi) = restrict_to_line(f, c)
 
-    def restriction(x):
+    def sign_at(x):
         try:
-            return on_line(x)
+            v = on_line(x)
         except (OverflowError, ValueError):  # a power overflowed, or inf - inf in fsum
             raise ToleranceError(
                 f"the restriction overflows floats at the probe x = {x!r}") from None
+        return (0 if v == 0.0 else (1 if v > 0.0 else -1)), v
 
-    pts = _probe_grid(xlo, xhi)
     signs = []
-    for x in pts:
+    for x in _probe_grid(xlo, xhi):
         # end refinements can collapse onto the boundary in floats
         if not (xlo < x < xhi) or c.y_of(x) <= 0.0:
             continue
-        v = restriction(x)
-        if math.isnan(v):
-            continue
-        signs.append((x, 0 if v == 0.0 else (1 if v > 0.0 else -1)))
+        s, v = sign_at(x)
+        if not math.isnan(v):
+            signs.append((x, s))
     roots = []
     prev_x = prev_s = None
     for x, s in signs:
@@ -192,11 +191,8 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint,
             prev_x, prev_s = x, None
             continue
         if prev_s is not None and s != prev_s:
-            def sign_fn(t):
-                v = restriction(t)
-                return 0 if v == 0.0 else (1 if v > 0.0 else -1)
             value, lo, hi, hit_zero = bisect_sign_change(
-                lambda t: (sign_fn(t), None), prev_x, x, prev_s, tol)
+                lambda t: (sign_at(t)[0], None), prev_x, x, prev_s, tol)
             roots.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=hit_zero))
         prev_x, prev_s = x, s
     roots.sort(key=lambda r: r.value)

@@ -194,6 +194,28 @@ def test_grid_scan_b_one_row_is_infinite():
     assert all(rc.total == INFINITE for _, _, rc in result.rows)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda: classify_total(0.5, math.inf), "b must be finite, got inf"),
+    (lambda: classify_total(math.nan, 2.5), "m2 must be finite, got nan"),
+    (lambda: classify_total(0.5, math.nan), "b must be finite, got nan"),
+    (lambda: classify_total(-math.inf, 2.5), "m2 must be finite, got -inf"),
+    (lambda: classify_E1(math.nan, 2.5), "m2 must be finite, got nan"),
+    (lambda: classify_E2(0.5, -math.inf), "b must be finite, got -inf"),
+    (lambda: frontier_curve_m2(math.nan), "b must be finite, got nan"),
+    (lambda: frontier_curve_m2(math.inf), "b must be finite, got inf"),
+])
+def test_point_functions_refuse_non_finite_input(call, bad):
+    with pytest.raises(ValueError, match=bad):
+        call()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_axis_keeps_a_negative_zero_lower_end(n):
+    result = grid_scan((-0.0, -0.0), (-0.0, 1.0), (n, n))
+    assert math.copysign(1.0, result.m2_values[0]) == -1.0
+    assert math.copysign(1.0, result.b_values[0]) == -1.0
+
+
 def test_grid_cross_check_small():
     result = grid_scan((-3.0, 1.5), (-3.0, 3.5), (14, 14), cross_check=True, margin=0.05)
     assert result.mismatches == ()

@@ -174,6 +174,14 @@ def test_grid_single_infinite_point(capsys):
     assert lines[1] == "0,1,inf,inf,inf,inf,true"
 
 
+def test_grid_prints_a_negative_zero_lower_end_at_any_resolution(capsys):
+    _, one, _ = run(capsys, "grid", "--m2", "-0:-0", "-n", "1x1", "--b", "0:0")
+    code, two, _ = run(capsys, "grid", "--m2", "-0:-0", "-n", "2x1", "--b", "0:0")
+    assert code == 0
+    assert one.split("\n")[1].startswith("-0,0,")
+    assert two.split("\n")[1] == one.split("\n")[1]
+
+
 @pytest.mark.parametrize("check", [(), ("--check",)])
 def test_grid_refuses_b_where_2_to_the_b_overflows(capsys, check):
     code, out, err = run(capsys, "grid", "--m2", "-4:2", "--b", "1000:2000", "-n", "3x3", *check)

@@ -252,6 +252,21 @@ def test_endpoint_sign_rejects_degenerate_inputs():
         endpoint_sign_g((1, -1, 1), 0.0, Endpoint.ZERO_PLUS)
 
 
+@pytest.mark.parametrize("m, b, bad", [
+    ((math.nan, 1.0, 1.0), -2.0, "masses must be finite, got (nan, 1.0, 1.0)"),
+    ((1.0, 1.0, -math.inf), -2.0, "masses must be finite, got (1.0, 1.0, -inf)"),
+    ((1.0, 1.0, 1.0), math.nan, "b must be finite, got nan"),
+    ((1.0, 1.0, 1.0), math.inf, "b must be finite, got inf"),
+    ((1.0, 1.0, 1.0), -math.inf, "b must be finite, got -inf"),
+])
+@pytest.mark.parametrize("endpoint", list(Endpoint))
+def test_endpoint_sign_refuses_non_finite_input_as_count_cell_does(m, b, bad, endpoint):
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        endpoint_sign_g(m, b, endpoint)
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        count_cell(m, b)
+
+
 @pytest.mark.parametrize("b", [2000.0, 3e4, 1e8, 1e20, -1e20, 1e308])
 def test_count_refuses_a_b_whose_binomials_overflow_at_once(b):
     # The running binomials of the 0+ series overflow floats, so no tail
@@ -283,11 +298,11 @@ def test_endpoint_sign_reads_the_finite_low_order_terms_at_an_overflowing_b():
 
 
 def _g_anchor_zero(m, b):
-    return _anchor(_zero_series_g(m, b, _binomials(b)), Endpoint.ZERO_PLUS, "g", b)
+    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS, "g", b)
 
 
 def _g_anchor_inf(m, b):
-    return _anchor(_reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b), Endpoint.INFINITY,
+    return _anchor(_reflect(_zero_series_g(_swap13(m), b), b), Endpoint.INFINITY,
                    "g", b)
 
 
@@ -423,14 +438,14 @@ def test_series_tail_bounds_dominate_the_remainder():
     with mpmath.workdps(60):
         for m in masses:
             for b in bs:
-                zero = _zero_series_g(m, b, _binomials(b))
+                zero = _zero_series_g(m, b)
                 order = int(zero.tail.exponent)
                 for end in (Endpoint.ZERO_PLUS, Endpoint.INFINITY):
                     if end is Endpoint.ZERO_PLUS:
                         series = zero
                         terms = _mp_zero_terms(m, b, order)
                     else:
-                        series = _reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b)
+                        series = _reflect(_zero_series_g(_swap13(m), b), b)
                         terms = [(-c, e - mpmath.mpf(b) - 1)
                                  for c, e in _mp_zero_terms(_swap13(m), b, order)]
                     sigma = 1 if end is Endpoint.ZERO_PLUS else -1
@@ -543,8 +558,8 @@ def test_flat_series_match_the_normalize_reference():
         else:
             b = rng.uniform(-6.0, 6.0)
         m = MassTriple(*m)
-        zero = _zero_series_g(m, b, _binomials(b))
-        inf = _reflect(_zero_series_g(_swap13(m), b, _binomials(b)), b)
+        zero = _zero_series_g(m, b)
+        inf = _reflect(_zero_series_g(_swap13(m), b), b)
         ref_zero = _ref_zero_series_g(m, b)
         ref_inf = _ref_reflect(_ref_zero_series_g(_swap13(m), b), b)
         for end, series, ref in ((Endpoint.ZERO_PLUS, zero, ref_zero),

@@ -2,7 +2,8 @@
 
 The endpoint anchor's linear-space domination test and its probe skip
 against the log-space form; the bisection replay after ITP against the walk
-that evaluated every midpoint when the ITP bracket ended in rounding noise.
+that evaluated every midpoint when the ITP bracket ended in rounding noise,
+and against plain bisection on the refinements count_all runs.
 """
 
 import math
@@ -10,7 +11,7 @@ import random
 
 import pytest
 
-from eulercc import euler, signomial
+from eulercc import euler, numerics, signomial
 from eulercc.euler import count_all
 from eulercc.numerics import (
     DEFAULT_REL_TOL,
@@ -518,3 +519,68 @@ def test_untrusted_itp_bracket_uses_the_valued_points():
     # about 52 evaluations per root in the reference and 30 now
     assert ref_total >= 50 * 300
     assert new_total <= 32 * 300
+
+
+# --- the bisection walk against plain bisection on the counter's refinements ---
+
+
+def plain_bisection(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
+    """Geometric midpoints while hi > 8 * lo, then midpoints; every one evaluated."""
+    for _ in range(_MAX_ITER):
+        if hi - lo <= rel_tol * hi:
+            return 0.5 * (lo + hi), lo, hi, False
+        if hi > 8.0 * lo:
+            mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        else:
+            mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            return mid, lo, hi, False
+        s, _ = eval_fn(mid)
+        if s == 0:
+            return mid, mid, mid, True
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    raise ToleranceError("plain bisection failed to converge")
+
+
+def test_refinements_without_an_exact_zero_return_plain_bisection(monkeypatch):
+    # Every refinement count_all runs on seeded census and band_b1 draws (the
+    # benchmark's, with mirrors) returns plain bisection's result bit for bit,
+    # unless one of its evaluations read an exact zero: the walk then decides
+    # the later midpoints against that zero (see bisect_sign_change).
+    walk = numerics.bisect_sign_change
+    compared, skipped = [], [0]
+
+    def checked(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
+        signs = []
+
+        def recorded(x):
+            s, v = eval_fn(x)
+            signs.append(s)
+            return s, v
+
+        got = walk(recorded, lo, hi, sign_lo, rel_tol)
+        if 0 in signs:
+            skipped[0] += 1
+        else:
+            compared.append((got, plain_bisection(eval_fn, lo, hi, sign_lo, rel_tol)))
+        return got
+
+    monkeypatch.setattr(numerics, "bisect_sign_change", checked)
+    for name, b_range in (("census", (-5.0, 5.0)), ("band_b1", (0.8, 1.2))):
+        for seed in (1, 2):
+            rng = random.Random(f"{name}:{seed}")
+            for m, b in _census_draws(rng, 300, b_range):
+                for masses in (m, m[::-1]):
+                    try:
+                        count_all(masses, b)
+                    except ToleranceError:
+                        pass
+    monkeypatch.undo()
+    diffs = [(got, want) for got, want in compared if got != want]
+    assert diffs == []
+    # 14,222 refinements compared; 710 (4.8%) read an exact zero
+    assert len(compared) > 14_000
+    assert skipped[0] < 0.06 * (len(compared) + skipped[0])
