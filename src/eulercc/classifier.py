@@ -231,13 +231,18 @@ class GridResult:
     checked: int
 
 
-def _axis(lo, hi, n):
+def _axis(name, lo, hi, n):
     if n < 1:
         raise ValueError("grid resolution must be >= 1")
     if n == 1:
         return [float(lo)]
     step = (hi - lo) / (n - 1)
-    return [lo, *(lo + i * step for i in range(1, n))]  # lo + 0 * step loses a -0.0
+    points = [lo, *(lo + i * step for i in range(1, n))]  # lo + 0 * step loses a -0.0
+    # the points move away from lo monotonically, so the last one overflows
+    # first: through hi - lo (-1e308:1e308) or a rounded step (0:1.79e308, n = 4)
+    if not math.isfinite(points[-1]):
+        raise ValueError(f"{name} grid points overflow floats on the range {lo!r}:{hi!r}")
+    return points
 
 
 def _frontier_distance(m2, b):
@@ -271,8 +276,8 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
 
     resolution is (nx, ny) for the m2 and b axes. Rows are emitted in
     row-major order, b outer and m2 inner. Raises ValueError when a range
-    end is NaN or infinite, tol is not in (0, 1), or margin is not finite
-    and non-negative.
+    end is NaN or infinite, a grid point overflows floats, tol is not in
+    (0, 1), or margin is not finite and non-negative.
     """
     for name, (lo, hi) in (("m2", m2_range), ("b", b_range)):
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -280,8 +285,8 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
     check_tol(tol)
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and non-negative, got {margin!r}")
-    m2_values = _axis(float(m2_range[0]), float(m2_range[1]), int(resolution[0]))
-    b_values = _axis(float(b_range[0]), float(b_range[1]), int(resolution[1]))
+    m2_values = _axis("m2", float(m2_range[0]), float(m2_range[1]), int(resolution[0]))
+    b_values = _axis("b", float(b_range[0]), float(b_range[1]), int(resolution[1]))
     rows = []
     mismatches = []
     checked = 0

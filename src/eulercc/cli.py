@@ -5,6 +5,10 @@ grid, a bare integer for bounds. Floats are printed with 17 significant
 digits so every value round-trips. Exit codes: 0 success, 2 usage or
 parse error or an output file that cannot be written, 3 tolerance failure,
 4 verification or cross-check mismatch.
+
+Each subcommand imports the library module it calls when it runs, so a
+process loads only what its subcommand needs: `signomial` and `bounds`
+never load the three-body counter, and `solve` never loads the classifier.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import json
 import math
 import sys
 
-from . import classifier, euler, qps, signomial
-from .euler import INFINITE, MassTriple
 from .numerics import DEFAULT_REL_TOL, ToleranceError
 
 
@@ -42,7 +44,7 @@ def _json_text(obj) -> str:
 
 
 def _count_token(v):
-    return "inf" if v == INFINITE else int(v)
+    return "inf" if v == math.inf else int(v)  # euler.INFINITE is math.inf
 
 
 def _write(text, path):
@@ -72,9 +74,9 @@ def _expects(form):
 
 
 @_expects("m1,m2,m3")
-def _masses(text) -> MassTriple:
+def _masses(text):
     m1, m2, m3 = text.split(",")
-    return MassTriple(float(m1), float(m2), float(m3))
+    return float(m1), float(m2), float(m3)
 
 
 @_expects("lo:hi, hi may be empty or inf")
@@ -107,6 +109,8 @@ def _degrees(text):
 
 
 def _cmd_solve(args) -> int:
+    from . import euler
+
     m = args.masses
     counts, solutions = euler.count_all(m, args.b, args.tol)
     doc = {
@@ -130,6 +134,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_grid(args) -> int:
+    from . import classifier
+
     result = classifier.grid_scan(
         args.m2, args.b, args.resolution,
         cross_check=args.check, margin=args.margin, tol=args.tol,
@@ -148,6 +154,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_signomial(args) -> int:
+    from . import signomial
+
     p = signomial.normalize(args.terms)
     lo, hi = args.interval
     sv = signomial.sign_variations(p)
@@ -183,12 +191,16 @@ def _print_bound(log10_of_bound, bound) -> int:
 
 
 def _cmd_straight(args) -> int:
+    from . import qps
+
     # 2^n - 2 has the digits of 2^n; n < 1 is left for straight_bound to refuse
     n = max(args.n, 0)
     return _print_bound(lambda: n * math.log10(2.0), lambda: qps.straight_bound(args.n))
 
 
 def _cmd_khovanskii(args) -> int:
+    from . import qps
+
     # log10 of d1*d2*(d1+d2+1)^k * 2^(k(k-1)/2); out-of-domain input is left
     # small here, for khovanskii_bound to refuse with its own message
     (d1, d2), k = args.d, max(args.k, 0)
@@ -201,7 +213,7 @@ def _cmd_khovanskii(args) -> int:
 # --- verify: the acceptance criteria on a prefix of their draws -------------------
 
 def _verify(args) -> int:
-    from .acceptance import CRITERIA  # here, so that other commands do not load it
+    from .acceptance import CRITERIA
 
     failures = 0
     for _, name, _, fn, draws in CRITERIA:

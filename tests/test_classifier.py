@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -214,6 +215,20 @@ def test_grid_axis_keeps_a_negative_zero_lower_end(n):
     result = grid_scan((-0.0, -0.0), (-0.0, 1.0), (n, n))
     assert math.copysign(1.0, result.m2_values[0]) == -1.0
     assert math.copysign(1.0, result.b_values[0]) == -1.0
+
+
+@pytest.mark.parametrize("m2_range, b_range, resolution, axis", [
+    ((-1e308, 1e308), (0.0, 0.0), (3, 1), "m2"),  # the width overflows
+    ((0.0, sys.float_info.max), (0.0, 0.0), (4, 1), "m2"),  # 3 * rounded step overflows
+    ((0.0, 1.0), (1e308, -1e308), (2, 2), "b"),
+])
+def test_grid_refuses_points_that_overflow_floats(m2_range, b_range, resolution, axis):
+    with pytest.raises(ValueError, match=f"{axis} grid points overflow floats on the range "):
+        grid_scan(m2_range, b_range, resolution)
+
+
+def test_grid_keeps_a_wide_range_whose_points_fit():
+    assert grid_scan((-8e307, 8e307), (0.0, 0.0), (3, 1)).m2_values == (-8e307, 0.0, 8e307)
 
 
 def test_grid_cross_check_small():

@@ -65,6 +65,8 @@ def test_solve_parse_error_exits_2(capsys):
     (("solve", "-m", "1,1,1", "-b", "-inf"), "b must be finite"),
     (("grid", "--m2", "0:1", "--b", "nan:1", "-n", "2x2"), "b range must be finite"),
     (("grid", "--m2", "0:inf", "--b", "-2:-1", "-n", "2x2"), "m2 range must be finite"),
+    (("grid", "--m2", "-1e308:1e308", "--b", "0:0", "-n", "3x1"),
+     "m2 grid points overflow floats on the range -1e+308:1e+308"),
     (("solve", "-m", "1,1,1", "-b", "-2", "--tol", "nan"), "tol must be finite and positive"),
     (("solve", "-m", "1,1,1", "-b", "0", "--tol", "nan"), "tol must be finite and positive"),
     (("signomial", "--terms", "[[1,0],[-1,1]]", "--tol", "nan"), "tol must be finite and positive"),
@@ -348,6 +350,14 @@ def test_verify_reports_failed_criteria(capsys, monkeypatch):
     assert out.splitlines()[-1] == "6/11 checks passed"
 
 
+def _python(*args):
+    """Run a fresh interpreter on this checkout's eulercc."""
+    src = str(Path(eulercc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600)
+
+
 def test_verify_fails_under_optimize():
     # python -O strips assert statements; a failed criterion must still fail.
     script = ("import sys\n"
@@ -355,9 +365,30 @@ def test_verify_fails_under_optimize():
               "from eulercc.cli import main\n"
               "euler.count_all = lambda m, b, tol=None: (euler.CellCount.of(9, 9, 9), [])\n"
               "sys.exit(main(['verify']))\n")
-    src = str(Path(eulercc.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=600)
+    proc = _python("-O", "-c", script)
     assert proc.returncode == 4, proc.stderr
     assert "FAIL vortex-total-bound: " in proc.stdout
+
+
+_MODULES = {"acceptance", "classifier", "cli", "euler", "numerics", "qps", "signomial"}
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (None, _MODULES),
+    (["signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]"], {"euler", "classifier", "qps"}),
+    (["solve", "-m", "1,1,1", "-b", "-2"], {"classifier", "qps"}),
+    (["bounds", "straight", "-n", "6"], {"euler", "classifier"}),
+    (["bounds", "khovanskii", "-d", "1,2", "-k", "4"], {"euler", "classifier"}),
+])
+def test_each_subcommand_loads_only_its_modules(argv, not_loaded):
+    # argv None: a bare `import eulercc`
+    call = "" if argv is None else ("from eulercc import cli\n"
+                                    "with contextlib.redirect_stdout(io.StringIO()):\n"
+                                    f"    assert cli.main({argv!r}) == 0\n")
+    script = ("import contextlib, io, sys\n"
+              "import eulercc\n" + call +
+              "print(*(m for m in sys.modules if m.startswith('eulercc.')))\n")
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("eulercc.") for name in proc.stdout.split()}
+    assert not loaded & not_loaded, loaded
