@@ -15,7 +15,7 @@ _EXPORTS = {
     "euler": (
         "INFINITE", "CellCount", "ConfigurationSolution", "MassTriple", "abc_terms",
         "cell_mass_view", "celli_identity_residual", "count_all", "count_cell",
-        "degenerate_family", "endpoint_sign_g", "eval_g", "eval_g_prime", "h_signomial",
+        "degenerate_family", "endpoint_sign_g", "eval_g", "h_signomial",
     ),
     "classifier": (
         "RegionClass", "classify_E1", "classify_E2", "classify_total", "frontier_curve_m2",
@@ -28,8 +28,7 @@ _EXPORTS = {
     ),
     "signomial": (
         "IDENTICALLY_ZERO", "Endpoint", "RootRecord", "Signomial", "count_and_isolate",
-        "derivative", "derivative_chain", "evaluate", "limit_sign", "normalize",
-        "shift_and_differentiate", "sign_variations",
+        "derivative_chain", "evaluate", "normalize", "sign_variations",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

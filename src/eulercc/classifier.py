@@ -238,6 +238,8 @@ def _axis(name, lo, hi, n):
         return [float(lo)]
     step = (hi - lo) / (n - 1)
     points = [lo, *(lo + i * step for i in range(1, n))]  # lo + 0 * step loses a -0.0
+    if points[-1] == hi:
+        points[-1] = hi  # lo + (n - 1) * step can lose a -0.0 as well
     # the points move away from lo monotonically, so the last one overflows
     # first: through hi - lo (-1e308:1e308) or a rounded step (0:1.79e308, n = 4)
     if not math.isfinite(points[-1]):

@@ -51,7 +51,6 @@ __all__ = [
     "ConfigurationSolution",
     "abc_terms",
     "eval_g",
-    "eval_g_prime",
     "h_signomial",
     "degenerate_family",
     "endpoint_sign_g",
@@ -159,17 +158,13 @@ def _gp_groups(m: MassTriple, b):
 
 
 def eval_g(m, b, s) -> float:
-    """The configuration balance function g at shape parameter s > 0."""
-    if s <= 0.0:
-        raise ValueError("eval_g requires s > 0")
-    return sum_value(_g_groups(_masses(m), b)(s))
+    """The configuration balance function g at shape parameter s > 0.
 
-
-def eval_g_prime(m, b, s) -> float:
-    """d/ds of the balance function; at s=1 with m1=m3=1 this is 2b - 2^b + m2(b-1)."""
-    if s <= 0.0:
-        raise ValueError("eval_g_prime requires s > 0")
-    return sum_value(_gp_groups(_masses(m), b)(s))
+    Raises ValueError when a mass or b is not finite, or s is not in (0, inf).
+    """
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"eval_g requires 0 < s < inf, got s = {s!r}")
+    return sum_value(_g_groups(_finite_masses(m, b), b)(s))
 
 
 def h_signomial(m, b) -> Signomial:

@@ -60,9 +60,6 @@ class BivariateSignomial:
             raise ValueError("bivariate signomials are defined on x > 0, y > 0")
         return math.fsum(c * x ** xe * y ** ye for c, xe, ye in self.terms)
 
-    def to_triples(self):
-        return [list(t) for t in self.terms]
-
 
 @dataclass(frozen=True)
 class AffineConstraint:

@@ -36,10 +36,7 @@ __all__ = [
     "IDENTICALLY_ZERO",
     "normalize",
     "evaluate",
-    "derivative",
-    "shift_and_differentiate",
     "sign_variations",
-    "limit_sign",
     "derivative_chain",
     "count_and_isolate",
 ]
@@ -106,34 +103,22 @@ def normalize(raw_terms) -> Signomial:
 
 
 def evaluate(p: Signomial, x: float) -> float:
-    """Evaluate p at x > 0."""
-    if x <= 0.0:
-        raise ValueError("signomials are defined on x > 0")
+    """Evaluate p at x in (0, inf); ValueError for any other x, nan included."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"signomials are evaluated at 0 < x < inf, got x = {x!r}")
     return sum_value(((p.pairs, x),))
 
 
 def _shift_differentiate(pairs, pivot: float):
-    # Subtracting a constant keeps the float order of the exponents (ties
-    # included), so the terms stay sorted and only need the merge.
-    return merge_sorted([(c * (e - pivot), e - pivot - 1.0) for c, e in pairs])
+    """The pairs of the derivative of x**(-pivot) * p(x), for p's pairs.
 
-
-def derivative(p: Signomial) -> Signomial:
-    """Term-wise derivative; constants vanish."""
-    return Signomial(_shift_differentiate(p.pairs, 0.0))
-
-
-def shift_and_differentiate(p: Signomial, pivot_exponent: float) -> Signomial:
-    """The derivative of x**(-pivot) * p(x), as a signomial.
-
-    The pivot term is annihilated, so the result has exactly one term
-    fewer, and by Rolle its positive roots interlace the monotone pieces
-    of x**(-pivot) * p(x), which has the same roots as p. Exponents that
-    round together after the shift are merged as normalize merges them.
+    With a pivot that is an exponent of p, that term is annihilated, and by
+    Rolle the roots of the result interlace the monotone pieces of
+    x**(-pivot) * p(x), which has the roots of p. Subtracting a constant
+    keeps the float order of the exponents (ties included), so the terms
+    stay sorted and only need the merge.
     """
-    if pivot_exponent not in (e for _, e in p.pairs):
-        raise ValueError(f"pivot exponent {pivot_exponent!r} is not an exponent of p")
-    return Signomial(_shift_differentiate(p.pairs, pivot_exponent))
+    return merge_sorted([(c * (e - pivot), e - pivot - 1.0) for c, e in pairs])
 
 
 def sign_variations(p: Signomial) -> int:
@@ -145,14 +130,6 @@ def sign_variations(p: Signomial) -> int:
             count += 1
         prev = c
     return count
-
-
-def limit_sign(p: Signomial, endpoint: Endpoint) -> int:
-    """Sign of p at 0+ or +infinity: the dominant term decides; 0 only if p is zero."""
-    if p.is_zero:
-        return 0
-    c, _ = p.pairs[0] if endpoint is Endpoint.ZERO_PLUS else p.pairs[-1]
-    return 1 if c > 0.0 else -1
 
 
 def _first_variation_pivot(pairs):

@@ -176,12 +176,14 @@ def test_grid_single_infinite_point(capsys):
     assert lines[1] == "0,1,inf,inf,inf,inf,true"
 
 
-def test_grid_prints_a_negative_zero_lower_end_at_any_resolution(capsys):
+# The -0 end is the lower one (row 1) or the upper one (row 2) of a 2-point axis.
+@pytest.mark.parametrize("m2, row", [("-0:-0", 1), ("1:-0", 2)])
+def test_grid_prints_a_negative_zero_lower_end_at_any_resolution(capsys, m2, row):
     _, one, _ = run(capsys, "grid", "--m2", "-0:-0", "-n", "1x1", "--b", "0:0")
-    code, two, _ = run(capsys, "grid", "--m2", "-0:-0", "-n", "2x1", "--b", "0:0")
+    code, two, _ = run(capsys, "grid", "--m2", m2, "-n", "2x1", "--b", "0:0")
     assert code == 0
     assert one.split("\n")[1].startswith("-0,0,")
-    assert two.split("\n")[1] == one.split("\n")[1]
+    assert two.split("\n")[row] == one.split("\n")[1]
 
 
 @pytest.mark.parametrize("check", [(), ("--check",)])

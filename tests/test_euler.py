@@ -23,20 +23,21 @@ from eulercc.euler import (
     degenerate_family,
     endpoint_sign_g,
     eval_g,
-    eval_g_prime,
     h_signomial,
 )
 from eulercc.euler import (
     _anchor,
     _binomials,
     _derivative,
+    _gp_groups,
     _low_coefficients,
+    _masses,
     _reflect,
     _solution,
     _swap13,
     _zero_series_g,
 )
-from eulercc.numerics import Tail, ToleranceError, certified_sign_near_zero
+from eulercc.numerics import Tail, ToleranceError, certified_sign_near_zero, sum_value
 from eulercc.signomial import Endpoint, Signomial, evaluate, normalize
 
 from oracles import cell_scan_counts, diff1
@@ -99,6 +100,19 @@ def test_g_domain_error():
         eval_g((1, 1, 1), -2.0, -0.5)
 
 
+@pytest.mark.parametrize("m, b, s, message", [
+    ((1, 2, 3), -2.0, math.nan, "^eval_g requires 0 < s < inf, got s = nan$"),
+    ((1, 2, 3), -2.0, math.inf, "^eval_g requires 0 < s < inf, got s = inf$"),
+    ((math.nan, 2, 3), -2.0, 1.0, "^masses must be finite"),
+    ((1, 2, -math.inf), -2.0, 1.0, "^masses must be finite"),
+    ((1, 2, 3), math.nan, 1.0, "^b must be finite, got nan$"),
+    ((1, 2, 3), math.inf, 1.0, "^b must be finite, got inf$"),
+], ids=["s=nan", "s=inf", "m1=nan", "m3=-inf", "b=nan", "b=inf"])
+def test_g_refuses_non_finite_input(m, b, s, message):
+    with pytest.raises(ValueError, match=message):
+        eval_g(m, b, s)
+
+
 def test_g_two_forms_agree():
     rng = random.Random(4)
     for _ in range(100):
@@ -126,7 +140,12 @@ def test_polynomial_specializations():
         assert abs((1 + s) * s * eval_g(m, -1.0, s) - cu) <= 1e-9 * max(scale, 1e-9)
 
 
-# --- eval_g_prime ------------------------------------------------------------------
+# --- g' ----------------------------------------------------------------------------
+
+
+def g_prime(m, b, s):
+    """d/ds of the balance function, summed from the groups the g' stage evaluates."""
+    return sum_value(_gp_groups(_masses(m), b)(s))
 
 
 def test_g_prime_symmetric_closed_form():
@@ -135,8 +154,8 @@ def test_g_prime_symmetric_closed_form():
         mm = rng.uniform(-8, 8)
         b = rng.uniform(-4, 4)
         want = 2.0 * b - 2.0 ** b + mm * (b - 1.0)
-        assert eval_g_prime((1, mm, 1), b, 1.0) == pytest.approx(want, rel=1e-10, abs=1e-10)
-    assert eval_g_prime((1, 1, 1), -2.0, 1.0) == pytest.approx(-7.25, rel=1e-14)
+        assert g_prime((1, mm, 1), b, 1.0) == pytest.approx(want, rel=1e-10, abs=1e-10)
+    assert g_prime((1, 1, 1), -2.0, 1.0) == pytest.approx(-7.25, rel=1e-14)
 
 
 def test_g_prime_matches_finite_differences():
@@ -146,7 +165,7 @@ def test_g_prime_matches_finite_differences():
         b = rng.uniform(-4, 4)
         s = rng.uniform(0.1, 10.0)
         fd = diff1(lambda t: eval_g(m, b, t), s, 1e-6 * s)
-        want = eval_g_prime(m, b, s)
+        want = g_prime(m, b, s)
         assert abs(fd - want) <= 1e-6 * max(abs(want), abs(fd), 1e-6)
 
 

@@ -191,6 +191,6 @@ def test_count_on_line_matches_cell_counter():
 def test_json_round_trip_of_triples():
     import json
     f = BivariateSignomial.from_triples([(1.5, -2.0, 0.5), (-0.25, 0.0, 3.0)])
-    text = json.dumps(f.to_triples())
+    text = json.dumps(f.terms)
     g = BivariateSignomial.from_triples(json.loads(text))
     assert g == f

@@ -9,16 +9,13 @@ import hypothesis.strategies as st
 
 from eulercc.signomial import (
     IDENTICALLY_ZERO,
-    Endpoint,
     Signomial,
+    _shift_differentiate,
     count_and_isolate,
-    derivative,
     derivative_chain,
     evaluate,
-    limit_sign,
     merge_sorted,
     normalize,
-    shift_and_differentiate,
     sign_variations,
 )
 
@@ -37,6 +34,11 @@ from oracles import signomial_scan_count
 
 def pairs(p: Signomial):
     return list(p.pairs)
+
+
+def shifted(p: Signomial, pivot: float = 0.0) -> Signomial:
+    """The derivative of x**(-pivot) * p(x) by the chain's kernel; pivot 0 differentiates p."""
+    return Signomial(_shift_differentiate(p.pairs, pivot))
 
 
 # --- normalize ------------------------------------------------------------------
@@ -111,15 +113,19 @@ def test_evaluate_rejects_nonpositive():
         evaluate(p, 0.0)
     with pytest.raises(ValueError):
         evaluate(p, -2.0)
+    with pytest.raises(ValueError):
+        evaluate(p, math.nan)
+    with pytest.raises(ValueError):
+        evaluate(p, math.inf)
 
 
 # --- derivative -----------------------------------------------------------------
 
 
 def test_derivative_power_rule():
-    assert pairs(derivative(normalize([(4, 2)]))) == [(8.0, 1.0)]
-    assert derivative(normalize([(5, 0)])).is_zero
-    assert pairs(derivative(normalize([(1, 0.5), (-3, 1)]))) == [(0.5, -0.5), (-3.0, 0.0)]
+    assert pairs(shifted(normalize([(4, 2)]))) == [(8.0, 1.0)]
+    assert shifted(normalize([(5, 0)])).is_zero
+    assert pairs(shifted(normalize([(1, 0.5), (-3, 1)]))) == [(0.5, -0.5), (-3.0, 0.0)]
 
 
 def test_derivative_matches_finite_differences():
@@ -129,7 +135,7 @@ def test_derivative_matches_finite_differences():
         p = normalize([(rng.uniform(-10, 10), rng.uniform(-5, 5)) for _ in range(n)])
         if p.is_zero:
             continue
-        dp = derivative(p)
+        dp = shifted(p)
         for _ in range(5):
             x = rng.uniform(0.2, 5.0)
             h = 1e-6 * x
@@ -139,20 +145,15 @@ def test_derivative_matches_finite_differences():
             assert abs(fd - want) <= 1e-6 * max(scale, 1e-12)
 
 
-# --- shift_and_differentiate ------------------------------------------------------
+# --- shift by a pivot exponent, then differentiate -------------------------------
 
 
 def test_shift_one_step():
-    assert pairs(shift_and_differentiate(normalize([(1, 0), (-2, 1)]), 0.0)) == [(-2.0, 0.0)]
+    assert pairs(shifted(normalize([(1, 0), (-2, 1)]), 0.0)) == [(-2.0, 0.0)]
 
 
 def test_shift_single_term_annihilated():
-    assert shift_and_differentiate(normalize([(2, 3)]), 3.0).is_zero
-
-
-def test_shift_rejects_missing_pivot():
-    with pytest.raises(ValueError):
-        shift_and_differentiate(normalize([(1, 1)]), 2.0)
+    assert shifted(normalize([(2, 3)]), 3.0).is_zero
 
 
 def test_shift_drops_exactly_one_term_any_pivot():
@@ -163,7 +164,7 @@ def test_shift_drops_exactly_one_term_any_pivot():
         if p.is_zero:
             continue
         pivot = rng.choice([e for _, e in p.pairs])
-        q = shift_and_differentiate(p, pivot)
+        q = shifted(p, pivot)
         assert len(q) == len(p) - 1
 
 
@@ -190,10 +191,10 @@ def test_extreme_pivots_never_increase_variations():
         if p.is_zero:
             continue
         for pivot in (p.pairs[0][1], p.pairs[-1][1]):
-            assert sign_variations(shift_and_differentiate(p, pivot)) <= sign_variations(p)
+            assert sign_variations(shifted(p, pivot)) <= sign_variations(p)
 
 
-# --- sign_variations / limit_sign --------------------------------------------------
+# --- sign_variations --------------------------------------------------------------
 
 
 def test_sign_variations_gravitational_quintic():
@@ -204,14 +205,6 @@ def test_sign_variations_gravitational_quintic():
 def test_sign_variations_empty_and_alternating():
     assert sign_variations(normalize([])) == 0
     assert sign_variations(normalize([(1, 0), (-3, 1), (1, 2)])) == 2
-
-
-def test_limit_sign_lowest_exponent_at_zero():
-    p = normalize([(2, -3), (-2, -2), (-2, 1), (2, 0)])
-    assert limit_sign(p, Endpoint.ZERO_PLUS) == 1
-    assert limit_sign(normalize([(-3, 1), (1, 2)]), Endpoint.INFINITY) == 1
-    assert limit_sign(normalize([]), Endpoint.ZERO_PLUS) == 0
-    assert limit_sign(normalize([]), Endpoint.INFINITY) == 0
 
 
 # --- count_and_isolate --------------------------------------------------------------
@@ -406,7 +399,7 @@ def test_chain_on_pairs_matches_the_term_reference():
                 rng.choice(_CLUSTERED_EXPONENTS)) for _ in range(rng.randint(1, 9))]
         p, ref = normalize(raw), _ref_normalize(raw)
         assert repr(p.pairs) == repr(ref.pairs()), raw
-        assert repr(derivative(p).pairs) == repr(_ref_derivative(ref).pairs()), raw
+        assert repr(shifted(p).pairs) == repr(_ref_derivative(ref).pairs()), raw
         chain = [(pivot, q.pairs) for pivot, q in derivative_chain(p)]
         ref_chain = [(pivot, q.pairs()) for pivot, q in _ref_derivative_chain(ref)]
         assert repr(chain) == repr(ref_chain), raw
