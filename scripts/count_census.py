@@ -12,7 +12,7 @@ import collections
 import random
 import sys
 
-from eulercc.euler import MassTriple, count_all, degenerate_family
+from eulercc.euler import count_all, degenerate_family
 
 
 def main():
@@ -29,9 +29,9 @@ def main():
     drawn = 0
     while drawn < args.draws:
         if args.positive:
-            m = MassTriple(*(rng.uniform(0.0, args.lim) for _ in range(3)))
+            m = tuple(rng.uniform(0.0, args.lim) for _ in range(3))
         else:
-            m = MassTriple(*(rng.uniform(-args.lim, args.lim) for _ in range(3)))
+            m = tuple(rng.uniform(-args.lim, args.lim) for _ in range(3))
         if degenerate_family(m, args.b) is not None:
             continue
         counts, _ = count_all(m, args.b, roots=False)

@@ -13,7 +13,7 @@ import importlib
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "euler": (
-        "INFINITE", "CellCount", "ConfigurationSolution", "MassTriple", "abc_terms",
+        "INFINITE", "CellCount", "ConfigurationSolution", "abc_terms",
         "cell_mass_view", "celli_identity_residual", "count_all", "count_cell",
         "degenerate_family", "endpoint_sign_g", "eval_g", "h_signomial",
     ),

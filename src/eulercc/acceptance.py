@@ -16,7 +16,7 @@ import random
 from typing import Callable, NamedTuple
 
 from . import classifier, euler, qps, signomial
-from .euler import INFINITE, MassTriple
+from .euler import INFINITE
 
 
 # --- plain formulas and stdlib oracles ------------------------------------------
@@ -75,7 +75,7 @@ def _require(ok, message):
 
 
 def _triple(rng, lo, hi):
-    return MassTriple(*(rng.uniform(lo, hi) for _ in range(3)))
+    return tuple(rng.uniform(lo, hi) for _ in range(3))
 
 
 def _draws(rng, n, lim, draw_b, skip=lambda b: False):
@@ -120,7 +120,7 @@ def classic_uniqueness(draws=200, positive_roots=one_positive_root):
     rng = random.Random(101)
     for _ in range(draws):
         m = _triple(rng, 0.1, 10.0)
-        coeffs = quintic_coeffs(*m.as_tuple())
+        coeffs = quintic_coeffs(*m)
         sv = signomial.sign_variations(signomial.normalize([(c, k) for k, c in enumerate(coeffs)]))
         _require(sv == 1, f"{m}: the quintic has {sv} sign variations")
         n, sols = euler.count_cell(m, -2.0, 2)
@@ -169,7 +169,7 @@ def total_bounds_by_regime(draws=500):
                            skip=lambda b: b in (0.0, 1.0)):
             total = euler.count_all(m, b)[0].total
             _require(total <= bound, f"{m}, b={b!r}: total {total} > {bound}")
-    total = euler.count_all(MassTriple(1.0, -0.9, 1.0), 0.5)[0].total
+    total = euler.count_all((1.0, -0.9, 1.0), 0.5)[0].total
     _require(total == 5, f"(1, -0.9, 1) at b=0.5: total {total}, expected 5")
 
 
@@ -177,9 +177,9 @@ def total_bounds_by_regime(draws=500):
                                "with center-of-mass residual < 1e-9")
 def zero_count_and_zero_sum():
     for b in (-2.0, -1.0):
-        counts, sols = euler.count_all(MassTriple(0.0, -1.0, 1.0), b)
+        counts, sols = euler.count_all((0.0, -1.0, 1.0), b)
         _require(counts.total == 0 and sols == [], f"(0, -1, 1) at b={b}: total {counts.total}")
-    m = MassTriple(1.0, 2.0, -3.0)
+    m = (1.0, 2.0, -3.0)
     counts, sols = euler.count_all(m, -2.0)
     _require(counts.total == 1, f"(1, 2, -3) at b=-2: total {counts.total}, expected 1")
     residual = euler.celli_identity_residual(m, sols[0])
@@ -193,8 +193,8 @@ def expansion_equivalences(draws=100):
     for _ in range(draws):
         m = _triple(rng, -5.0, 5.0)
         s = rng.uniform(0.05, 8.0)
-        for b, k, coeffs in ((-2.0, 2, quintic_coeffs(*m.as_tuple())),
-                             (-1.0, 1, cubic_coeffs(*m.as_tuple()))):
+        for b, k, coeffs in ((-2.0, 2, quintic_coeffs(*m)),
+                             (-1.0, 1, cubic_coeffs(*m))):
             scale = sum(abs(c) * s ** j for j, c in enumerate(coeffs))
             err = abs((1 + s) ** k * s ** k * euler.eval_g(m, b, s) - horner(coeffs, s))
             _require(err <= 1e-9 * max(scale, 1e-9), f"{m}, b={b}, s={s!r}: error {err!r}")
@@ -214,14 +214,14 @@ def expansion_equivalences(draws=100):
                                    "counts; 1e-3 perturbations are finite", 20)
 def degenerate_families(draws=100):
     rng = random.Random(108)
-    for m, b in ((MassTriple(0.0, 0.0, 0.0), -2.0), (MassTriple(1.0, -1.0, 1.0), 0.0),
-                 (MassTriple(0.4, -1.1, 2.2), 1.0), (MassTriple(1.3, 0.0, 1.3), 2.0),
-                 (MassTriple(0.8, 0.8, 0.8), 3.0)):
+    for m, b in (((0.0, 0.0, 0.0), -2.0), ((1.0, -1.0, 1.0), 0.0),
+                 ((0.4, -1.1, 2.2), 1.0), ((1.3, 0.0, 1.3), 2.0),
+                 ((0.8, 0.8, 0.8), 3.0)):
         total = euler.count_all(m, b)[0].total
         _require(total == INFINITE, f"{m}, b={b}: total {total}, expected infinite")
         perturbed = 0
         while perturbed < draws:
-            dm = MassTriple(*(v + rng.uniform(-1e-3, 1e-3) for v in m.as_tuple()))
+            dm = tuple(v + rng.uniform(-1e-3, 1e-3) for v in m)
             db = b + rng.uniform(-1e-3, 1e-3)
             if euler.degenerate_family(dm, db) is not None:
                 continue
@@ -280,6 +280,6 @@ def bound_formulas_and_line_reduction(draws=50):
     _require(k == 32768, f"khovanskii_bound(1, 2, 4) = {k}")
     rng = random.Random(111)
     for m, b in _draws(rng, draws, 3.0, lambda: rng.uniform(-3.0, 0.9)):
-        got = qps.count_on_line(*qps.euler_line_system(*m.as_tuple(), b)).count
+        got = qps.count_on_line(*qps.euler_line_system(*m, b)).count
         want = euler.count_cell(m, b, 2)[0]
         _require(got == want, f"{m}, b={b!r}: line reduction {got}, cell counter {want}")

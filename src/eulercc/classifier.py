@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .euler import INFINITE, MassTriple, count_all
+from .euler import INFINITE, count_all
 from .numerics import DEFAULT_REL_TOL, check_tol
 
 __all__ = [
@@ -299,7 +299,7 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
             rows.append((m2, b, rc))
             if cross_check and not rc.on_frontier and _frontier_distance(m2, b) > margin:
                 checked += 1
-                counts, _ = count_all(MassTriple(1.0, m2, 1.0), b, tol, roots=False)
+                counts, _ = count_all((1.0, m2, 1.0), b, tol, roots=False)
                 got = (counts.e1, counts.e2, counts.e3, counts.total)
                 expected = (rc.e1, rc.e2, rc.e3, rc.total)
                 if got != expected:

@@ -46,7 +46,6 @@ from .signomial import Endpoint, Signomial, count_and_isolate, merge_sorted, nor
 
 __all__ = [
     "INFINITE",
-    "MassTriple",
     "CellCount",
     "ConfigurationSolution",
     "abc_terms",
@@ -69,30 +68,20 @@ _CELL_ORDER = {1: (1, 0, 2), 2: (0, 1, 2), 3: (0, 2, 1)}
 CELLS = tuple(_CELL_ORDER)
 
 
-@dataclass(frozen=True)
-class MassTriple:
-    """Masses (gravitational case) or vorticities (vortex case); any signs."""
+def _masses(m):
+    """The float triple (m1, m2, m3) of any three reals; ValueError on a wrong length.
 
-    m1: float
-    m2: float
-    m3: float
-
-    def as_tuple(self):
-        return (self.m1, self.m2, self.m3)
-
-
-def _masses(m) -> MassTriple:
-    if isinstance(m, MassTriple):
-        return m
+    Masses (gravitational case) or vorticities (vortex case), of any signs.
+    """
     m1, m2, m3 = m
-    return MassTriple(float(m1), float(m2), float(m3))
+    return float(m1), float(m2), float(m3)
 
 
-def _finite_masses(m, b) -> MassTriple:
-    """The MassTriple of m; ValueError naming the masses or b when one is not finite."""
+def _finite_masses(m, b):
+    """The float triple of m; ValueError naming the masses or b when one is not finite."""
     m = _masses(m)
-    if not all(map(math.isfinite, m.as_tuple())):
-        raise ValueError(f"masses must be finite, got {m.as_tuple()}")
+    if not all(map(math.isfinite, m)):
+        raise ValueError(f"masses must be finite, got {m}")
     if not math.isfinite(b):
         raise ValueError(f"b must be finite, got {b!r}")
     return m
@@ -132,9 +121,14 @@ class ConfigurationSolution:
 
 
 def abc_terms(b, s):
-    """The mass-coefficient functions (A, B, C) with g = m1*A + m2*B + m3*C."""
-    if s <= 0.0:
-        raise ValueError("abc_terms requires s > 0")
+    """The mass-coefficient functions (A, B, C) with g = m1*A + m2*B + m3*C.
+
+    Raises ValueError when s is not in (0, inf) or b is not finite.
+    """
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"abc_terms requires 0 < s < inf, got s = {s!r}")
+    if not math.isfinite(b):
+        raise ValueError(f"b must be finite, got {b!r}")
     u = 1.0 + s
     a = u * (u ** (b - 1.0) - 1.0)
     bb = s * (s ** (b - 1.0) - 1.0)
@@ -142,18 +136,20 @@ def abc_terms(b, s):
     return a, bb, c
 
 
-def _g_groups(m: MassTriple, b):
+def _g_groups(m, b):
     """s -> the (pairs, base) groups of g at s; the pairs are built once."""
-    on_s = ((m.m2 + m.m3, b), (m.m3, b + 1.0), (-m.m2, 1.0))
-    on_u = ((m.m1 + m.m3, b), (-m.m3, b + 1.0), (-m.m1, 1.0))
+    m1, m2, m3 = m
+    on_s = ((m2 + m3, b), (m3, b + 1.0), (-m2, 1.0))
+    on_u = ((m1 + m3, b), (-m3, b + 1.0), (-m1, 1.0))
     return lambda s: ((on_s, s), (on_u, 1.0 + s))
 
 
-def _gp_groups(m: MassTriple, b):
+def _gp_groups(m, b):
     """s -> the (pairs, base) groups of g' at s; the pairs are built once."""
-    on_s = ((b * (m.m2 + m.m3), b - 1.0), ((b + 1.0) * m.m3, b))
-    on_u = ((b * (m.m1 + m.m3), b - 1.0), (-(b + 1.0) * m.m3, b))
-    constant = ((-(m.m1 + m.m2), 0.0),)
+    m1, m2, m3 = m
+    on_s = ((b * (m2 + m3), b - 1.0), ((b + 1.0) * m3, b))
+    on_u = ((b * (m1 + m3), b - 1.0), (-(b + 1.0) * m3, b))
+    constant = ((-(m1 + m2), 0.0),)
     return lambda s: ((on_s, s), (on_u, 1.0 + s), (constant, 1.0))
 
 
@@ -174,30 +170,31 @@ def h_signomial(m, b) -> Signomial:
     s = y/(1-y), and h(1) = 0 always. Exponent collisions at b in {1, 2, 3}
     merge exactly. H is empty at b in {0, 1}, where the prefactor b(b-1)
     cancels every coefficient exactly, and on the degenerate families and
-    the parameter sets where g is affine in s (see _affine_roots).
+    the parameter sets where g is affine in s (see _affine_roots). Raises
+    ValueError when a mass or b is not finite.
     """
-    m = _masses(m)
+    m1, m2, m3 = _finite_masses(m, b)
     bb = b * (b - 1.0)
     return normalize([
-        (-bb * m.m2 + 2.0 * b * m.m3, b - 1.0),
-        (bb * (m.m2 + m.m3), b - 2.0),
-        (-bb * (m.m1 + m.m3), 1.0),
-        (bb * m.m1 - 2.0 * b * m.m3, 0.0),
+        (-bb * m2 + 2.0 * b * m3, b - 1.0),
+        (bb * (m2 + m3), b - 2.0),
+        (-bb * (m1 + m3), 1.0),
+        (bb * m1 - 2.0 * b * m3, 0.0),
     ])
 
 
 def degenerate_family(m, b):
     """The case tag 'i'..'v' when g vanishes identically on the cell, else None."""
-    m = _masses(m)
-    if m.m1 == 0.0 and m.m2 == 0.0 and m.m3 == 0.0:
+    m1, m2, m3 = _masses(m)
+    if m1 == 0.0 and m2 == 0.0 and m3 == 0.0:
         return "i"
-    if b == 0.0 and m.m1 == -m.m2 and m.m3 == m.m1:
+    if b == 0.0 and m1 == -m2 and m3 == m1:
         return "ii"
     if b == 1.0:
         return "iii"
-    if b == 2.0 and m.m2 == 0.0 and m.m1 == m.m3:
+    if b == 2.0 and m2 == 0.0 and m1 == m3:
         return "iv"
-    if b == 3.0 and m.m1 == m.m2 and m.m2 == m.m3:
+    if b == 3.0 and m1 == m2 and m2 == m3:
         return "v"
     return None
 
@@ -242,7 +239,7 @@ def _binomials(b):
     return tuple(rows), 1.0 + (big + 1.0) / (order + 1.0)
 
 
-def _low_coefficients(m: MassTriple, b):
+def _low_coefficients(m, b):
     """The exact coefficients of s^b, s^(b+1), s and s^2 in g at 0+.
 
     The k = 0 binomial coefficient is identically zero; k = 1 and k = 2 are
@@ -253,15 +250,16 @@ def _low_coefficients(m: MassTriple, b):
     which endpoint_sign_g reads the sign of g at 0+ and the affine branch
     reads g = alpha + beta*s.
     """
+    m1, m2, m3 = m
     return (
-        m.m2 + m.m3,
-        m.m3,
-        (b - 1.0) * m.m1 - m.m2 - m.m3,
-        0.5 * b * (m.m1 * (b - 1.0) - 2.0 * m.m3),
+        m2 + m3,
+        m3,
+        (b - 1.0) * m1 - m2 - m3,
+        0.5 * b * (m1 * (b - 1.0) - 2.0 * m3),
     )
 
 
-def _zero_series_g(m: MassTriple, b) -> _Series:
+def _zero_series_g(m, b) -> _Series:
     """g(s) = (m2+m3) s^b + m3 s^(b+1) + sum_k c_k s^k exactly for 0 < s < 1.
 
     The lowest four coefficients come from _low_coefficients, the c_k for
@@ -271,18 +269,14 @@ def _zero_series_g(m: MassTriple, b) -> _Series:
     merged.
     """
     rows, ratio = _binomials(b)
-    m13 = m.m1 + m.m3
-    m3 = m.m3
+    m1, _, m3 = m
+    m13 = m1 + m3
     pairs = list(zip(_low_coefficients(m, b), (b, b + 1.0, 1.0, 2.0)))
     pairs += [(m13 * cb - m3 * cb1, k) for cb, cb1, k in rows[:-1]]
     pairs.sort(key=itemgetter(1))
     cb, cb1, order = rows[-1]
     return _Series(merge_sorted(pairs),
                    Tail(abs(m13) * abs(cb) + abs(m3) * abs(cb1), order, ratio))
-
-
-def _swap13(m: MassTriple) -> MassTriple:
-    return MassTriple(m.m3, m.m2, m.m1)
 
 
 def _reflect(series: _Series, b) -> _Series:
@@ -330,7 +324,7 @@ def _anchor(series: _Series, end, name, b):
     return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
 
 
-def _leading_sign(m: MassTriple, b) -> int:
+def _leading_sign(m, b) -> int:
     """Sign of g at 0+: that of the lowest-order coefficient of its exact series."""
     pairs = _zero_series_g(m, b).pairs
     if not pairs:
@@ -355,7 +349,7 @@ def endpoint_sign_g(m, b, endpoint) -> int:
     if endpoint is Endpoint.ZERO_PLUS:
         return _leading_sign(m, b)
     if endpoint is Endpoint.INFINITY:
-        return -_leading_sign(_swap13(m), b)
+        return -_leading_sign(m[::-1], b)
     raise ValueError(f"unknown endpoint {endpoint!r}")
 
 
@@ -366,36 +360,36 @@ def endpoint_sign_g(m, b, endpoint) -> int:
 _RESCALE_ABOVE = 2.0 ** 512
 
 
-def _rescaled(m: MassTriple) -> MassTriple:
-    """m divided by the power of two that puts its largest |mass| in [1, 2).
+def _rescaled(m):
+    """The float triple m divided by the power of two putting its largest |mass| in [1, 2).
 
     Masses at or below _RESCALE_ABOVE are returned as they are. Raises
     ValueError when the division would leave a nonzero mass subnormal or
     zero, where it would no longer be exact.
     """
-    masses = m.as_tuple()
-    top = max(map(abs, masses))
+    top = max(map(abs, m))
     if top <= _RESCALE_ABOVE:
         return m
     shift = 1 - math.frexp(top)[1]
-    scaled = tuple(math.ldexp(x, shift) for x in masses)
-    if any(x != 0.0 and abs(y) < sys.float_info.min for x, y in zip(masses, scaled)):
-        raise ValueError(f"masses {masses} span too wide a range to be scaled down "
+    scaled = tuple(math.ldexp(x, shift) for x in m)
+    if any(x != 0.0 and abs(y) < sys.float_info.min for x, y in zip(m, scaled)):
+        raise ValueError(f"masses {m} span too wide a range to be scaled down "
                          f"exactly by a power of two")
-    return MassTriple(*scaled)
+    return scaled
 
 
-def cell_mass_view(m, cell) -> MassTriple:
-    """Masses reindexed as (left, middle, right) so the cell becomes s > 0.
+def cell_mass_view(m, cell):
+    """The masses as the float triple (left, middle, right), so the cell becomes s > 0.
 
     Counting roots of g on s > 0 for the returned triple equals the count
     for the requested cell; by reflection the left/right choice is
     immaterial.
     """
-    masses = _masses(m).as_tuple()
+    masses = _masses(m)
     if cell not in CELLS:
         raise ValueError("cell must be 1, 2 or 3")
-    return MassTriple(*(masses[i] for i in _CELL_ORDER[cell]))
+    left, middle, right = _CELL_ORDER[cell]
+    return masses[left], masses[middle], masses[right]
 
 
 def _solution(cell, s, degenerate) -> ConfigurationSolution:
@@ -404,7 +398,7 @@ def _solution(cell, s, degenerate) -> ConfigurationSolution:
     return ConfigurationSolution(cell=cell, s=s, positions=pos, degenerate=degenerate)
 
 
-def _affine_roots(mv: MassTriple, b):
+def _affine_roots(mv, b):
     """Roots of g when the curvature kernel vanishes identically.
 
     Outside the degenerate families this happens exactly on the b = 0
@@ -424,7 +418,7 @@ def _affine_roots(mv: MassTriple, b):
     return [(s, False)] if s > 0.0 else []
 
 
-def _cell_roots(mv: MassTriple, b, h, tol, refine=True):
+def _cell_roots(mv, b, h, tol, refine=True):
     """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}.
 
     With refine=False the roots of g are only counted (isolate_between's
@@ -440,7 +434,7 @@ def _cell_roots(mv: MassTriple, b, h, tol, refine=True):
         s = r.value / (1.0 - r.value)
         curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
     zero = _zero_series_g(mv, b)
-    inf = _reflect(_zero_series_g(_swap13(mv), b), b)
+    inf = _reflect(_zero_series_g(mv[::-1], b), b)
     gp = _gp_groups(mv, b)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints.
@@ -497,7 +491,6 @@ def count_all(m, b, tol=DEFAULT_REL_TOL, *, roots=True):
     With roots=False only the counts are computed and solutions is [].
     Raises ValueError when a mass or b is NaN or infinite.
     """
-    m = _masses(m)
     counts = {}
     solutions = []
     for cell in CELLS:
@@ -509,8 +502,8 @@ def count_all(m, b, tol=DEFAULT_REL_TOL, *, roots=True):
 
 def celli_identity_residual(m, sol: ConfigurationSolution) -> float:
     """m1*x1 + m2*x2 + m3*x3 for a solution; near zero when m1+m2+m3 = 0."""
-    m = _masses(m)
-    if m.m1 + m.m2 + m.m3 != 0.0:
+    m1, m2, m3 = _masses(m)
+    if m1 + m2 + m3 != 0.0:
         raise ValueError("residual identity requires m1 + m2 + m3 = 0")
     x1, x2, x3 = sol.positions
-    return math.fsum((m.m1 * x1, m.m2 * x2, m.m3 * x3))
+    return math.fsum((m1 * x1, m2 * x2, m3 * x3))

@@ -56,8 +56,10 @@ class BivariateSignomial:
         return cls(tuple((c, xe, ye) for c, (xe, ye) in merge_sorted(pairs)))
 
     def evaluate(self, x, y):
-        if x <= 0.0 or y <= 0.0:
-            raise ValueError("bivariate signomials are defined on x > 0, y > 0")
+        """The sum at (x, y) in (0, inf)^2; ValueError for any other point, nan included."""
+        if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+            raise ValueError(f"bivariate signomials are evaluated at 0 < x, y < inf, "
+                             f"got x = {x!r}, y = {y!r}")
         return math.fsum(c * x ** xe * y ** ye for c, xe, ye in self.terms)
 
 

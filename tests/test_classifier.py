@@ -16,14 +16,14 @@ from eulercc.classifier import (
     grid_scan,
     grid_to_csv,
 )
-from eulercc.euler import INFINITE, MassTriple, _gp_groups, count_all, count_cell
+from eulercc.euler import INFINITE, _gp_groups, count_all, count_cell
 from eulercc.numerics import sum_value
 from eulercc.signomial import count_and_isolate, normalize
 
 
 def g_prime_at_one(m2, b):
     """g'(1) for the masses (1, m2, 1), summed from the groups the g' stage evaluates."""
-    return sum_value(_gp_groups(MassTriple(1.0, m2, 1.0), b)(1.0))
+    return sum_value(_gp_groups((1.0, m2, 1.0), b)(1.0))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, 1.0, 2.0])
@@ -180,10 +180,10 @@ def test_exterior_symmetry_with_numeric_counts():
         rc = classify_total(m2, b)
         if rc.on_frontier or rc.total == INFINITE:
             continue
-        m = MassTriple(1.0, m2, 1.0)
+        m = (1.0, m2, 1.0)
         assert count_cell(m, b, 1)[0] == rc.e1
         assert count_cell(m, b, 3)[0] == rc.e1
-        assert count_cell(MassTriple(m2, 1.0, 1.0), b, 2)[0] == rc.e1
+        assert count_cell((m2, 1.0, 1.0), b, 2)[0] == rc.e1
         checked += 1
 
 
@@ -267,7 +267,7 @@ def test_classifier_matches_counter_on_random_offgrid_points():
         rc = classify_total(m2, b)
         if rc.on_frontier or rc.total == INFINITE:
             continue
-        counts, _ = count_all(MassTriple(1.0, m2, 1.0), b)
+        counts, _ = count_all((1.0, m2, 1.0), b)
         assert (counts.e1, counts.e2, counts.e3, counts.total) == \
             (rc.e1, rc.e2, rc.e3, rc.total)
         checked += 1

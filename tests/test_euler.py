@@ -14,7 +14,6 @@ from eulercc.euler import (
     CELLS,
     INFINITE,
     CellCount,
-    MassTriple,
     abc_terms,
     cell_mass_view,
     celli_identity_residual,
@@ -34,7 +33,6 @@ from eulercc.euler import (
     _masses,
     _reflect,
     _solution,
-    _swap13,
     _zero_series_g,
 )
 from eulercc.numerics import Tail, ToleranceError, certified_sign_near_zero, sum_value
@@ -44,7 +42,7 @@ from oracles import cell_scan_counts, diff1
 
 
 def rand_masses(rng, lim=10.0):
-    return MassTriple(rng.uniform(-lim, lim), rng.uniform(-lim, lim), rng.uniform(-lim, lim))
+    return rng.uniform(-lim, lim), rng.uniform(-lim, lim), rng.uniform(-lim, lim)
 
 
 # --- abc_terms --------------------------------------------------------------------
@@ -64,9 +62,18 @@ def test_abc_values_match_balance_function():
     assert a + b_ + c == pytest.approx(eval_g((1, 1, 1), -1.0, 2.0), rel=1e-12)
 
 
-def test_abc_rejects_nonpositive_s():
-    with pytest.raises(ValueError):
-        abc_terms(-2.0, 0.0)
+@pytest.mark.parametrize("b, s, message", [
+    (-2.0, 0.0, "^abc_terms requires 0 < s < inf, got s = 0.0$"),
+    (-2.0, -1.0, "^abc_terms requires 0 < s < inf, got s = -1.0$"),
+    (-2.0, math.nan, "^abc_terms requires 0 < s < inf, got s = nan$"),
+    (-2.0, math.inf, "^abc_terms requires 0 < s < inf, got s = inf$"),
+    (math.nan, 1.0, "^b must be finite, got nan$"),
+    (math.inf, 1.0, "^b must be finite, got inf$"),
+    (-math.inf, 1.0, "^b must be finite, got -inf$"),
+], ids=["s=0", "s=-1", "s=nan", "s=inf", "b=nan", "b=inf", "b=-inf"])
+def test_abc_refuses_out_of_domain_input(b, s, message):
+    with pytest.raises(ValueError, match=message):
+        abc_terms(b, s)
 
 
 def test_abc_order_inequalities_below_one():
@@ -119,11 +126,12 @@ def test_g_two_forms_agree():
         m = rand_masses(rng)
         b = rng.uniform(-5, 5)
         s = rng.uniform(1e-2, 20.0)
+        m1, m2, m3 = m
         a, bb, c = abc_terms(b, s)
-        via_abc = m.m1 * a + m.m2 * bb + m.m3 * c
+        via_abc = m1 * a + m2 * bb + m3 * c
         direct = eval_g(m, b, s)
-        scale = (abs(m.m1 * a) + abs(m.m2 * bb) + abs(m.m3 * c)
-                 + abs(m.m2 + m.m3) * s ** b + abs(m.m1 + m.m3) * (1 + s) ** b)
+        scale = (abs(m1 * a) + abs(m2 * bb) + abs(m3 * c)
+                 + abs(m2 + m3) * s ** b + abs(m1 + m3) * (1 + s) ** b)
         assert abs(via_abc - direct) <= 1e-9 * max(scale, 1e-12)
 
 
@@ -132,11 +140,11 @@ def test_polynomial_specializations():
     for _ in range(100):
         m = rand_masses(rng, 5.0)
         s = rng.uniform(0.05, 8.0)
-        q = horner(quintic_coeffs(*m.as_tuple()), s)
-        scale = sum(abs(c) * s ** k for k, c in enumerate(quintic_coeffs(*m.as_tuple())))
+        q = horner(quintic_coeffs(*m), s)
+        scale = sum(abs(c) * s ** k for k, c in enumerate(quintic_coeffs(*m)))
         assert abs((1 + s) ** 2 * s ** 2 * eval_g(m, -2.0, s) - q) <= 1e-9 * max(scale, 1e-9)
-        cu = horner(cubic_coeffs(*m.as_tuple()), s)
-        scale = sum(abs(c) * s ** k for k, c in enumerate(cubic_coeffs(*m.as_tuple())))
+        cu = horner(cubic_coeffs(*m), s)
+        scale = sum(abs(c) * s ** k for k, c in enumerate(cubic_coeffs(*m)))
         assert abs((1 + s) * s * eval_g(m, -1.0, s) - cu) <= 1e-9 * max(scale, 1e-9)
 
 
@@ -184,7 +192,7 @@ def test_h_vanishes_at_one():
         b = rng.uniform(-4, 4)
         if abs(b - 1.0) < 1e-3:
             continue
-        assert h_value(m, b, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-9 * (1 + sum(map(abs, m.as_tuple()))))
+        assert h_value(m, b, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-9 * (1 + sum(map(abs, m))))
 
 
 def test_h_value_from_transform_identity():
@@ -271,19 +279,29 @@ def test_endpoint_sign_rejects_degenerate_inputs():
         endpoint_sign_g((1, -1, 1), 0.0, Endpoint.ZERO_PLUS)
 
 
-@pytest.mark.parametrize("m, b, bad", [
+_NON_FINITE_INPUT = [
     ((math.nan, 1.0, 1.0), -2.0, "masses must be finite, got (nan, 1.0, 1.0)"),
     ((1.0, 1.0, -math.inf), -2.0, "masses must be finite, got (1.0, 1.0, -inf)"),
     ((1.0, 1.0, 1.0), math.nan, "b must be finite, got nan"),
     ((1.0, 1.0, 1.0), math.inf, "b must be finite, got inf"),
     ((1.0, 1.0, 1.0), -math.inf, "b must be finite, got -inf"),
-])
+]
+
+
+@pytest.mark.parametrize("m, b, bad", _NON_FINITE_INPUT)
 @pytest.mark.parametrize("endpoint", list(Endpoint))
 def test_endpoint_sign_refuses_non_finite_input_as_count_cell_does(m, b, bad, endpoint):
     with pytest.raises(ValueError, match=re.escape(bad)):
         endpoint_sign_g(m, b, endpoint)
     with pytest.raises(ValueError, match=re.escape(bad)):
         count_cell(m, b)
+
+
+@pytest.mark.parametrize("m, b, bad", _NON_FINITE_INPUT)
+def test_h_signomial_refuses_non_finite_input_as_count_cell_does(m, b, bad):
+    # it used to build nan coefficients from a nan mass, nan exponents from a nan b
+    with pytest.raises(ValueError, match=re.escape(bad)):
+        h_signomial(m, b)
 
 
 @pytest.mark.parametrize("b", [2000.0, 3e4, 1e8, 1e20, -1e20, 1e308])
@@ -321,7 +339,7 @@ def _g_anchor_zero(m, b):
 
 
 def _g_anchor_inf(m, b):
-    return _anchor(_reflect(_zero_series_g(_swap13(m), b), b), Endpoint.INFINITY,
+    return _anchor(_reflect(_zero_series_g(m[::-1], b), b), Endpoint.INFINITY,
                    "g", b)
 
 
@@ -331,18 +349,19 @@ def _sign_of(x):
 
 def reference_endpoint_sign_g(m, b, endpoint):
     """The leading/correction-term cascade endpoint_sign_g used to write out for each end."""
-    m = MassTriple(*map(float, m))
+    m = _masses(m)
+    m1, m2, m3 = m
     if endpoint is Endpoint.ZERO_PLUS:
         if b != 0.0:
             if b < 1.0:
-                lead = m.m2 + m.m3
-                nxt = ((b - 1.0) * m.m1 - m.m2 - m.m3) if b > 0.0 else m.m3
+                lead = m2 + m3
+                nxt = ((b - 1.0) * m1 - m2 - m3) if b > 0.0 else m3
             else:
-                lead = (b - 1.0) * m.m1 - m.m2 - m.m3
+                lead = (b - 1.0) * m1 - m2 - m3
                 if b < 2.0:
-                    nxt = m.m2 + m.m3
+                    nxt = m2 + m3
                 elif b > 2.0:
-                    nxt = m.m1 * (b - 1.0) - 2.0 * m.m3
+                    nxt = m1 * (b - 1.0) - 2.0 * m3
                 else:
                     nxt = 0.0
             if lead != 0.0:
@@ -353,14 +372,14 @@ def reference_endpoint_sign_g(m, b, endpoint):
     if endpoint is Endpoint.INFINITY:
         if b != 0.0:
             if b < 1.0:
-                lead = -(m.m1 + m.m2)
-                nxt = -((b - 1.0) * m.m3 - m.m2 - m.m1) if b > 0.0 else -m.m1
+                lead = -(m1 + m2)
+                nxt = -((b - 1.0) * m3 - m2 - m1) if b > 0.0 else -m1
             else:
-                lead = -((b - 1.0) * m.m3 - m.m2 - m.m1)
+                lead = -((b - 1.0) * m3 - m2 - m1)
                 if b < 2.0:
-                    nxt = -(m.m1 + m.m2)
+                    nxt = -(m1 + m2)
                 elif b > 2.0:
-                    nxt = -(m.m3 * (b - 1.0) - 2.0 * m.m1)
+                    nxt = -(m3 * (b - 1.0) - 2.0 * m1)
                 else:
                     nxt = 0.0
             if lead != 0.0:
@@ -429,7 +448,7 @@ def test_endpoint_sign_matches_direct_evaluation():
 
 
 def _mp_g(m, b, s, derivative):
-    m1, m2, m3 = (mpmath.mpf(v) for v in m.as_tuple())
+    m1, m2, m3 = (mpmath.mpf(v) for v in m)
     b = mpmath.mpf(b)
     u = 1 + s
     if derivative:
@@ -441,7 +460,7 @@ def _mp_g(m, b, s, derivative):
 
 def _mp_zero_terms(m, b, order):
     # the exact terms of the 0+ series of g below the truncation order
-    m1, m2, m3 = (mpmath.mpf(v) for v in m.as_tuple())
+    m1, m2, m3 = (mpmath.mpf(v) for v in m)
     b = mpmath.mpf(b)
     terms = [(m2 + m3, b), (m3, b + 1), ((b - 1) * m1 - m2 - m3, 1)]
     for k in range(2, order):
@@ -451,7 +470,7 @@ def _mp_zero_terms(m, b, order):
 
 def test_series_tail_bounds_dominate_the_remainder():
     rng = random.Random(25)
-    masses = [rand_masses(rng) for _ in range(3)] + [MassTriple(1.0, -2.0, 3.0)]
+    masses = [rand_masses(rng) for _ in range(3)] + [(1.0, -2.0, 3.0)]
     bs = [-3.0, -2.0, 0.0, 2.0, 3.0, -2.5, -0.5, 0.5, 1.5, 3.5] + \
         [rng.uniform(-5.0, 5.0) for _ in range(3)]
     with mpmath.workdps(60):
@@ -464,9 +483,9 @@ def test_series_tail_bounds_dominate_the_remainder():
                         series = zero
                         terms = _mp_zero_terms(m, b, order)
                     else:
-                        series = _reflect(_zero_series_g(_swap13(m), b), b)
+                        series = _reflect(_zero_series_g(m[::-1], b), b)
                         terms = [(-c, e - mpmath.mpf(b) - 1)
-                                 for c, e in _mp_zero_terms(_swap13(m), b, order)]
+                                 for c, e in _mp_zero_terms(m[::-1], b, order)]
                     sigma = 1 if end is Endpoint.ZERO_PLUS else -1
                     for derivative in (False, True):
                         if derivative:
@@ -502,8 +521,9 @@ def _ref_series_order(b):
     return max(14, 2 * int(math.ceil(big)) + 6), big
 
 
-def _ref_zero_series_g(m: MassTriple, b) -> _RefSeries:
+def _ref_zero_series_g(m, b) -> _RefSeries:
     order, big = _ref_series_order(b)
+    m1, _, m3 = m
     pairs = list(zip(_low_coefficients(m, b), (b, b + 1.0, 1.0, 2.0)))
     cb = 1.0    # running C(b, k)
     cb1 = 1.0   # running C(b+1, k)
@@ -511,10 +531,10 @@ def _ref_zero_series_g(m: MassTriple, b) -> _RefSeries:
         cb *= (b - k) / (k + 1.0)
         cb1 *= (b + 1.0 - k) / (k + 1.0)
     for k in range(3, order):
-        pairs.append(((m.m1 + m.m3) * cb - m.m3 * cb1, float(k)))
+        pairs.append(((m1 + m3) * cb - m3 * cb1, float(k)))
         cb *= (b - k) / (k + 1.0)
         cb1 *= (b + 1.0 - k) / (k + 1.0)
-    tail_coeff = abs(m.m1 + m.m3) * abs(cb) + abs(m.m3) * abs(cb1)
+    tail_coeff = abs(m1 + m3) * abs(cb) + abs(m3) * abs(cb1)
     ratio = 1.0 + (big + 1.0) / (order + 1.0)
     return _RefSeries(normalize(pairs), Tail(tail_coeff, float(order), ratio))
 
@@ -576,11 +596,11 @@ def test_flat_series_match_the_normalize_reference():
             b = rng.randint(-9, 13) / 2.0
         else:
             b = rng.uniform(-6.0, 6.0)
-        m = MassTriple(*m)
+        m = tuple(m)
         zero = _zero_series_g(m, b)
-        inf = _reflect(_zero_series_g(_swap13(m), b), b)
+        inf = _reflect(_zero_series_g(m[::-1], b), b)
         ref_zero = _ref_zero_series_g(m, b)
-        ref_inf = _ref_reflect(_ref_zero_series_g(_swap13(m), b), b)
+        ref_inf = _ref_reflect(_ref_zero_series_g(m[::-1], b), b)
         for end, series, ref in ((Endpoint.ZERO_PLUS, zero, ref_zero),
                                  (Endpoint.INFINITY, inf, ref_inf)):
             for got, want in ((series, ref),
@@ -600,7 +620,7 @@ def test_endpoint_sign_reflection_identity():
         b = rng.uniform(-4, 4)
         if b == 1.0 or degenerate_family(m, b):
             continue
-        swapped = MassTriple(m.m3, m.m2, m.m1)
+        swapped = m[::-1]
         assert endpoint_sign_g(m, b, Endpoint.INFINITY) == -endpoint_sign_g(
             swapped, b, Endpoint.ZERO_PLUS)
         checked += 1
@@ -610,10 +630,10 @@ def test_endpoint_sign_reflection_identity():
 
 
 def test_cell_mass_view_permutations():
-    m = MassTriple(1.0, 2.0, 3.0)
+    m = (1.0, 2.0, 3.0)
     assert cell_mass_view(m, 2) == m
-    assert cell_mass_view(m, 1) == MassTriple(2.0, 1.0, 3.0)
-    assert cell_mass_view(m, 3) == MassTriple(1.0, 3.0, 2.0)
+    assert cell_mass_view(m, 1) == (2.0, 1.0, 3.0)
+    assert cell_mass_view(m, 3) == (1.0, 3.0, 2.0)
     with pytest.raises(ValueError):
         cell_mass_view(m, 4)
 
@@ -628,15 +648,14 @@ def test_bad_cell_is_refused(cell):
 
 
 def test_positions_put_the_view_masses_at_0_1_and_1_plus_s():
-    m = MassTriple(1.0, 2.0, 3.0)
+    m = (1.0, 2.0, 3.0)
     assert CELLS == (1, 2, 3)
     expected = {1: (1.0, 0.0, 1.25), 2: (0.0, 1.0, 1.25), 3: (0.0, 1.25, 1.0)}
     for cell in CELLS:
         pos = _solution(cell, 0.25, False).positions
         assert pos == expected[cell]
         # the particles at 0, 1 and 1 + s carry the view's left, middle and right masses
-        assert tuple(mass for _, mass in sorted(zip(pos, m.as_tuple()))) == \
-            cell_mass_view(m, cell).as_tuple()
+        assert tuple(mass for _, mass in sorted(zip(pos, m))) == cell_mass_view(m, cell)
 
 def test_reflection_invariance_of_counts():
     rng = random.Random(18)
@@ -646,7 +665,7 @@ def test_reflection_invariance_of_counts():
         b = rng.uniform(-4, 0.9)
         if degenerate_family(m, b):
             continue
-        sw = MassTriple(m.m3, m.m2, m.m1)
+        sw = m[::-1]
         assert count_cell(m, b, 2)[0] == count_cell(sw, b, 2)[0]
         checked += 1
 
@@ -663,7 +682,7 @@ def test_cell_views_match_full_line_scans():
         counts = [count_cell(m, b, cell)[0] for cell in (1, 2, 3)]
         if any(c == INFINITE for c in counts):
             continue
-        scans = cell_scan_counts(*m.as_tuple(), b)
+        scans = cell_scan_counts(*m, b)
         assert tuple(counts) == scans, (m, b, counts, scans)
         checked += 1
 
@@ -703,19 +722,20 @@ def test_count_cell_affine_zero_exponent():
     assert sols[0].s == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
-def reference_affine_roots(mv: MassTriple, b):
+def reference_affine_roots(mv, b):
     """Roots of g when the curvature kernel vanishes identically.
 
     Outside the degenerate families this happens exactly on the b = 0
     plane, the b = 2 plane m1 + m2 = m3, and the b = -1 line m1 = m2 = -m3,
     where g(s) = alpha + beta*s with exactly computable coefficients.
     """
-    beta = (b - 1.0) * mv.m1 - mv.m2 - mv.m3
+    m1, m2, m3 = mv
+    beta = (b - 1.0) * m1 - m2 - m3
     if b == 0.0:
-        alpha = mv.m2 + mv.m3
-        beta += mv.m3
+        alpha = m2 + m3
+        beta += m3
     elif b == -1.0:
-        alpha = mv.m3
+        alpha = m3
     elif b == 2.0:
         alpha = 0.0
     else:
@@ -837,7 +857,7 @@ def test_counts_are_invariant_under_scaling_by_powers_of_two():
         want, _ = _counts_or_error(m, b, roots=False)
         for k in (-700, -1, 1, 700, 1020):
             factor = rng.choice((1.0, -1.0)) * 2.0 ** k
-            scaled = tuple(factor * x for x in m.as_tuple())
+            scaled = tuple(factor * x for x in m)
             assert _counts_or_error(scaled, b, roots=False)[0] == want, (m, b, factor)
 
 
@@ -854,6 +874,16 @@ def test_masses_that_rescaling_would_make_subnormal_are_refused():
         count_cell((1e308, 1e-300, 1e308), -2.0)
     # a zero mass stays exact
     assert count_cell((1e308, 0.0, 1e308), -2.0)[0] == count_cell((1.0, 0.0, 1.0), -2.0)[0]
+
+
+def test_any_three_reals_are_the_same_masses():
+    # every entry point converts its masses once, to a float triple
+    for b in (-2.0, -1.0, 0.5):
+        want = repr(count_all((5.0, -2.0, 3.0), b))
+        assert repr(count_all([5.0, -2.0, 3.0], b)) == want
+        assert repr(count_all((5, -2, 3), b)) == want
+    with pytest.raises(ValueError):
+        count_all((5.0, -2.0), -2.0)
 
 
 @pytest.mark.parametrize("m, b", [
@@ -891,16 +921,17 @@ def test_middle_cell_bound_and_sign_laws():
         if n == 3:
             assert not any(s.degenerate for s in sols)
         if n >= 2 and b < 1.0:
-            assert m.m1 * m.m3 > 0.0
-            assert m.m2 * m.m1 < 0.0
+            m1, m2, m3 = m
+            assert m1 * m3 > 0.0
+            assert m2 * m1 < 0.0
             if b < 0.0:
-                assert min(abs(m.m1), abs(m.m3)) < abs(m.m2)
+                assert min(abs(m1), abs(m3)) < abs(m2)
 
 
 def test_positive_masses_one_per_cell():
     rng = random.Random(21)
     for _ in range(150):
-        m = MassTriple(rng.uniform(0.1, 10), rng.uniform(0.1, 10), rng.uniform(0.1, 10))
+        m = (rng.uniform(0.1, 10), rng.uniform(0.1, 10), rng.uniform(0.1, 10))
         b = rng.uniform(-5.0, 0.99)
         counts, _ = count_all(m, b)
         assert (counts.e1, counts.e2, counts.e3) == (1, 1, 1)
@@ -910,11 +941,11 @@ def test_positive_masses_one_per_cell():
 
 
 def test_residual_identity_for_zero_sum_masses():
-    m = MassTriple(1.0, 2.0, -3.0)
+    m = (1.0, 2.0, -3.0)
     counts, sols = count_all(m, -2.0)
     assert counts.total == 1
     assert abs(celli_identity_residual(m, sols[0])) < 1e-9
-    m = MassTriple(2.0, -1.0, -1.0)
+    m = (2.0, -1.0, -1.0)
     counts, sols = count_all(m, -1.0)
     assert counts.total == 1
     assert abs(celli_identity_residual(m, sols[0])) < 1e-9

@@ -6,7 +6,7 @@ import eulercc
 
 
 def test_every_public_name_is_its_submodule_attribute():
-    assert len(set(eulercc.__all__)) == len(eulercc.__all__) == 38
+    assert len(set(eulercc.__all__)) == len(eulercc.__all__) == 37
     for name in eulercc.__all__:
         module = importlib.import_module(f"eulercc.{eulercc._SOURCE[name]}")
         assert getattr(eulercc, name) is getattr(module, name), name

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from eulercc.euler import MassTriple, count_cell, degenerate_family, eval_g
+from eulercc.euler import count_cell, degenerate_family, eval_g
 from eulercc.numerics import ToleranceError
 from eulercc.qps import (
     AffineConstraint,
@@ -111,6 +112,15 @@ def test_bivariate_rejects_non_finite_terms(triple):
     assert repr(list(triple)) in str(exc.value)
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                  (1.0, math.inf), (0.0, 1.0), (1.0, -1.0)])
+def test_bivariate_evaluate_refuses_points_off_the_open_quadrant(x, y):
+    # a nan coordinate used to evaluate to nan
+    f = BivariateSignomial.from_triples([(1.0, 1.0, 1.0)])
+    with pytest.raises(ValueError, match=re.escape(f"got x = {x!r}, y = {y!r}")):
+        f.evaluate(x, y)
+
+
 @pytest.mark.parametrize("a1, a2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
                                     (-1.0, -math.inf)])
 def test_constraint_rejects_non_finite(a1, a2):
@@ -146,9 +156,9 @@ def test_count_on_line_refuses_overflow_to_opposite_infinities():
 def test_balance_system_restriction_reproduces_g():
     rng = random.Random(40)
     for _ in range(50):
-        m = MassTriple(rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-4, 4))
+        m = (rng.uniform(-4, 4), rng.uniform(-4, 4), rng.uniform(-4, 4))
         b = rng.uniform(-3, 3)
-        f, c = euler_line_system(*m.as_tuple(), b)
+        f, c = euler_line_system(*m, b)
         r, dom = restrict_to_line(f, c)
         assert dom == (0.0, math.inf)
         s = rng.uniform(0.05, 20.0)
@@ -179,11 +189,11 @@ def test_count_on_line_matches_cell_counter():
     rng = random.Random(41)
     checked = 0
     while checked < 15:
-        m = MassTriple(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
+        m = (rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3))
         b = rng.uniform(-3, 0.9)
         if degenerate_family(m, b):
             continue
-        f, c = euler_line_system(*m.as_tuple(), b)
+        f, c = euler_line_system(*m, b)
         assert count_on_line(f, c).count == count_cell(m, b, 2)[0]
         checked += 1
 
