@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -355,24 +354,18 @@ def endpoint_sign_g(m, b, endpoint) -> int:
 
 # --- cells ---------------------------------------------------------------------
 
-# Above this mass magnitude the terms of g and h may overflow; count_cell then
-# divides the masses by a power of two, which changes no count.
-_RESCALE_ABOVE = 2.0 ** 512
-
 
 def _rescaled(m):
     """The float triple m divided by the power of two putting its largest |mass| in [1, 2).
 
-    Masses at or below _RESCALE_ABOVE are returned as they are. Raises
-    ValueError when the division would leave a nonzero mass subnormal or
-    zero, where it would no longer be exact.
+    Triples that differ by a factor 2^k share this normal form, and g is
+    linear in the masses, so they get the same counts and roots; the terms
+    of g and h stay in the float range. Raises ValueError when the division
+    would round a mass or flush it to zero; scaling up is always exact.
     """
-    top = max(map(abs, m))
-    if top <= _RESCALE_ABOVE:
-        return m
-    shift = 1 - math.frexp(top)[1]
+    shift = 1 - math.frexp(max(map(abs, m)))[1]
     scaled = tuple(math.ldexp(x, shift) for x in m)
-    if any(x != 0.0 and abs(y) < sys.float_info.min for x, y in zip(m, scaled)):
+    if shift < 0 and any(math.ldexp(y, -shift) != x for x, y in zip(m, scaled)):
         raise ValueError(f"masses {m} span too wide a range to be scaled down "
                          f"exactly by a power of two")
     return scaled
@@ -386,7 +379,7 @@ def cell_mass_view(m, cell):
     immaterial.
     """
     masses = _masses(m)
-    if cell not in CELLS:
+    if type(cell) is not int or cell not in CELLS:  # True == 1 and 2.0 == 2
         raise ValueError("cell must be 1, 2 or 3")
     left, middle, right = _CELL_ORDER[cell]
     return masses[left], masses[middle], masses[right]
@@ -461,9 +454,11 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     Returns (count, solutions); count is INFINITE (with no enumerable
     solutions) exactly on the degenerate families of the cell's mass view.
     With roots=False the count is the same but the roots of g are not
-    refined and solutions is []. Raises ValueError when a mass or b is NaN
-    or infinite, or tol is not in (0, 1), and when masses above 2^512 cannot
-    be scaled down by a power of two exactly (see _rescaled). Raises
+    refined and solutions is []. The masses are first divided by the power
+    of two that puts the largest |mass| in [1, 2), so scaling them by 2^k
+    changes no output bit. Raises ValueError when a mass or b is NaN or
+    infinite, cell is not the int 1, 2 or 3, tol is not in (0, 1), or that
+    division would round a mass or flush it to zero (see _rescaled). Raises
     ToleranceError naming b when the binomial coefficients of g's series
     overflow floats (|b| above a few hundred), before any work that
     depends on b's size.

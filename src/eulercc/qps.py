@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .numerics import DEFAULT_REL_TOL, RootRecord, ToleranceError, bisect_sign_change
+from .numerics import DEFAULT_REL_TOL, RootRecord, ToleranceError, bisect_sign_change, check_tol
 from .signomial import merge_sorted
 
 __all__ = [
@@ -160,10 +160,11 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint,
     Sign changes are refined on their certified bracket to relative width
     tol. The restriction passes signs without values, so every refinement
     step bisects (ITP needs values to interpolate). The count is a lower
-    bound on the number of roots. Raises ToleranceError naming the probe
-    where a power of the restriction overflows floats, or its terms overflow
-    to infinities of both signs.
+    bound on the number of roots. Raises ValueError unless tol is in (0, 1),
+    and ToleranceError naming the probe where a power of the restriction
+    overflows floats, or its terms overflow to infinities of both signs.
     """
+    check_tol(tol)
     on_line, (xlo, xhi) = restrict_to_line(f, c)
 
     def sign_at(x):

@@ -639,7 +639,7 @@ def test_cell_mass_view_permutations():
 
 
 
-@pytest.mark.parametrize("cell", [0, 4, 2.5, "2", None])
+@pytest.mark.parametrize("cell", [0, 4, 2.5, "2", None, True, 2.0])
 def test_bad_cell_is_refused(cell):
     with pytest.raises(ValueError, match="cell must be 1, 2 or 3"):
         cell_mass_view((1.0, 2.0, 3.0), cell)
@@ -849,16 +849,24 @@ def test_count_only_matches_full_counts():
 
 def test_counts_are_invariant_under_scaling_by_powers_of_two():
     # g is linear in the masses, and scaling by +/-2^k is exact in floats;
-    # above 2^512 count_cell scales the masses back down.
+    # count_cell divides every triple into the same normal form, so the
+    # counts, flags and roots agree bit for bit.
     rng = random.Random(44)
     cases = [(rand_masses(rng), rng.uniform(-5.0, 5.0)) for _ in range(200)]
     cases += [(rand_masses(rng), rng.uniform(0.8, 1.2)) for _ in range(200)]
+    factors = [sign * 2.0 ** k for k in (-700, -1, 1, 700) for sign in (1.0, -1.0)]
+    factors += [-1.0, 2.0 ** 1020]
     for m, b in cases:
-        want, _ = _counts_or_error(m, b, roots=False)
-        for k in (-700, -1, 1, 700, 1020):
-            factor = rng.choice((1.0, -1.0)) * 2.0 ** k
+        want = repr(_counts_or_error(m, b))
+        for factor in factors:
             scaled = tuple(factor * x for x in m)
-            assert _counts_or_error(scaled, b, roots=False)[0] == want, (m, b, factor)
+            assert repr(_counts_or_error(scaled, b)) == want, (m, b, factor)
+    # subnormal masses that a power of two carries exactly
+    pairs = [((0.5, 5e-324, 0.5), (1.0, 1e-323, 1.0)),
+             ((2.0 ** -1070, -3.0, 2.0 ** -1072), (2.0 ** -1069, -6.0, 2.0 ** -1071))]
+    for b in (-2.0, -0.5, 0.5, 2.5):
+        for m, doubled in pairs:
+            assert repr(_counts_or_error(m, b)) == repr(_counts_or_error(doubled, b)), (m, b)
 
 
 def test_masses_near_the_float_limit_are_rescaled():
@@ -870,10 +878,14 @@ def test_masses_near_the_float_limit_are_rescaled():
 
 
 def test_masses_that_rescaling_would_make_subnormal_are_refused():
-    with pytest.raises(ValueError, match=r"masses \(1e\+308, 1e-300, 1e\+308\)"):
-        count_cell((1e308, 1e-300, 1e308), -2.0)
+    # refused where the division would round a nonzero mass, or flush it to zero
+    for m in ((1e308, 1e-300, 1e308), (3.0, 3e-308, 5.0), (3.0, 5e-324, 3.0)):
+        with pytest.raises(ValueError, match=re.escape(f"masses {m} span too wide a range")):
+            count_cell(m, -2.0)
     # a zero mass stays exact
     assert count_cell((1e308, 0.0, 1e308), -2.0)[0] == count_cell((1.0, 0.0, 1.0), -2.0)[0]
+    # a largest |mass| in [1, 2) is not scaled, and a subnormal mass is not refused
+    assert count_all((1.0, 5e-324, 1.0), -2.0)[0] == CellCount.of(1, 1, 1)
 
 
 def test_any_three_reals_are_the_same_masses():

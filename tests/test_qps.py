@@ -153,6 +153,13 @@ def test_count_on_line_refuses_overflow_to_opposite_infinities():
                       AffineConstraint(-1.0, 1.0))
 
 
+@pytest.mark.parametrize("tol", [2.0, 0.0, -1.0, math.nan])
+def test_count_on_line_refuses_a_bad_tol(tol):
+    # tol = 2.0 used to return a root off by 7e-4 relative
+    with pytest.raises(ValueError, match="tol must be finite and positive and below 1"):
+        count_on_line(*euler_line_system(1.0, 2.0, 3.0, -2.0), tol)
+
+
 def test_balance_system_restriction_reproduces_g():
     rng = random.Random(40)
     for _ in range(50):
