@@ -22,16 +22,17 @@ classification. Every function raises ValueError naming a NaN or
 infinite m2 or b, and naming b where 2^b overflows a float (b >= 1024).
 
 The grid scanner reproduces the parameter-plane maps as CSV data and can
-cross-check every off-frontier grid point against the numeric counter.
+cross-check every off-frontier grid point against the numeric counter. It
+imports the counter (`euler`) only for a cross-check, so a map without one
+never loads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .euler import INFINITE, count_all
-from .numerics import DEFAULT_REL_TOL, check_tol
+from .numerics import DEFAULT_REL_TOL, INFINITE, check_tol
 
 __all__ = [
     "RegionClass",
@@ -48,8 +49,7 @@ __all__ = [
 SPECIAL_POINTS = ((-1.0, 0.0), (0.0, 2.0), (1.0, 3.0))
 
 
-@dataclass(frozen=True)
-class RegionClass:
+class RegionClass(NamedTuple):
     """Classification of one (m2, b) point; e3 = e1 by the exterior symmetry."""
 
     e1: float
@@ -214,16 +214,14 @@ def classify_total(m2, b) -> RegionClass:
 # --- grid scan ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridMismatch:
+class GridMismatch(NamedTuple):
     m2: float
     b: float
     expected: tuple
     got: tuple
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     m2_values: tuple[float, ...]
     b_values: tuple[float, ...]
     rows: tuple  # (m2, b, RegionClass) in row-major order (b outer, m2 inner)
@@ -287,6 +285,8 @@ def grid_scan(m2_range, b_range, resolution, cross_check=False, margin=0.05,
     check_tol(tol)
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be finite and non-negative, got {margin!r}")
+    if cross_check:
+        from .euler import count_all
     m2_values = _axis("m2", float(m2_range[0]), float(m2_range[1]), int(resolution[0]))
     b_values = _axis("b", float(b_range[0]), float(b_range[1]), int(resolution[1]))
     rows = []

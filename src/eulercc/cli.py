@@ -8,14 +8,15 @@ parse error or an output file that cannot be written, 3 tolerance failure,
 
 Each subcommand imports the library module it calls when it runs, so a
 process loads only what its subcommand needs: `signomial` and `bounds`
-never load the three-body counter, and `solve` never loads the classifier.
+never load the three-body counter, `grid` loads it only with `--check`,
+and `solve` never loads the classifier. `json` is loaded only to read
+`--terms` or to write a JSON document.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import sys
 
@@ -26,6 +27,8 @@ from .numerics import DEFAULT_REL_TOL, ToleranceError
 
 
 def _json_text(obj) -> str:
+    import json
+
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -93,6 +96,8 @@ def _resolution(text):
 
 @_expects("a JSON array of [coefficient, exponent] pairs")
 def _terms(text):
+    import json
+
     terms = json.loads(text)
     if not all(isinstance(t, list) and len(t) == 2 for t in terms):
         raise ValueError

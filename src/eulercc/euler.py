@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
 from .numerics import (
     DEFAULT_REL_TOL,
+    INFINITE,
     RootRecord,
     Tail,
     ToleranceError,
@@ -57,9 +57,6 @@ __all__ = [
     "count_all",
     "celli_identity_residual",
 ]
-
-# Cell counts are ints, or this marker for the identically-vanishing families.
-INFINITE = math.inf
 
 # The (left, middle, right) particle indices of each cell. Each entry is its
 # own inverse, so it also maps particles to their (left, middle, right) slots.
@@ -86,8 +83,7 @@ def _finite_masses(m, b):
     return m
 
 
-@dataclass(frozen=True)
-class CellCount:
+class CellCount(NamedTuple):
     """Per-cell configuration counts; INFINITE marks a degenerate family."""
 
     e1: float
@@ -105,8 +101,7 @@ class CellCount:
         return self.total != INFINITE
 
 
-@dataclass(frozen=True)
-class ConfigurationSolution:
+class ConfigurationSolution(NamedTuple):
     """One central configuration: cell, shape parameter, normalized positions.
 
     positions is (x1, x2, x3) with the cell's left/middle/right particles

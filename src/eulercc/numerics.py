@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
+
+# Cell counts are ints, or this marker for the identically-vanishing families.
+INFINITE = math.inf
 
 # Relative threshold below which the chain function at a refined root is
 # treated as zero, which flags that root degenerate.
@@ -129,8 +132,7 @@ def sum_sign(groups, zero_rel=DEGENERACY_REL):
     return _mp_tier(groups, zero_rel)[1], None
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(NamedTuple):
     """Bound on a truncated series remainder: |R(x)| <= coeff * x**exponent / (1 - ratio*x)."""
 
     coeff: float
@@ -319,8 +321,7 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
     raise ToleranceError("no probe point dominated by the leading terms")
 
 
-@dataclass(frozen=True)
-class RootRecord:
+class RootRecord(NamedTuple):
     """An isolated root: bracketing interval, refined value, degeneracy flag.
 
     For degenerate=False the function changes sign across [lo, hi], or

@@ -15,8 +15,8 @@ expressions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .numerics import DEFAULT_REL_TOL, RootRecord, ToleranceError, bisect_sign_change, check_tol
 from .signomial import merge_sorted
@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BivariateSignomial:
+class BivariateSignomial(NamedTuple):
     """sum of coeff * x**xe * y**ye terms on x > 0, y > 0."""
 
     terms: tuple[tuple[float, float, float], ...]
@@ -63,19 +62,22 @@ class BivariateSignomial:
         return math.fsum(c * x ** xe * y ** ye for c, xe, ye in self.terms)
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
-    """The line a1*x + a2*y = 1; a2 != 0 so it defines y as a function of x."""
-
+class _Line(NamedTuple):
     a1: float
     a2: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a1) and math.isfinite(self.a2)):
-            raise ValueError(f"line coefficients must be finite, got a1={self.a1!r}, "
-                             f"a2={self.a2!r}")
-        if self.a2 == 0.0:
+
+class AffineConstraint(_Line):
+    """The line a1*x + a2*y = 1; a2 != 0 so it defines y as a function of x."""
+
+    __slots__ = ()
+
+    def __new__(cls, a1, a2):
+        if not (math.isfinite(a1) and math.isfinite(a2)):
+            raise ValueError(f"line coefficients must be finite, got a1={a1!r}, a2={a2!r}")
+        if a2 == 0.0:
             raise ValueError("a2 must be nonzero")
+        return super().__new__(cls, a1, a2)
 
     def y_of(self, x):
         return (1.0 - self.a1 * x) / self.a2
@@ -120,8 +122,7 @@ def restrict_to_line(f: BivariateSignomial, c: AffineConstraint):
     return restriction, (xlo, xhi)
 
 
-@dataclass(frozen=True)
-class LineCount:
+class LineCount(NamedTuple):
     """Scan result: the sign changes found and their refined roots.
 
     The restriction of a bivariate signomial to a line is not itself a

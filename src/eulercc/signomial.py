@@ -14,9 +14,9 @@ of guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 from .numerics import (
     BOUNDARY_ZERO_REL,
@@ -50,8 +50,7 @@ class Endpoint(Enum):
     INFINITY = "inf"
 
 
-@dataclass(frozen=True)
-class Signomial:
+class Signomial(NamedTuple):
     """A normalized signomial: (coefficient, exponent) pairs with strictly
     increasing exponents and nonzero coefficients; empty means identically zero.
 

@@ -337,7 +337,7 @@ def test_verify_runs_every_criterion(capsys):
     assert out.splitlines() == [f"PASS {c.name}" for c in CRITERIA] + ["11/11 checks passed"]
 
 
-def _wrong_counts(m, b, tol=None):
+def _wrong_counts(m, b, tol=None, roots=True):
     return euler.CellCount.of(9, 9, 9), []
 
 
@@ -347,9 +347,11 @@ def test_verify_reports_failed_criteria(capsys, monkeypatch):
     assert code == 4
     failed = [line.split(":")[0][len("FAIL "):] for line in out.splitlines()
               if line.startswith("FAIL ")]
+    # the grid cross-check looks the counter up when it runs, so it sees the patch too
     assert failed == ["vortex-total-bound", "positive-masses-one-per-cell",
-                      "total-bounds-by-regime", "zero-sum-masses", "degenerate-families"]
-    assert out.splitlines()[-1] == "6/11 checks passed"
+                      "total-bounds-by-regime", "zero-sum-masses", "degenerate-families",
+                      "figure-grid-crosscheck"]
+    assert out.splitlines()[-1] == "5/11 checks passed"
 
 
 def _python(*args):
@@ -375,22 +377,30 @@ def test_verify_fails_under_optimize():
 _MODULES = {"acceptance", "classifier", "cli", "euler", "numerics", "qps", "signomial"}
 
 
-@pytest.mark.parametrize("argv, not_loaded", [
-    (None, _MODULES),
-    (["signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]"], {"euler", "classifier", "qps"}),
-    (["solve", "-m", "1,1,1", "-b", "-2"], {"classifier", "qps"}),
-    (["bounds", "straight", "-n", "6"], {"euler", "classifier"}),
-    (["bounds", "khovanskii", "-d", "1,2", "-k", "4"], {"euler", "classifier"}),
+_GRID = ["grid", "--m2", "-4:2", "--b", "-4:4", "-n", "20x20"]
+
+
+@pytest.mark.parametrize("argv, not_loaded, loaded_too", [
+    (None, _MODULES, set()),
+    (["signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]"], {"euler", "classifier", "qps"}, set()),
+    (["solve", "-m", "1,1,1", "-b", "-2"], {"classifier", "qps"}, set()),
+    (["bounds", "straight", "-n", "6"], {"euler", "classifier"}, set()),
+    (["bounds", "khovanskii", "-d", "1,2", "-k", "4"], {"euler", "classifier"}, set()),
+    (_GRID, {"euler", "signomial", "qps"}, {"classifier"}),
+    (["grid", "--m2", "-4:2", "--b", "-4:4", "-n", "3x3", "--check"], {"qps"}, {"euler"}),
 ])
-def test_each_subcommand_loads_only_its_modules(argv, not_loaded):
+def test_each_subcommand_loads_only_its_modules(argv, not_loaded, loaded_too):
     # argv None: a bare `import eulercc`
     call = "" if argv is None else ("from eulercc import cli\n"
                                     "with contextlib.redirect_stdout(io.StringIO()):\n"
                                     f"    assert cli.main({argv!r}) == 0\n")
     script = ("import contextlib, io, sys\n"
               "import eulercc\n" + call +
-              "print(*(m for m in sys.modules if m.startswith('eulercc.')))\n")
+              "print(*(m for m in sys.modules if m.startswith('eulercc.') or m == 'dataclasses'))\n")
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     loaded = {name.removeprefix("eulercc.") for name in proc.stdout.split()}
     assert not loaded & not_loaded, loaded
+    assert loaded_too <= loaded, loaded
+    # every result record is a NamedTuple, so no subcommand builds dataclasses
+    assert "dataclasses" not in loaded, loaded

@@ -800,6 +800,15 @@ def test_affine_branch_matches_the_per_plane_reference():
 def test_count_all_examples():
     counts, _ = count_all((1, 1, 1), -2.0)
     assert (counts.e1, counts.e2, counts.e3, counts.total) == (1, 1, 1, 3)
+    # the repr is part of the output digest
+    assert repr(count_all((1, 1, 1), -2.0)) == (
+        "(CellCount(e1=1, e2=1, e3=1, total=3), ["
+        "ConfigurationSolution(cell=1, s=1.0, positions=(1.0, 0.0, 2.0), degenerate=False), "
+        "ConfigurationSolution(cell=2, s=1.0, positions=(0.0, 1.0, 2.0), degenerate=False), "
+        "ConfigurationSolution(cell=3, s=1.0, positions=(0.0, 2.0, 1.0), degenerate=False)])")
+    # records are immutable
+    with pytest.raises(AttributeError):
+        counts.total = 4
     counts, sols = count_all((0, -1, 1), -2.0)
     assert counts.total == 0 and sols == []
     counts, _ = count_all((1, -0.9, 1), 0.5)

@@ -46,8 +46,14 @@ def test_bounds_monotone(n, d1, d2, k):
 
 
 def test_constraint_rejects_zero_a2():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a2 must be nonzero"):
         AffineConstraint(1.0, 0.0)
+    with pytest.raises(ValueError, match="a2 must be nonzero"):
+        AffineConstraint(a1=1.0, a2=-0.0)
+    c = AffineConstraint(a1=-1.0, a2=1.0)
+    assert repr(c) == "AffineConstraint(a1=-1.0, a2=1.0)"
+    with pytest.raises(AttributeError):
+        c.a2 = 0.0
 
 
 def test_restrict_product_to_segment():

@@ -46,6 +46,12 @@ def shifted(p: Signomial, pivot: float = 0.0) -> Signomial:
 
 def test_normalize_merges_equal_exponents():
     assert pairs(normalize([(1, 2), (3, 2)])) == [(4.0, 2.0)]
+    # len is the term count, not the number of record fields
+    assert len(normalize([(1, 2), (3, 2)])) == 1
+    assert len(normalize([(1, 0.5), (-3, 1), (1, 2)])) == 3
+    assert len(normalize([])) == 0
+    with pytest.raises(AttributeError):
+        normalize([(1, 2)]).pairs = ()
 
 
 def test_normalize_cancellation_gives_zero():
