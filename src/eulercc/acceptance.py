@@ -4,15 +4,20 @@ CRITERIA lists the eleven criteria as (number, name, description, fn,
 verify_draws). Each fn draws from its own seeded generator (seeds 101-111)
 and takes its draw count, so a smaller count runs a prefix of the default
 draws; `eulercc verify` runs verify_draws of them, and the test suite runs
-them at the default counts with numpy oracles in place of the stdlib defaults below. A
-criterion fails by raising AssertionError naming the input, never by a
-bare assert, so it also fails under `python -O`.
+them at the default counts, criterion 10 with a denser numpy scan in place
+of log_scan_count. At integer b, s^k (1+s)^k g(s) is a polynomial with
+exact rational coefficients (g_polynomial), whose distinct positive roots
+Sturm's theorem counts exactly (positive_root_count); criteria 1 and 7
+check the counter and g against it. A criterion fails by raising
+AssertionError naming the input, never by a bare assert, so it also fails
+under `python -O`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import classifier, euler, qps, signomial
@@ -22,19 +27,58 @@ from .euler import INFINITE
 # --- plain formulas and stdlib oracles ------------------------------------------
 
 
-def quintic_coeffs(m1, m2, m3):
-    """Coefficients (s^0..s^5) of (1+s)^2 s^2 g(s) at b = -2."""
-    return [m2 + m3, 2 * m2 + 3 * m3, m2 + 3 * m3,
-            -(3 * m1 + m2), -(3 * m1 + 2 * m2), -(m1 + m2)]
+def g_polynomial(m, b):
+    """Exact coefficients (s^0 first, the last nonzero) of s^k (1+s)^k g(s), k = max(0, -b).
+
+    g's six terms c s^i (1+s)^j are expanded over Fraction, so float masses
+    give exact coefficients; g vanishing identically gives [].
+    """
+    if b != int(b):
+        raise ValueError(f"g is a polynomial only at integer b, got {b!r}")
+    b = int(b)
+    k = max(0, -b)
+    m1, m2, m3 = map(Fraction, m)
+    coeffs = [Fraction(0)] * (2 * k + abs(b) + 3)
+    for c, i, j in ((m2 + m3, b, 0), (m1 + m3, 0, b), (m3, b + 1, 0),
+                    (-m3, 0, b + 1), (-m1, 0, 1), (-m2, 1, 0)):
+        for t in range(j + k + 1):
+            coeffs[i + k + t] += c * math.comb(j + k, t)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
-def cubic_coeffs(m1, m2, m3):
-    """Coefficients (s^0..s^3) of (1+s) s g(s) at b = -1."""
-    return [m2 + m3, m2 + 2 * m3, -(2 * m1 + m2), -(m1 + m2)]
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def positive_root_count(p):
+    """The number of distinct positive roots of p (s^0 first, the last coefficient nonzero).
+
+    Sturm's theorem, exact for int, float or Fraction coefficients: with s's
+    factors dropped, the sign changes of p, p', -rem(p, p'), ... at 0 minus those at +inf.
+    """
+    p = [Fraction(c) for c in p]
+    if not p or not p[-1]:
+        raise ValueError(f"the last coefficient must be nonzero, got {p}")
+    while not p[0]:
+        p.pop(0)
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        r, q = list(chain[-2]), chain[-1]
+        while len(r) >= len(q):
+            f = r.pop() / q[-1]
+            for i, c in enumerate(q[:-1], len(r) + 1 - len(q)):
+                r[i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+        chain.append([-c / abs(r[-1]) for c in r])  # a positive divisor keeps the signs
+    return _sign_changes(q[0] for q in chain[:-1]) - _sign_changes(q[-1] for q in chain[:-1])
 
 
 def horner(coeffs, s):
-    acc = 0.0
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * s + c
     return acc
@@ -44,26 +88,11 @@ def diff2(f, x, h):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
 
 
-def one_positive_root(coeffs):
-    """[x]: the positive root of a polynomial whose coefficients change sign once.
-
-    Descartes' rule gives exactly one positive root, and it lies below
-    Cauchy's bound 1 + max |c_k / c_n|; bisection runs to float resolution.
-    """
-    lo, hi = 0.0, 1.0 + max(abs(c / coeffs[-1]) for c in coeffs)
-    mid = 0.5 * hi
-    while lo < mid < hi and (v := horner(coeffs, mid)) != 0.0:
-        lo, hi = (mid, hi) if (v > 0.0) == (coeffs[0] > 0.0) else (lo, mid)
-        mid = 0.5 * (lo + hi)
-    return [mid]
-
-
 def log_scan_count(pairs):
     """Sign changes of sum(c x^e) over 20,001 log-spaced x in [1e-6, 1e6]."""
     xs = [10.0 ** (-6.0 + 12.0 * i / 20000) for i in range(20001)]
     columns = [[c * x ** e for x in xs] for c, e in pairs]
-    signs = [s for s in (math.fsum(v) for v in zip(*columns)) if s != 0.0]
-    return sum((a > 0.0) != (b > 0.0) for a, b in zip(signs, signs[1:]))
+    return _sign_changes(math.fsum(v) for v in zip(*columns))
 
 
 # --- draws and registration ---------------------------------------------------------
@@ -114,21 +143,22 @@ def _criterion(name, description, verify_draws=None):
 # --- the criteria -------------------------------------------------------------------
 
 
-@_criterion("classic-uniqueness", "positive masses at b=-2: one sign variation, one root, "
-                                  "root matches the quintic to 1e-9 relative", 50)
-def classic_uniqueness(draws=200, positive_roots=one_positive_root):
+@_criterion("classic-uniqueness", "positive masses at b=-2: one sign variation, one root, and "
+                                  "an exact sign change of the quintic across it to 1e-9", 50)
+def classic_uniqueness(draws=200):
     rng = random.Random(101)
     for _ in range(draws):
         m = _triple(rng, 0.1, 10.0)
-        coeffs = quintic_coeffs(*m)
-        sv = signomial.sign_variations(signomial.normalize([(c, k) for k, c in enumerate(coeffs)]))
+        p = g_polynomial(m, -2)
+        sv = signomial.sign_variations(signomial.normalize([(c, k) for k, c in enumerate(p)]))
         _require(sv == 1, f"{m}: the quintic has {sv} sign variations")
         n, sols = euler.count_cell(m, -2.0, 2)
         _require(n == 1, f"{m}: {n} roots in the middle cell at b=-2")
-        roots = positive_roots(coeffs)
-        _require(len(roots) == 1, f"{m}: the oracle finds {len(roots)} positive roots")
-        _require(abs(sols[0].s - roots[0]) <= 1e-9 * roots[0], f"{m}: root {sols[0].s!r}, "
-                                                               f"quintic root {roots[0]!r}")
+        roots = positive_root_count(p)
+        _require(roots == 1, f"{m}: the quintic has {roots} positive roots")
+        s = Fraction(sols[0].s)
+        _require(horner(p, s * (1 - Fraction(1e-9))) * horner(p, s * (1 + Fraction(1e-9))) < 0,
+                 f"{m}: the quintic does not change sign across root {sols[0].s!r}")
 
 
 @_criterion("vortex-total-bound", "b=-1, 1000 real mass triples: total count <= 3", 100)
@@ -193,8 +223,8 @@ def expansion_equivalences(draws=100):
     for _ in range(draws):
         m = _triple(rng, -5.0, 5.0)
         s = rng.uniform(0.05, 8.0)
-        for b, k, coeffs in ((-2.0, 2, quintic_coeffs(*m)),
-                             (-1.0, 1, cubic_coeffs(*m))):
+        for b, k in ((-2.0, 2), (-1.0, 1)):
+            coeffs = [float(c) for c in g_polynomial(m, b)]
             scale = sum(abs(c) * s ** j for j, c in enumerate(coeffs))
             err = abs((1 + s) ** k * s ** k * euler.eval_g(m, b, s) - horner(coeffs, s))
             _require(err <= 1e-9 * max(scale, 1e-9), f"{m}, b={b}, s={s!r}: error {err!r}")

@@ -1,10 +1,12 @@
 """Independent oracles for the test suite.
 
 Everything here deliberately avoids the library's own counting machinery:
-dense sign scans over numpy grids, numpy eigenvalue root-finding for the
-polynomial specializations, finite differences for derivatives, and the
+dense sign scans over numpy grids, finite differences for derivatives, the
 full-line balance function with absolute values for the cell
-reparameterization checks.
+reparameterization checks, and masses on the fold curve, where g has a
+double root. The exact polynomial oracle at integer b lives in
+eulercc.acceptance (g_polynomial, positive_root_count), since `eulercc
+verify` runs it too.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
-from eulercc.acceptance import horner
+from eulercc.euler import abc_terms
 
 LOG10 = math.log(10.0)
 
@@ -32,30 +33,6 @@ def signomial_scan_count(pairs, logx=None):
     signs = np.sign(vals)
     nonzero = signs[signs != 0.0]
     return int(np.sum(nonzero[1:] != nonzero[:-1]))
-
-
-def positive_roots_of_poly(coeffs_ascending):
-    """Distinct positive real roots via numpy eigenvalues + brentq polish."""
-    co = np.array(coeffs_ascending[::-1], dtype=float)
-    co = np.trim_zeros(co, "f")
-    roots = np.roots(co)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-7 * max(1.0, abs(r.real)) or r.real <= 0.0:
-            continue
-        x = r.real
-        lo, hi = x * (1 - 1e-4), x * (1 + 1e-4)
-        f = lambda t: horner(coeffs_ascending, t)
-        if f(lo) * f(hi) < 0:
-            x = brentq(f, lo, hi, xtol=1e-300, rtol=1e-15)
-        out.append(x)
-    out.sort()
-    # collapse near-duplicates
-    dedup = []
-    for x in out:
-        if not dedup or x - dedup[-1] > 1e-9 * x:
-            dedup.append(x)
-    return dedup
 
 
 def full_line_g(m1, m2, m3, b, s):
@@ -92,3 +69,18 @@ def cell_scan_counts(m1, m2, m3, b, n=400_001):
 
 def diff1(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def fold_masses(b, s, eps=0.0):
+    """Masses m = A x A' whose g has a double root at s, moved by eps*A/|A|.
+
+    g = m . A(s) with A = abc_terms(b, s), so m makes g(s) and g'(s) both
+    zero; the move sets g(s) = eps*|A(s)|.
+    """
+    u = 1.0 + s
+    a = abc_terms(b, s)
+    da = (b * u ** (b - 1.0) - 1.0, b * s ** (b - 1.0) - 1.0,
+          b * s ** (b - 1.0) * u + s ** b - u ** b - b * s * u ** (b - 1.0))
+    m = (a[1] * da[2] - a[2] * da[1], a[2] * da[0] - a[0] * da[2], a[0] * da[1] - a[1] * da[0])
+    norm_m, norm_a = math.hypot(*m), math.hypot(*a)
+    return tuple(x / norm_m + eps * y / norm_a for x, y in zip(m, a))

@@ -4,12 +4,13 @@ import random
 import re
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
-from eulercc.acceptance import cubic_coeffs, diff2, horner, quintic_coeffs
+from eulercc.acceptance import diff2, g_polynomial, horner
 from eulercc.euler import (
     CELLS,
     INFINITE,
@@ -140,12 +141,20 @@ def test_polynomial_specializations():
     for _ in range(100):
         m = rand_masses(rng, 5.0)
         s = rng.uniform(0.05, 8.0)
-        q = horner(quintic_coeffs(*m), s)
-        scale = sum(abs(c) * s ** k for k, c in enumerate(quintic_coeffs(*m)))
-        assert abs((1 + s) ** 2 * s ** 2 * eval_g(m, -2.0, s) - q) <= 1e-9 * max(scale, 1e-9)
-        cu = horner(cubic_coeffs(*m), s)
-        scale = sum(abs(c) * s ** k for k, c in enumerate(cubic_coeffs(*m)))
-        assert abs((1 + s) * s * eval_g(m, -1.0, s) - cu) <= 1e-9 * max(scale, 1e-9)
+        m1, m2, m3 = m
+        for b in range(-6, 7):
+            k = max(0, -b)
+            # the size of g's terms, which bounds eval_g's rounding, also at
+            # b = 1, where g cancels to 0 and the polynomial is []
+            terms = (abs(m2 + m3) * s ** b + abs(m1 + m3) * (1 + s) ** b + abs(m1) * (1 + s)
+                     + abs(m3) * (s ** (b + 1) + (1 + s) ** (b + 1)) + abs(m2) * s)
+            err = abs((1 + s) ** k * s ** k * eval_g(m, b, s) - horner(g_polynomial(m, b), s))
+            assert err <= 1e-9 * (1 + s) ** k * s ** k * terms, (m, b, s)
+        # the paper's Euler quintic (b = -2) and vortex cubic (b = -1)
+        f1, f2, f3 = map(Fraction, m)
+        assert g_polynomial(m, -2) == [f2 + f3, 2 * f2 + 3 * f3, f2 + 3 * f3,
+                                       -(3 * f1 + f2), -(3 * f1 + 2 * f2), -(f1 + f2)]
+        assert g_polynomial(m, -1) == [f2 + f3, f2 + 2 * f3, -(2 * f1 + f2), -(f1 + f2)]
 
 
 # --- g' ----------------------------------------------------------------------------
