@@ -3,15 +3,16 @@
 Everything here deliberately avoids the library's own counting machinery:
 dense sign scans over numpy grids, finite differences for derivatives, the
 full-line balance function with absolute values for the cell
-reparameterization checks, and masses on the fold curve, where g has a
-double root. The exact polynomial oracle at integer b lives in
-eulercc.acceptance (g_polynomial, positive_root_count), since `eulercc
-verify` runs it too.
+reparameterization checks, Sturm's count of a polynomial's positive roots,
+and masses near the fold curve, where g has a double root. The exact
+coefficients at integer b come from eulercc.acceptance.g_polynomial, since
+`eulercc verify` uses them too.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,11 +72,43 @@ def diff1(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def fold_masses(b, s, eps=0.0):
-    """Masses m = A x A' whose g has a double root at s, moved by eps*A/|A|.
+def positive_root_count(p):
+    """The number of distinct positive roots of p (s^0 first, the last coefficient nonzero).
 
-    g = m . A(s) with A = abc_terms(b, s), so m makes g(s) and g'(s) both
-    zero; the move sets g(s) = eps*|A(s)|.
+    Sturm's theorem, exact for int, float or Fraction coefficients: with s's
+    factors dropped, the sign changes of p, p', -rem(p, p'), ... at 0 minus those at +inf.
+    """
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+    p = [Fraction(c) for c in p]
+    if not p or not p[-1]:
+        raise ValueError(f"the last coefficient must be nonzero, got {p}")
+    while not p[0]:
+        p.pop(0)
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        r, q = list(chain[-2]), chain[-1]
+        while len(r) >= len(q):
+            f = r.pop() / q[-1]
+            for i, c in enumerate(q[:-1], len(r) + 1 - len(q)):
+                r[i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+        chain.append([-c / abs(r[-1]) for c in r])  # a positive divisor keeps the signs
+    return sign_changes(q[0] for q in chain[:-1]) - sign_changes(q[-1] for q in chain[:-1])
+
+
+def fold_masses(b, s, eps=0.0):
+    """Unit masses m = A x A' near the fold at s, moved by eps*A/|A|.
+
+    g = m . A(s) with A = abc_terms(b, s), so in exact arithmetic m makes
+    g(s) and g'(s) both zero and the move sets g(s) = eps*|A(s)|. In floats
+    both hold only up to the rounding of A, A' and the cross product: at
+    small eps that rounding can exceed eps*|A(s)|, so the two signs of eps
+    need not fall on the two sides of the fold, and at large eps the move is
+    not local. Callers use these as near-fold draws checked against the
+    exact count, not as a guaranteed split of a double root.
     """
     u = 1.0 + s
     a = abc_terms(b, s)
