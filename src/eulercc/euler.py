@@ -33,12 +33,14 @@ from typing import NamedTuple
 from .numerics import (
     DEFAULT_REL_TOL,
     INFINITE,
+    LOG_SAFE,
     RootRecord,
     Tail,
     ToleranceError,
     certified_sign_near_zero,
     check_tol,
     isolate_between,
+    sum_sign,
     sum_value,
 )
 from .signomial import Endpoint, Signomial, count_and_isolate, merge_sorted, normalize
@@ -130,21 +132,86 @@ def abc_terms(b, s):
     return a, bb, c
 
 
+def _g_pairs(m, b):
+    """The (c, e) pairs of g on the bases s and 1 + s."""
+    m1, m2, m3 = m
+    return ((m2 + m3, b), (m3, b + 1.0), (-m2, 1.0)), ((m1 + m3, b), (-m3, b + 1.0), (-m1, 1.0))
+
+
+def _gp_pairs(m, b):
+    """The (c, e) pairs of g' on the bases s and 1 + s, and its constant term."""
+    m1, m2, m3 = m
+    return (((b * (m2 + m3), b - 1.0), ((b + 1.0) * m3, b)),
+            ((b * (m1 + m3), b - 1.0), (-(b + 1.0) * m3, b)),
+            -(m1 + m2))
+
+
 def _g_groups(m, b):
     """s -> the (pairs, base) groups of g at s; the pairs are built once."""
-    m1, m2, m3 = m
-    on_s = ((m2 + m3, b), (m3, b + 1.0), (-m2, 1.0))
-    on_u = ((m1 + m3, b), (-m3, b + 1.0), (-m1, 1.0))
+    on_s, on_u = _g_pairs(m, b)
     return lambda s: ((on_s, s), (on_u, 1.0 + s))
 
 
 def _gp_groups(m, b):
     """s -> the (pairs, base) groups of g' at s; the pairs are built once."""
-    m1, m2, m3 = m
-    on_s = ((b * (m2 + m3), b - 1.0), ((b + 1.0) * m3, b))
-    on_u = ((b * (m1 + m3), b - 1.0), (-(b + 1.0) * m3, b))
-    constant = ((-(m1 + m2), 0.0),)
+    on_s, on_u, c0 = _gp_pairs(m, b)
+    constant = ((c0, 0.0),)
     return lambda s: ((on_s, s), (on_u, 1.0 + s), (constant, 1.0))
+
+
+# The per-cell evaluators below compute the terms c * base**e of g and g'
+# themselves and hand them to sum_sign, which decides the sign on them as
+# its first tier does on the groups: the same terms in the same order, with
+# the zero coefficients' terms left in, which change neither correctly
+# rounded fsum; the constant term of g', c * 1**0, is c. They do so only
+# where every |e * log(base)| is safely below LOG_SAFE (_safe_range), so
+# the first tier computes them too; elsewhere sum_sign gets the groups
+# alone and picks its tier itself.
+
+
+def _safe_range(top):
+    """(lo, hi): for lo < s < hi, |e * log(base)| < LOG_SAFE on the bases s and 1 + s.
+
+    That holds for every |e| <= top, top > 0, with a relative margin of
+    2**-20 for the rounding of the logs and of 1 + s.
+    """
+    lim = LOG_SAFE / top * (1.0 - 2.0 ** -20)
+    return math.exp(-lim), (math.exp(lim) - 1.0 if lim < 709.0 else math.inf)
+
+
+def _g_sign(m, b):
+    """(s, zero_rel) -> sum_sign(_g_groups(m, b)(s), zero_rel), the six terms computed here."""
+    on_s, on_u = _g_pairs(m, b)
+    ((c1, e1), (c2, e2), (c3, e3)), ((d1, f1), (d2, f2), (d3, f3)) = on_s, on_u
+    lo, hi = _safe_range(max(map(abs, (e1, e2, e3, f1, f2, f3))))
+
+    def sign(s, zero_rel):
+        u = 1.0 + s
+        groups = ((on_s, s), (on_u, u))
+        if lo < s < hi:
+            return sum_sign(groups, zero_rel, [c1 * s ** e1, c2 * s ** e2, c3 * s ** e3,
+                                               d1 * u ** f1, d2 * u ** f2, d3 * u ** f3])
+        return sum_sign(groups, zero_rel)
+
+    return sign
+
+
+def _gp_sign(m, b):
+    """(s, zero_rel) -> sum_sign(_gp_groups(m, b)(s), zero_rel), the five terms computed here."""
+    on_s, on_u, c0 = _gp_pairs(m, b)
+    ((c1, e1), (c2, e2)), ((d1, f1), (d2, f2)) = on_s, on_u
+    constant = ((c0, 0.0),)
+    lo, hi = _safe_range(max(map(abs, (e1, e2, f1, f2))))
+
+    def sign(s, zero_rel):
+        u = 1.0 + s
+        groups = ((on_s, s), (on_u, u), (constant, 1.0))
+        if lo < s < hi:
+            return sum_sign(groups, zero_rel, [c1 * s ** e1, c2 * s ** e2,
+                                               d1 * u ** f1, d2 * u ** f2, c0])
+        return sum_sign(groups, zero_rel)
+
+    return sign
 
 
 def eval_g(m, b, s) -> float:
@@ -423,19 +490,19 @@ def _cell_roots(mv, b, h, tol, refine=True):
         curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
     zero = _zero_series_g(mv, b)
     inf = _reflect(_zero_series_g(mv[::-1], b), b)
-    gp = _gp_groups(mv, b)
+    gp = _gp_sign(mv, b)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints.
     gp_roots = isolate_between(
         gp,
-        lambda s: ((h.pairs, s / (1.0 + s)),),
+        lambda s, z: sum_sign(((h.pairs, s / (1.0 + s)),), z),
         _anchor(_derivative(zero, Endpoint.ZERO_PLUS), Endpoint.ZERO_PLUS, "g'", b),
         _anchor(_derivative(inf, Endpoint.INFINITY), Endpoint.INFINITY, "g'", b),
         curvature_breaks, tol,
     )
     # Stage 3: g is strictly monotone between g' roots.
     return isolate_between(
-        _g_groups(mv, b),
+        _g_sign(mv, b),
         gp,
         _anchor(zero, Endpoint.ZERO_PLUS, "g", b),
         _anchor(inf, Endpoint.INFINITY, "g", b),

@@ -6,9 +6,9 @@ the functions handled here mix wildly different exponents, so absolute
 thresholds are meaningless.
 
 Roots are refined on a certified bracket, which moves only on a certified
-sign. ITP steps (interpolate, truncate, project) find the sign change in
-few evaluations; the root reported is still the one bisection reports,
-except after an ITP step that reads an exact zero (see bisect_sign_change).
+sign. Interpolation steps find the sign change in few evaluations; the root
+reported is still the one plain bisection reports, bit for bit (see
+bisect_sign_change).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def check_tol(tol):
 
 # |exponent * log(base)| beyond which float powers may overflow and the
 # mpmath tier is used instead.
-_LOG_SAFE = 660.0
+LOG_SAFE = 660.0
 
 _MP_DPS = 60
 
@@ -58,27 +58,29 @@ class ToleranceError(RuntimeError):
     """A sign could not be certified within the configured evaluation precision."""
 
 
-def _fsum_tier(groups):
+def _fsum_tier(groups, terms=None):
     """(value, scale): the fsum of the terms and of their magnitudes, in floats.
 
     groups are (pairs, base) with the (c, e) pairs on one base listed once,
-    so each base takes one log per point. scale is inf when it overflowed;
-    both are inf when the value's fsum fails or a power may overflow.
+    so each base takes one log per point; terms, when given, are their terms
+    already computed (see sum_sign). scale is inf when it overflowed; both
+    are inf when the value's fsum fails or a power may overflow.
     """
-    vals = []
-    for pairs, base in groups:
-        log_base = math.log(base)
-        for c, e in pairs:
-            if c != 0.0:
-                if abs(e * log_base) > _LOG_SAFE:
-                    return math.inf, math.inf
-                vals.append(c * base ** e)
+    if terms is None:
+        terms = []
+        for pairs, base in groups:
+            log_base = math.log(base)
+            for c, e in pairs:
+                if c != 0.0:
+                    if abs(e * log_base) > LOG_SAFE:
+                        return math.inf, math.inf
+                    terms.append(c * base ** e)
     try:
-        value = math.fsum(vals)
+        value = math.fsum(terms)
     except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
         return math.inf, math.inf
     try:
-        scale = math.fsum(map(abs, vals))
+        scale = math.fsum(map(abs, terms))
     except OverflowError:
         scale = math.inf
     return value, scale
@@ -111,7 +113,7 @@ def sum_value(groups):
     return _mp_tier(groups, 0.0)[0]
 
 
-def sum_sign(groups, zero_rel=DEGENERACY_REL):
+def sum_sign(groups, zero_rel=DEGENERACY_REL, terms=None):
     """(sign, value) of sum(c * base**e); the sign is 0 below zero_rel * scale.
 
     groups are (pairs, base) as for sum_value; sign is in {-1, 0, 1}; scale
@@ -121,8 +123,14 @@ def sum_sign(groups, zero_rel=DEGENERACY_REL):
     that decided the sign, or None when mpmath decided it or the fsum is
     within rounding noise of the terms. groups is read again when the first
     tier refuses.
+
+    terms, when given, are the float terms c * base**e of groups that the
+    caller computed itself, in their order, after checking that no
+    |e * log(base)| exceeds LOG_SAFE; they may include the terms of zero
+    coefficients, which change neither correctly rounded sum. The first tier
+    then sums them instead of computing its own.
     """
-    value, scale = _fsum_tier(groups)
+    value, scale = _fsum_tier(groups, terms)
     if math.isfinite(scale):
         if abs(value) <= zero_rel * scale:
             sign = 0
@@ -340,108 +348,179 @@ class RootRecord(NamedTuple):
     degenerate: bool
 
 
-# ITP constants (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation by
-# k1 * w**2 with k1 = _ITP_K1 / w0 (w the bracket width, w0 its width when
-# ITP began; k2 = 2), and _ITP_N0 steps of slack over bisection.
-_ITP_K1 = 0.2
+# The interpolation steps truncate and project as ITP does (Oliveira &
+# Takahashi, ACM TOMS 47(1), 2020). The interpolated point moves toward the
+# midpoint by w0 * (w / w0)**_ITP_K2, w the bracket width and w0 its width
+# when the steps began, so the bracket closes from both sides. The
+# projection is the halving safeguard: after k steps the bracket is at most
+# 2**(_ITP_N0 - k) * w0 wide, _ITP_N0 steps of slack over bisection.
+_ITP_K2 = 2.5
 _ITP_N0 = 1
-# Trial points keep _END_GUARD * rel_tol * hi from both bracket ends, so a
-# step landing beside the root cannot collapse the ITP bracket into the
-# rounding noise around it (which would make the replay evaluate every
-# midpoint).
+# Trial points move _END_GUARD * rel_tol * hi toward the midpoint and keep
+# that far from both bracket ends: a step that would land on the root lands
+# just past it, the next one just before it, and the bracket closes on two
+# points with a value instead of one inside the rounding noise.
 _END_GUARD = 0.25
-# Iteration budget of the bisection walk, and of the ITP steps inside it.
+# Growth of the outward steps that close a bracket around rounding noise.
+_OUTWARD = 8.0
+# Iteration budget of the interpolation steps.
 _MAX_ITER = 3000
 
 
-def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol):
-    """ITP steps on [lo, hi], hi <= 8 * lo: a bracket (l, h) of the sign change.
+def _interpolate(nodes, lo, hi):
+    """The zero of the inverse quadratic through the last three nodes, or else
+    of the secant through the last two, when it lies in (lo, hi); else None.
 
-    l has sign sign_lo and h the other sign, or l = h at an exact zero.
-    Usually (l, h) is the final ITP bracket, h - l <= rel_tol * h. When
-    interpolation was used and both of its ends came back without a value,
-    that bracket sits inside rounding noise, where float signs need not be
-    monotone, so its ends say nothing about the signs of points outside it;
-    (l, h) are then the latest points with a value on each side, which lie
-    outside the noise and still bracket the sign change.
+    nodes are the (x, value) points read with a value, oldest first. The
+    inverse quadratic is x as a quadratic in the value (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4), in Newton's divided
+    differences, whose first term is the secant. An interpolant whose
+    values repeat, or whose zero is not finite or falls outside the bracket,
+    is passed over.
     """
-    node_lo = node_hi = None  # latest (x, value) with a value on each side
-    interpolated = False
+    n = len(nodes)
+    if n < 2:
+        return None
+    x1, y1 = nodes[-2]
+    x2, y2 = nodes[-1]
+    if y1 == y2:
+        return None
+    d12 = (x2 - x1) / (y2 - y1)
+    if n > 2:
+        x0, y0 = nodes[-3]
+        if y0 != y1 and y0 != y2:
+            d01 = (x1 - x0) / (y1 - y0)
+            x = x2 - d12 * y2 + (d12 - d01) / (y2 - y0) * y2 * y1
+            if lo < x < hi:
+                return x
+    x = x2 - d12 * y2
+    return x if lo < x < hi else None
+
+
+def _valued_ends(eval_fn, x, lo, hi, sign_lo, rel_tol):
+    """(l, h): the nearest points on either side of x with a value and that side's sign.
+
+    x, inside (lo, hi), read an exact zero or a value inside the rounding
+    noise. From x the steps go outward, rel_tol * hi first and _OUTWARD
+    times farther at each step, to the first point with a value and the sign
+    of its side; on a side where the next step would reach lo (hi), the
+    bound is lo (hi), the latest point that bounds the walk there.
+    """
+    ends = []
+    for end, side, sign in ((lo, -1.0, sign_lo), (hi, 1.0, -sign_lo)):
+        d = rel_tol * hi
+        while lo < (y := x + side * d) < hi:
+            s, v = eval_fn(y)
+            if s == sign and v is not None:
+                end = y
+                break
+            d *= _OUTWARD
+        ends.append(end)
+    return tuple(ends)
+
+
+def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, nodes):
+    """Interpolation steps on [lo, hi], hi <= 8 * lo: bounds (l, h) of the sign change.
+
+    nodes are the (x, value) points read with a value so far, oldest first;
+    the steps append theirs. Each step evaluates the zero that _interpolate
+    finds, truncated toward the midpoint, projected onto the halving
+    safeguard and kept off the ends (_ITP_K2, _ITP_N0, _END_GUARD), or the
+    midpoint when there is none; a point's sign moves the bracket.
+
+    Only points that order the signs bound the walk: points with a value
+    (outside the 2**-48 rounding noise, where a monotone function's float
+    sign is its true sign), the ends the steps began from, and, while every
+    step so far was the midpoint, bisection's own path points. An exact zero
+    or a value inside the noise at an interpolated point bounds nothing:
+    the steps stop there, and (l, h) are the nearest points with a value
+    around it (_valued_ends). Otherwise (l, h) is the converged bracket,
+    h - l <= rel_tol * h or no float between; or l == h, an exact zero on
+    bisection's own path, which is bisection's answer.
+    """
     w0 = hi - lo
-    for step in range(_MAX_ITER):
-        width = hi - lo
-        x = 0.5 * (lo + hi)
-        if width <= rel_tol * hi or not (lo < x < hi):
-            break  # converged, or the bracket exhausted float resolution
-        if node_lo is not None and node_hi is not None:
-            (xa, ya), (xb, yb) = node_lo, node_hi
-            xf = xa + (xb - xa) * (ya / (ya - yb))
-            d = x - xf
-            xt = xf + math.copysign(min(_ITP_K1 * width * width / w0, abs(d)), d)
-            # After k steps the bracket is at most 2**(_ITP_N0 - k) * w0 wide.
-            r = max(math.ldexp(w0, _ITP_N0 - 1 - step) - 0.5 * width, 0.0)
-            if abs(xt - x) > r:
-                xt = x - math.copysign(r, d)
+    reach = math.ldexp(w0, _ITP_N0 - 1)  # the safeguard: |x - mid| <= reach - w / 2
+    on_path = True  # every step so far was bisection's own midpoint
+    for _ in range(_MAX_ITER):
+        w = hi - lo
+        mid = 0.5 * (lo + hi)
+        if w <= rel_tol * hi or not lo < mid < hi:
+            return lo, hi
+        x = _interpolate(nodes, lo, hi)
+        if x is None:
+            x = mid
+        else:
+            # truncated toward the midpoint, projected, kept off the ends: the
+            # distance from the midpoint that is left, on the same side
             guard = _END_GUARD * rel_tol * hi
-            xt = min(max(xt, lo + guard), hi - guard)
-            if lo < xt < hi:
-                x = xt
-                interpolated = True
+            d = min(abs(x - mid) - max(guard, w0 * (w / w0) ** _ITP_K2),
+                    reach - 0.5 * w, 0.5 * w - guard)
+            x = (mid + d if x > mid else mid - d) if d > 0.0 else mid
+        reach *= 0.5
+        on_path = on_path and x == mid
         s, v = eval_fn(x)
-        if s == 0:
+        if s == 0 and on_path:
             return x, x
+        if s == 0 or v is None and not on_path:
+            return _valued_ends(eval_fn, x, lo, hi, sign_lo, rel_tol)
         if s == sign_lo:
             lo = x
-            if v is not None:
-                node_lo = (x, v)
         else:
             hi = x
-            if v is not None:
-                node_hi = (x, v)
-    else:
-        raise ToleranceError("ITP refinement failed to converge within iteration budget")
-    # interpolation set both nodes; an end has a value iff it is its side's node
-    if interpolated and node_lo[0] != lo and node_hi[0] != hi:
-        return node_lo[0], node_hi[0]
-    return lo, hi
+        if v is not None:
+            nodes.append((x, v))
+    raise ToleranceError("interpolation steps failed to converge within iteration budget")
 
 
-def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
-    """Refine a certified sign change on [lo, hi], 0 < lo < hi, as bisection does.
+def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL,
+                       value_lo=None, value_hi=None):
+    """Refine a certified sign change on [lo, hi], 0 < lo < hi, to plain bisection's result.
 
     eval_fn(x) returns (sign, value) as sum_sign(groups, 0.0) does; value
-    may be None. One walk: brackets spanning more than a factor of 8 are
-    split at their geometric midpoint, so brackets reaching toward 0 or
-    infinity converge in O(log log-range) steps; after that the midpoint.
-    The bracket moves only on a certified sign.
+    is None inside the rounding noise, or always for a caller that reads
+    signs only. value_lo and value_hi are the values at lo and hi when the
+    caller has read them. Plain bisection splits a bracket spanning more
+    than a factor of 8 at its geometric midpoint, so brackets reaching
+    toward 0 or infinity converge in O(log log-range) steps, and after that
+    at its midpoint, until the width is at most rel_tol * hi; it evaluates
+    every midpoint.
 
-    Once the bracket spans at most a factor of 8, the sign change is found
-    by ITP steps (_itp_bracket), which need far fewer evaluations; the walk
-    then evaluates only the midpoints inside the ITP bracket, whose signs
-    it does not decide. When that bracket had to be widened out of rounding
-    noise to the nearest points with a value, those are the midpoints whose
-    signs plain bisection reads from the noise. So the result is the one
-    plain bisection returns, whatever the interpolation did, except when an
-    ITP step reads an exact zero: the walk then decides every later
-    midpoint against that point without evaluating it, where plain
-    bisection reads signs from the noise around the zero.
+    The walk evaluates the geometric midpoints as plain bisection does. On
+    the bracket of at most a factor of 8 that follows, interpolation steps
+    (_itp_bracket) start from the values already read, the ends' and the
+    geometric midpoints', and find bounds l < h of the sign change: points
+    with a value, never an exact zero or a value inside the noise. The walk
+    then replays plain bisection from that bracket: a midpoint between l and
+    h is evaluated, and one outside only decides the side. So the result is
+    the one plain bisection returns, bit for bit, exact zeros included.
 
     Returns (value, lo, hi, hit_zero); at an exact zero lo == hi == value.
     """
-    l = h = None  # the ITP bracket, found once the walk turns linear
-    for _ in range(_MAX_ITER):
-        if hi - lo <= rel_tol * hi:
-            return 0.5 * (lo + hi), lo, hi, False
-        if hi > 8.0 * lo:
-            mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-        else:
-            if l is None:
-                l, h = _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol)
-            mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):  # bracket exhausted float resolution
+    nodes = [(x, v) for x, v in ((lo, value_lo), (hi, value_hi)) if v is not None]
+    while hi > 8.0 * lo:
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+        if not lo < mid < hi:  # bracket exhausted float resolution
             return mid, lo, hi, False
-        if l is not None and not l < mid < h:
-            s = sign_lo if mid <= l else -sign_lo
+        s, v = eval_fn(mid)
+        if s == 0:
+            return mid, mid, mid, True
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+        if v is not None:
+            nodes.append((mid, v))
+    l, h = _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, nodes)
+    if l == h:
+        return l, l, l, True
+    while True:  # the replay
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rel_tol * hi or not lo < mid < hi:
+            return mid, lo, hi, False
+        if mid <= l:
+            s = sign_lo
+        elif mid >= h:
+            s = -sign_lo
         else:
             s, _ = eval_fn(mid)
             if s == 0:
@@ -450,15 +529,15 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
             lo = mid
         else:
             hi = mid
-    raise ToleranceError("bisection failed to converge within iteration budget")
 
 
-def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
+def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
                     rel_tol=DEFAULT_REL_TOL, refine=True):
     """One stage of a derivative chain: the roots of a target between anchors.
 
-    terms_fn(x) and chain_terms_fn(x) build the (pairs, base) groups of the
-    target and of its chain function at x; chain_roots are the chain
+    sign_fn(x, zero_rel) and chain_sign_fn(x, zero_rel) return the (sign,
+    value) of the target and of its chain function at x, as sum_sign does
+    on their groups with that threshold; chain_roots are the chain
     function's roots (the lower stage's RootRecords, sorted), between which
     the target is strictly monotone. left and right are (x, sign) anchors
     whose signs are certified constant beyond them (toward 0+ and +infinity
@@ -468,9 +547,9 @@ def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
     Signs are evaluated here with three thresholds: BOUNDARY_ZERO_REL at the
     breakpoints, where a sign of 0 is itself a root of the target, recorded
     once with the chain root's bracket and flagged degenerate; 0.0 while
-    bisect_sign_change refines a sign change; and DEGENERACY_REL for the
-    chain function at a refined root, which flags it degenerate when that
-    sign is 0.
+    bisect_sign_change refines a sign change, starting from the values read
+    at the breakpoints; and DEGENERACY_REL for the chain function at a
+    refined root, which flags it degenerate when that sign is 0.
 
     With refine=False each sign change between breakpoints is counted
     without being refined or tested for degeneracy: its record is the
@@ -486,28 +565,28 @@ def isolate_between(terms_fn, chain_terms_fn, left, right, chain_roots,
         if sl != 0 and sr != 0 and sl != sr:
             raise ToleranceError("conflicting certified signs on overlapping zones")
         return []
-    pts = [(xl, sl)]
+    pts = [(xl, sl, None)]
     out = []
     for r in chain_roots:
         if math.isnan(r.value):
             raise ValueError("an unrefined root record cannot be a breakpoint")
         if xl < r.value < xr:
-            s = sum_sign(terms_fn(r.value), BOUNDARY_ZERO_REL)[0]
-            pts.append((r.value, s))
+            s, v = sign_fn(r.value, BOUNDARY_ZERO_REL)
+            pts.append((r.value, s, v))
             if s == 0:
                 out.append(RootRecord(lo=r.lo, hi=r.hi, value=r.value, degenerate=True))
-    pts.append((xr, sr))
-    for (xa, sa), (xb, sb) in zip(pts, pts[1:]):
+    pts.append((xr, sr, None))
+    for (xa, sa, va), (xb, sb, vb) in zip(pts, pts[1:]):
         if sa == 0 or sb == 0 or sa == sb:
             continue
         if not refine:
             out.append(RootRecord(lo=xa, hi=xb, value=math.nan, degenerate=False))
             continue
         value, lo, hi, _ = bisect_sign_change(
-            lambda x: sum_sign(terms_fn(x), 0.0), xa, xb, sa, rel_tol)
+            lambda x: sign_fn(x, 0.0), xa, xb, sa, rel_tol, va, vb)
         # A mid-point landing exactly on zero says nothing about degeneracy;
         # only the chain function's magnitude at the root does.
-        degenerate = sum_sign(chain_terms_fn(value), DEGENERACY_REL)[0] == 0
+        degenerate = chain_sign_fn(value, DEGENERACY_REL)[0] == 0
         out.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=degenerate))
     if refine:
         out.sort(key=lambda r: r.value)

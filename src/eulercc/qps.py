@@ -159,11 +159,12 @@ def count_on_line(f: BivariateSignomial, c: AffineConstraint,
     """Count sign changes of the restriction on an adaptive probe grid.
 
     Sign changes are refined on their certified bracket to relative width
-    tol. The restriction passes signs without values, so every refinement
-    step bisects (ITP needs values to interpolate). The count is a lower
-    bound on the number of roots. Raises ValueError unless tol is in (0, 1),
-    and ToleranceError naming the probe where a power of the restriction
-    overflows floats, or its terms overflow to infinities of both signs.
+    tol. The restriction passes signs without values, so the refinement has
+    nothing to interpolate: every step is plain bisection's own midpoint,
+    and each bounds the walk. The count is a lower bound on the number of
+    roots. Raises ValueError unless tol is in (0, 1), and ToleranceError
+    naming the probe where a power of the restriction overflows floats, or
+    its terms overflow to infinities of both signs.
     """
     check_tol(tol)
     on_line, (xlo, xhi) = restrict_to_line(f, c)

@@ -178,7 +178,8 @@ def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
         right = (1.0 / u, sign)
     else:
         right = (hi, sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL)[0])
-    return isolate_between(lambda x: ((pairs, x),), lambda x: ((q, x),),
+    return isolate_between(lambda x, z: sum_sign(((pairs, x),), z),
+                           lambda x, z: sum_sign(((q, x),), z),
                            left, right, q_roots, rel_tol=tol)
 
 

@@ -29,14 +29,27 @@ from eulercc.euler import (
     _anchor,
     _binomials,
     _derivative,
+    _g_groups,
+    _g_sign,
     _gp_groups,
+    _gp_sign,
     _low_coefficients,
     _masses,
     _reflect,
+    _safe_range,
     _solution,
     _zero_series_g,
 )
-from eulercc.numerics import Tail, ToleranceError, certified_sign_near_zero, sum_value
+from eulercc.numerics import (
+    BOUNDARY_ZERO_REL,
+    DEGENERACY_REL,
+    Tail,
+    ToleranceError,
+    _fsum_tier,
+    certified_sign_near_zero,
+    sum_sign,
+    sum_value,
+)
 from eulercc.signomial import Endpoint, Signomial, evaluate, normalize
 
 from oracles import cell_scan_counts, diff1
@@ -186,6 +199,63 @@ def test_g_prime_matches_finite_differences():
         fd = diff1(lambda t: eval_g(m, b, t), s, 1e-6 * s)
         want = g_prime(m, b, s)
         assert abs(fd - want) <= 1e-6 * max(abs(want), abs(fd), 1e-6)
+
+
+# --- the per-cell evaluators of g and g' ----------------------------------------------
+
+
+def _evaluator_masses(rng):
+    """Masses, a fifth of them with no zero coefficient and the rest with one
+    of g's or g''s coefficients exactly zero."""
+    m1, m2, m3 = rand_masses(rng)
+    kind = rng.randrange(5)
+    if kind == 1:
+        m3 = 0.0
+    elif kind == 2:
+        m2 = -m3
+    elif kind == 3:
+        m1 = -m3
+    elif kind == 4:
+        m1 = -m2
+    return m1, m2, m3
+
+
+def _evaluator_b(rng):
+    """b at or beside 0, +-1, 2 or 3, or drawn from [-5, 5] or [-300, 300]."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        b = rng.choice((0.0, 1.0, -1.0, 2.0, 3.0))
+        return rng.choice((b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf)))
+    return rng.uniform(-5.0, 5.0) if kind == 1 else rng.uniform(-300.0, 300.0)
+
+
+def _range_edges(groups):
+    """s at and beside the ends of the range where an evaluator computes its terms."""
+    top = max(abs(e) for pairs, _ in groups(1.0) for _, e in pairs)
+    for end in _safe_range(top):
+        if 0.0 < end < math.inf:
+            yield from (math.nextafter(end, 0.0), end, math.nextafter(end, math.inf))
+
+
+@pytest.mark.parametrize("evaluator, groups", [(_g_sign, _g_groups), (_gp_sign, _gp_groups)])
+def test_cell_evaluators_match_sum_sign_bit_for_bit(evaluator, groups):
+    # The evaluators compute the terms themselves; sum_sign on the groups must
+    # give the same sign and value, in both tiers and at every threshold.
+    rng = random.Random(21)
+    tiers = {True: 0, False: 0}
+    for i in range(4000):
+        m = _evaluator_masses(rng)
+        b = _evaluator_b(rng)
+        z = rng.choice((0.0, BOUNDARY_ZERO_REL, DEGENERACY_REL))
+        points = [10.0 ** rng.uniform(-300.0, 300.0)]
+        if i % 8 == 0:
+            points += _range_edges(groups(m, b))
+        for s in points:
+            want = sum_sign(groups(m, b)(s), z)
+            assert evaluator(m, b)(s, z) == want, (m, b, s, z)
+            tiers[math.isfinite(_fsum_tier(groups(m, b)(s))[1])] += 1
+    # both tiers are crossed: fsum and mpmath
+    assert min(tiers.values()) > 500
 
 
 # --- h_signomial ---------------------------------------------------------------------

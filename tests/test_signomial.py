@@ -371,7 +371,8 @@ def _ref_isolate(p, lo, hi, tol):
         right = certified_sign_near_inf(p.pairs(), start=2.0 * outer)
     else:
         right = (hi, sum_sign(_ref_groups(p, hi), BOUNDARY_ZERO_REL)[0])
-    return isolate_between(lambda x: _ref_groups(p, x), lambda x: _ref_groups(q, x),
+    return isolate_between(lambda x, z: sum_sign(_ref_groups(p, x), z),
+                           lambda x, z: sum_sign(_ref_groups(q, x), z),
                            left, right, q_roots, rel_tol=tol)
 
 
@@ -555,8 +556,8 @@ def signomial_eval(p):
     [(7, -1), (-1, 5)],
 ])
 def test_interpolation_step_beside_the_root_keeps_a_bracket(raw):
-    # On these steep monotone signomials an ITP step lands within a few ulps
-    # of the root. Without the end guard the next step closed the ITP
+    # On these steep monotone signomials an interpolation step lands within a
+    # few ulps of the root. Without the end guard the next step closed the
     # bracket to one ulp, inside rounding noise, and the whole bisection
     # path then had to be evaluated again (more than 50 evaluations).
     p = normalize(raw)
@@ -573,24 +574,25 @@ def test_interpolation_step_beside_the_root_keeps_a_bracket(raw):
 
 def test_refinement_steps_are_bounded_by_bisection():
     # x^40 - 1 on [0.5, 2] defeats interpolation: the regula-falsi point
-    # crawls from the flat end. The projection still keeps the ITP steps
-    # within bisection's plus n0 = 1, and 2 more cover the midpoints of the
-    # bisection path that fall inside the ITP bracket.
+    # crawls from the flat end. The projection still keeps the interpolation
+    # steps within bisection's plus n0 = 1, and 2 more cover the midpoints of
+    # the bisection path that fall inside their final bracket.
     p = normalize([(1, 40), (-1, 0)])
-    itp_fn, itp_calls = counted(signomial_eval(p))
-    value, lo, hi, _ = bisect_sign_change(itp_fn, 0.5, 2.0, -1)
+    walk_fn, walk_calls = counted(signomial_eval(p))
+    value, lo, hi, _ = bisect_sign_change(walk_fn, 0.5, 2.0, -1)
     plain_fn, plain_calls = counted(lambda x: (signomial_eval(p)(x)[0], None))
     bisect_sign_change(plain_fn, 0.5, 2.0, -1)
     # without values every step bisects: ceil(log2(1.5 / 1e-12)) halvings
     assert plain_calls[0] == math.ceil(math.log2(1.5 / DEFAULT_REL_TOL))
-    assert itp_calls[0] <= plain_calls[0] + 1 + 2
+    assert walk_calls[0] <= plain_calls[0] + 1 + 2
     assert lo < 1.0 < hi and hi - lo <= DEFAULT_REL_TOL * hi
     assert lo < value < hi
 
 
 def test_exact_zero_on_the_replayed_path_closes_the_bracket():
-    # z is a midpoint of bisection's path from [0.5, 1.5] that the ITP steps
-    # do not land on, so the replay is the one to evaluate the exact zero.
+    # z is a midpoint of bisection's path from [0.5, 1.5]. An interpolation
+    # step that reads the exact zero there bounds nothing; the replay is the
+    # one to evaluate z and close the bracket on it.
     z = 1.0 + 2.0 ** -30
 
     def eval_fn(x):
