@@ -24,7 +24,10 @@ infinite m2 or b, and naming b where 2^b overflows a float (b >= 1024).
 The grid scanner reproduces the parameter-plane maps as CSV data and can
 cross-check every off-frontier grid point against the numeric counter. It
 imports the counter (`euler`) only for a cross-check, so a map without one
-never loads it.
+never loads it. The cross-check compares e1, e2 and the total with the
+closed form. Its e3 is cell 1's count reflected, since count_all derives
+cell 3 from cell 1 when m1 == m3; the tier-1 tests keep an independent
+count of cell 3 on the figure grid.
 """
 
 from __future__ import annotations

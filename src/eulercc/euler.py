@@ -370,7 +370,8 @@ def _derivative(series: _Series, end) -> _Series:
 
 
 def _anchor(series: _Series, end, name, b):
-    """(x, sign) in s with the sign certified constant beyond x toward the end.
+    """The (x, sign, value) anchor in s: the sign is certified constant beyond x
+    toward the end, and value is None, since g is not evaluated at x.
 
     name ("g" or "g'") and b only label the ToleranceError raised when a
     coefficient or the tail bound of the series overflowed floats.
@@ -382,7 +383,7 @@ def _anchor(series: _Series, end, name, b):
         at = "0+" if end is Endpoint.ZERO_PLUS else "+infinity"
         raise ToleranceError(f"the series of {name} at {at} overflows floats at b = {b!r}")
     x0, sign = certified_sign_near_zero(series.pairs, tail=t, start=0.5 / t.ratio)
-    return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
+    return (x0 if end is Endpoint.ZERO_PLUS else 1.0 / x0), sign, None
 
 
 def _leading_sign(m, b) -> int:
@@ -510,24 +511,8 @@ def _cell_roots(mv, b, h, tol, refine=True):
     )
 
 
-def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
-    """Certified count and solutions for one cell.
-
-    Returns (count, solutions); count is INFINITE (with no enumerable
-    solutions) exactly on the degenerate families of the cell's mass view.
-    With roots=False the count is the same but the roots of g are not
-    refined and solutions is []. The masses are first divided by the power
-    of two that puts the largest |mass| in [1, 2), so scaling them by 2^k
-    changes no output bit. Raises ValueError when a mass or b is NaN or
-    infinite, cell is not the int 1, 2 or 3, tol is not in (0, 1), or that
-    division would round a mass or flush it to zero (see _rescaled). Raises
-    ToleranceError naming b when the binomial coefficients of g's series
-    overflow floats (|b| above a few hundred), before any work that
-    depends on b's size.
-    """
-    m = _finite_masses(m, b)
-    check_tol(tol)
-    mv = cell_mass_view(_rescaled(m), cell)
+def _solve_view(mv, b, cell, tol, roots):
+    """count_cell for the (left, middle, right) triple mv of the rescaled masses."""
     if degenerate_family(mv, b) is not None:
         return INFINITE, []
     if _binomials(b)[1] == math.inf:
@@ -542,19 +527,59 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     return len(pairs), ([_solution(cell, s, deg) for s, deg in pairs] if roots else [])
 
 
+def _cell3_from_cell1(count, solutions):
+    """Cell 3's (count, solutions) from cell 1's, for masses with m1 == m3.
+
+    Cell 3's view (m1, m3, m2) is then cell 1's view (m2, m1, m3) reversed,
+    and by the reflection identity its roots are the reciprocals of cell
+    1's: the same count, and each solution at 1/s, in reverse order, with
+    the same degenerate flag.
+    """
+    return count, [_solution(3, 1.0 / sol.s, sol.degenerate) for sol in reversed(solutions)]
+
+
+def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
+    """Certified count and solutions for one cell.
+
+    Returns (count, solutions); count is INFINITE (with no enumerable
+    solutions) exactly on the degenerate families of the cell's mass view.
+    With roots=False the count is the same but the roots of g are not
+    refined and solutions is []. The masses are first divided by the power
+    of two that puts the largest |mass| in [1, 2), so scaling them by 2^k
+    changes no output bit. When m1 == m3, cell 3 is cell 1 reflected: its
+    count is cell 1's and its solutions are cell 1's at s -> 1/s, in
+    reverse order, with the same degenerate flags, as count_all gives them.
+    Raises ValueError when a mass or b is NaN or infinite, cell is not the
+    int 1, 2 or 3, tol is not in (0, 1), or that division would round a
+    mass or flush it to zero (see _rescaled). Raises ToleranceError naming
+    b when the binomial coefficients of g's series overflow floats (|b|
+    above a few hundred), before any work that depends on b's size.
+    """
+    m = _finite_masses(m, b)
+    check_tol(tol)
+    mv = cell_mass_view(_rescaled(m), cell)
+    if cell == 3 and mv[0] == mv[1]:
+        return _cell3_from_cell1(*_solve_view(mv[::-1], b, 1, tol, roots))
+    return _solve_view(mv, b, cell, tol, roots)
+
+
 def count_all(m, b, tol=DEFAULT_REL_TOL, *, roots=True):
     """Counts for all three cells. Returns (CellCount, solutions).
 
-    With roots=False only the counts are computed and solutions is [].
-    Raises ValueError when a mass or b is NaN or infinite.
+    Cells 1 and 2 are counted by count_cell. When m1 == m3, cell 3 is cell 1
+    reflected, as count_cell gives it, without being solved again;
+    otherwise count_cell counts it too. With roots=False only the counts
+    are computed and solutions is []. Raises ValueError when a mass or b is
+    NaN or infinite.
     """
-    counts = {}
-    solutions = []
-    for cell in CELLS:
-        n, sols = count_cell(m, b, cell, tol, roots=roots)
-        counts[cell] = n
-        solutions.extend(sols)
-    return CellCount.of(counts[1], counts[2], counts[3]), solutions
+    m = _masses(m)
+    n1, sols1 = count_cell(m, b, 1, tol, roots=roots)
+    n2, sols2 = count_cell(m, b, 2, tol, roots=roots)
+    if m[0] == m[2]:
+        n3, sols3 = _cell3_from_cell1(n1, sols1)
+    else:
+        n3, sols3 = count_cell(m, b, 3, tol, roots=roots)
+    return CellCount.of(n1, n2, n3), sols1 + sols2 + sols3
 
 
 def celli_identity_residual(m, sol: ConfigurationSolution) -> float:

@@ -539,10 +539,11 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
     value) of the target and of its chain function at x, as sum_sign does
     on their groups with that threshold; chain_roots are the chain
     function's roots (the lower stage's RootRecords, sorted), between which
-    the target is strictly monotone. left and right are (x, sign) anchors
-    whose signs are certified constant beyond them (toward 0+ and +infinity
-    respectively, or exact boundary values); an anchor with sign 0 is a
-    boundary zero and is not recorded.
+    the target is strictly monotone. left and right are (x, sign, value)
+    anchors whose signs are certified constant beyond them (toward 0+ and
+    +infinity respectively, or exact boundary values); value is the
+    target's value read at x as sum_sign returns it, or None where none was
+    read. An anchor with sign 0 is a boundary zero and is not recorded.
 
     Signs are evaluated here with three thresholds: BOUNDARY_ZERO_REL at the
     breakpoints, where a sign of 0 is itself a root of the target, recorded
@@ -558,14 +559,14 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
     caller that needs only the count of roots saves the bisection. Such
     records cannot be chain_roots: a nan breakpoint raises ValueError.
     """
-    xl, sl = left
-    xr, sr = right
+    xl, sl, _ = left
+    xr, sr, _ = right
     if xl >= xr:
         # Certified constant-sign zones overlap: no room for any root.
         if sl != 0 and sr != 0 and sl != sr:
             raise ToleranceError("conflicting certified signs on overlapping zones")
         return []
-    pts = [(xl, sl, None)]
+    pts = [left]
     out = []
     for r in chain_roots:
         if math.isnan(r.value):
@@ -575,7 +576,7 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
             pts.append((r.value, s, v))
             if s == 0:
                 out.append(RootRecord(lo=r.lo, hi=r.hi, value=r.value, degenerate=True))
-    pts.append((xr, sr, None))
+    pts.append(right)
     for (xa, sa, va), (xb, sb, vb) in zip(pts, pts[1:]):
         if sa == 0 or sb == 0 or sa == sb:
             continue

@@ -165,19 +165,21 @@ def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
 
     # Left anchor: domination probe for the open end at 0, direct evaluation
     # for a finite boundary (a boundary zero is excluded, not counted).
+    # The value read at a finite boundary goes on to the refinement, which
+    # can interpolate from it.
     inner = q_roots[0].value if q_roots else (hi if math.isfinite(hi) else 2.0)
     if lo == 0.0:
-        left = certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner))
+        left = (*certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner)), None)
     else:
-        left = (lo, sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL)[0])
+        left = (lo, *sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL))
     if math.isinf(hi):
         outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
         # x -> 1/x carries the open end at infinity to 0+
         u, sign = certified_sign_near_zero([(c, -e) for c, e in reversed(pairs)],
                                            start=1.0 / (2.0 * outer))
-        right = (1.0 / u, sign)
+        right = (1.0 / u, sign, None)
     else:
-        right = (hi, sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL)[0])
+        right = (hi, *sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL))
     return isolate_between(lambda x, z: sum_sign(((pairs, x),), z),
                            lambda x, z: sum_sign(((q, x),), z),
                            left, right, q_roots, rel_tol=tol)

@@ -10,6 +10,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from eulercc import euler
 from eulercc.acceptance import diff2, g_polynomial, horner
 from eulercc.euler import (
     CELLS,
@@ -28,6 +29,7 @@ from eulercc.euler import (
 from eulercc.euler import (
     _anchor,
     _binomials,
+    _cell3_from_cell1,
     _derivative,
     _g_groups,
     _g_sign,
@@ -416,12 +418,12 @@ def test_endpoint_sign_reads_the_finite_low_order_terms_at_an_overflowing_b():
 
 
 def _g_anchor_zero(m, b):
-    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS, "g", b)
+    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS, "g", b)[:2]
 
 
 def _g_anchor_inf(m, b):
     return _anchor(_reflect(_zero_series_g(m[::-1], b), b), Endpoint.INFINITY,
-                   "g", b)
+                   "g", b)[:2]
 
 
 def _sign_of(x):
@@ -640,7 +642,7 @@ def _ref_anchor(series: _RefSeries, end):
         raise ToleranceError("series vanished to working order; cannot certify a sign")
     t = series.tail
     x0, sign = certified_sign_near_zero(p.pairs, tail=t, start=min(0.25, 0.5 / t.ratio))
-    return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
+    return (x0, sign, None) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign, None)
 
 
 def _anchor_or_error(anchor, series, end):
@@ -920,14 +922,17 @@ def _counts_or_error(m, b, **kw):
     return repr(counts), sols
 
 
+_FIGURE_GRID = [((1.0, -4.0 + 6.0 * i / 59, 1.0), -4.0 + 8.0 * j / 59)
+                for j in range(60) for i in range(60)]
+
+
 def test_count_only_matches_full_counts():
     # roots=False leaves the roots of g unrefined; the counts must be the
     # full run's on the golden draws, a 60 x 60 figure grid at masses
     # (1, m2, 1), and 1,000 census and 1,000 band draws.
     golden = json.loads((Path(__file__).parent / "data" / "count_all_golden.json").read_text())
     cases = [(case["masses"], case["b"]) for case in golden["cases"]]
-    cases += [((1.0, -4.0 + 6.0 * i / 59, 1.0), -4.0 + 8.0 * j / 59)
-              for j in range(60) for i in range(60)]
+    cases += _FIGURE_GRID
     rng = random.Random(90)
     for b_range in ((-5.0, 5.0), (0.8, 1.2)):
         cases += [(rand_masses(rng), rng.uniform(*b_range)) for _ in range(1000)]
@@ -935,6 +940,69 @@ def test_count_only_matches_full_counts():
         want, _ = _counts_or_error(m, b)
         got, sols = _counts_or_error(m, b, roots=False)
         assert got == want and sols == [], (m, b)
+
+
+def _symmetric_draws(seed, n):
+    # (a, m2, a): n draws with b in [-5, 5] and n in the band b in [0.8, 1.2]
+    rng = random.Random(seed)
+    draws = []
+    for b_range in ((-5.0, 5.0), (0.8, 1.2)):
+        for _ in range(n):
+            a, m2 = rng.uniform(-10.0, 10.0), rng.uniform(-10.0, 10.0)
+            draws.append(((a, m2, a), rng.uniform(*b_range)))
+    return draws
+
+
+def test_cell_3_is_cell_1_reflected_when_m1_equals_m3(monkeypatch):
+    # With m1 == m3, cell 3's view is cell 1's reversed: the same count, and
+    # the roots at 1/s in reverse order with the same flags, bit for bit,
+    # from count_all and from count_cell, which solves cell 1's view without
+    # re-entering the public count_cell.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return count_cell(*args, **kwargs)
+
+    monkeypatch.setattr(euler, "count_cell", counted)
+    cases = _symmetric_draws(91, 300) + _FIGURE_GRID
+    # degenerate families, and roots near the probe floor 1e-280 and beyond 1e276
+    cases += [((2.0, -3.0, 2.0), 1.0), ((2.0, 2.0, 2.0), 3.0), ((0.0, 0.0, 0.0), -2.0),
+              ((1.0, 1500.0, 1.0), 0.9995), ((1.0, 1700.0, 1.0), 0.999)]
+    for m, b in cases:
+        for roots in (True, False):
+            del calls[:]
+            counts, sols = count_all(m, b, roots=roots)
+            assert calls == [1, 2], (m, b)
+            cell1 = [sol for sol in sols if sol.cell == 1]
+            cell3 = [sol for sol in sols if sol.cell == 3]
+            assert counts.e3 == counts.e1, (m, b)
+            assert len(cell3) == len(cell1) == (counts.e1 if roots and counts.is_finite else 0)
+            for sol, mirror in zip(cell3, reversed(cell1)):
+                assert sol.s == 1.0 / mirror.s and math.isfinite(sol.s), (m, b)
+                assert sol.degenerate == mirror.degenerate, (m, b)
+                assert sol == _solution(3, sol.s, sol.degenerate)
+            assert count_cell(m, b, 3, roots=roots) == (counts.e3, cell3), (m, b)
+            assert calls == [1, 2], (m, b)
+    assert count_all((2.0, -3.0, 2.0), 1.0)[0] == CellCount.of(INFINITE, INFINITE, INFINITE)
+    # cell 1 of (a, m2, a) has at most one root, as (1, m2/a, 1) shows, so
+    # the order is checked on two solutions made up here
+    assert _cell3_from_cell1(2, [_solution(1, 0.5, False), _solution(1, 4.0, True)]) == \
+        (2, [_solution(3, 0.25, True), _solution(3, 2.0, False)])
+    assert count_all((1.0, 1500.0, 1.0), 0.9995)[1][0].s < 1e-276
+    # masses with m1 != m3 still count cell 3 through count_cell
+    del calls[:]
+    count_all((2.0, -3.0, 2.5), -2.0)
+    assert calls == [1, 2, 3]
+
+
+def test_cell_3_counted_independently_matches_the_reflection():
+    # count_all derives cell 3 of masses (a, m2, a) from cell 1; the view
+    # (a, a, m2) of cell 2 is cell 3's own view, solved directly.
+    for m, b in _FIGURE_GRID + _symmetric_draws(92, 1500):
+        a, m2, _ = m
+        assert count_cell((a, a, m2), b, 2, roots=False)[0] == \
+            count_all(m, b, roots=False)[0].e3, (m, b)
 
 
 def test_counts_are_invariant_under_scaling_by_powers_of_two():

@@ -337,7 +337,7 @@ def test_unrefined_records_are_refused_as_breakpoints():
     with pytest.raises(ValueError, match="unrefined"):
         isolate_between(lambda x, z: sum_sign(((((1.0, 1.0), (-0.5, 0.0)), x),), z),
                         lambda x, z: sum_sign(((((1.0, 0.0),), x),), z),
-                        (0.1, -1), (0.9, 1), [unrefined])
+                        (0.1, -1, None), (0.9, 1, None), [unrefined])
 
 
 def test_anchor_fast_path_matches_log_reference(monkeypatch):

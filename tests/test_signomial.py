@@ -373,7 +373,7 @@ def _ref_isolate(p, lo, hi, tol):
         right = (hi, sum_sign(_ref_groups(p, hi), BOUNDARY_ZERO_REL)[0])
     return isolate_between(lambda x, z: sum_sign(_ref_groups(p, x), z),
                            lambda x, z: sum_sign(_ref_groups(q, x), z),
-                           left, right, q_roots, rel_tol=tol)
+                           (*left, None), (*right, None), q_roots, rel_tol=tol)
 
 
 def _ref_count_and_isolate(p, lo, hi):
