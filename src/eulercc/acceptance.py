@@ -4,9 +4,12 @@ CRITERIA lists the eleven criteria as (number, name, description, fn,
 verify_draws). Each fn draws from its own seeded generator (seeds 101-111)
 and takes its draw count, so a smaller count runs a prefix of the default
 draws; `eulercc verify` runs verify_draws of them, and the test suite runs
-them at the default counts, criterion 10 with a denser numpy scan in place
-of log_scan_count. A criterion fails by raising AssertionError naming the
-input, never by a bare assert, so it also fails under `python -O`.
+them at the default counts. The oracles are exact and stdlib only:
+g_polynomial gives g's coefficients at integer b, and positive_root_count
+counts a polynomial's positive roots by Sturm's theorem, which criterion 10
+applies to signomials with exponents in (1/4)Z as polynomials in x^(1/4).
+A criterion fails by raising AssertionError naming the input, never by a
+bare assert, so it also fails under `python -O`.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ def g_polynomial(m, b):
     g's six terms c s^i (1+s)^j are expanded over Fraction, so float masses
     give exact coefficients; g vanishing identically gives [].
     """
+    if not all(map(math.isfinite, (*m, b))):
+        raise ValueError(f"g_polynomial needs finite masses and b, got m = {m!r}, b = {b!r}")
     if b != int(b):
         raise ValueError(f"g is a polynomial only at integer b, got {b!r}")
     b = int(b)
@@ -44,6 +49,40 @@ def g_polynomial(m, b):
     return coeffs
 
 
+def positive_root_count(p):
+    """The number of distinct positive roots of p (s^0 first, the last coefficient nonzero).
+
+    Sturm's theorem, exact for int, float or Fraction coefficients: with s's
+    factors dropped, the sign changes of p, p', -rem(p, p'), ... at 0 minus those at +inf.
+    The chain is kept in integers: denominators are cleared, each remainder is
+    a pseudo-remainder and each link is divided by its content, all by
+    positive factors, which keep the signs.
+    """
+    def sign_changes(values):
+        signs = [v > 0 for v in values if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+    p = [Fraction(c) for c in p]
+    if not p or not p[-1]:
+        raise ValueError(f"the last coefficient must be nonzero, got {p}")
+    den = math.lcm(*(c.denominator for c in p))
+    p = [int(c * den) for c in p]
+    while not p[0]:
+        p.pop(0)
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while chain[-1]:
+        r, q = list(chain[-2]), chain[-1]
+        while len(r) >= len(q):
+            f = r.pop() if q[-1] > 0 else -r.pop()
+            r = [abs(q[-1]) * c for c in r]
+            for i, c in enumerate(q[:-1], len(r) + 1 - len(q)):
+                r[i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+        g = math.gcd(*r)
+        chain.append([-c // g for c in r])
+    return sign_changes(q[0] for q in chain[:-1]) - sign_changes(q[-1] for q in chain[:-1])
+
+
 def horner(coeffs, s):
     acc = 0
     for c in reversed(coeffs):
@@ -53,14 +92,6 @@ def horner(coeffs, s):
 
 def diff2(f, x, h):
     return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
-def log_scan_count(pairs):
-    """Sign changes of sum(c x^e) over 20,001 log-spaced x in [1e-6, 1e6]."""
-    xs = [10.0 ** (-6.0 + 12.0 * i / 20000) for i in range(20001)]
-    columns = [[c * x ** e for x in xs] for c, e in pairs]
-    signs = [s for s in (math.fsum(v) for v in zip(*columns)) if s != 0.0]
-    return sum((a > 0.0) != (b > 0.0) for a, b in zip(signs, signs[1:]))
 
 
 # --- draws and registration ---------------------------------------------------------
@@ -240,34 +271,29 @@ def figure_reconstruction(n=50):
              "m2=-1 is not on the b=-2 frontier")
 
 
-@_criterion("signomial-engine", "500 random signomials: certified count <= min(variations, "
-                                "terms-1), equals a log-spaced scan of [1e-6, 1e6] (20,001 "
-                                "points in verify, 1e6 in the tests), chain decrements hold", 100)
-def root_engine_vs_oracle(draws=500, scan_count=log_scan_count):
+@_criterion("signomial-engine", "500 random signomials with exponents in (1/4)Z: certified "
+                                "count on (0, inf) <= min(variations, terms-1), equals the exact "
+                                "Sturm count in x^(1/4), chain decrements hold", 100)
+def root_engine_vs_oracle(draws=500):
     rng = random.Random(110)
-    done = 0
-    while done < draws:
-        n = rng.randint(1, 6)
-        exps = sorted(rng.uniform(-5.0, 5.0) for _ in range(n))
-        if n > 1 and min(y - x for x, y in zip(exps, exps[1:])) < 1e-3:
-            continue
-        p = signomial.normalize([(rng.uniform(-10.0, 10.0), e) for e in exps])
-        if p.is_zero:
-            continue
+    for _ in range(draws):
+        ks = sorted(rng.sample(range(-20, 21), rng.randint(1, 6)))
+        p = signomial.normalize([(rng.uniform(-10.0, 10.0), k / 4) for k in ks])
         sv, terms = signomial.sign_variations(p), len(p)
-        # compare on the oracle's window; roots beyond it are invisible to
-        # the scan grid
-        count, _ = signomial.count_and_isolate(p, 1e-6, 1e6)
+        count, _ = signomial.count_and_isolate(p)
         _require(count <= min(sv, terms - 1), f"{p.pairs}: count {count} over the bound")
-        scan = scan_count(p.pairs)
-        _require(count == scan, f"{p.pairs}: count {count}, scan {scan}")
-        full, _ = signomial.count_and_isolate(p)
-        _require(full >= count, f"{p.pairs}: {full} roots on (0, inf), {count} in the window")
+        # c x^(k/4) is c t^(k - k0) in t = x^(1/4), which maps (0, inf) onto
+        # itself, so Sturm's count of that polynomial is p's count on (0, inf)
+        k0 = round(4 * p.pairs[0][1])
+        poly = [0.0] * (round(4 * p.pairs[-1][1]) - k0 + 1)
+        for c, e in p.pairs:
+            poly[round(4 * e) - k0] = c
+        exact = positive_root_count(poly)
+        _require(count == exact, f"{p.pairs}: count {count}, exact {exact}")
         for _, q in signomial.derivative_chain(p):
             _require(signomial.sign_variations(q) == sv - 1 and len(q) == terms - 1,
                      f"{p.pairs}: a chain step did not drop one term and one variation")
             sv, terms = sv - 1, terms - 1
-        done += 1
 
 
 @_criterion("bound-formulas", "straight_bound(6)=62, khovanskii_bound(1,2,4)=32768; "

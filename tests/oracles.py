@@ -3,16 +3,17 @@
 Everything here deliberately avoids the library's own counting machinery:
 dense sign scans over numpy grids, finite differences for derivatives, the
 full-line balance function with absolute values for the cell
-reparameterization checks, Sturm's count of a polynomial's positive roots,
-and masses near the fold curve, where g has a double root. The exact
-coefficients at integer b come from eulercc.acceptance.g_polynomial, since
-`eulercc verify` uses them too.
+reparameterization checks, and masses near the fold curve, where g has a
+double root. The million-point signomial scan checks the root engine on real
+exponents with close gaps (tests/test_signomial.py), which criterion 10's
+exponents in (1/4)Z never have. The exact oracles, g_polynomial's
+coefficients at integer b and positive_root_count's Sturm count, live in
+eulercc.acceptance, since `eulercc verify` uses them too.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +25,7 @@ LOG10 = math.log(10.0)
 SCAN_LOGX = np.linspace(-6.0, 6.0, 10 ** 6)
 
 
-def signomial_scan_count(pairs, logx=None):
+def signomial_sign_changes(pairs, logx=None):
     """Sign changes of sum(c x^e) over a dense log-spaced grid."""
     if logx is None:
         logx = SCAN_LOGX
@@ -51,7 +52,7 @@ def _scan_signs(vals):
     return int(np.sum(nonzero[1:] != nonzero[:-1]))
 
 
-def cell_scan_counts(m1, m2, m3, b, n=400_001):
+def cell_sign_changes(m1, m2, m3, b, n=400_001):
     """Scan counts (e1, e2, e3): roots with particle 1, 2, 3 in the middle.
 
     Cell 2 is s > 0, cell 3 is -1 < s < 0, cell 1 is s < -1 in the
@@ -70,33 +71,6 @@ def cell_scan_counts(m1, m2, m3, b, n=400_001):
 
 def diff1(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def positive_root_count(p):
-    """The number of distinct positive roots of p (s^0 first, the last coefficient nonzero).
-
-    Sturm's theorem, exact for int, float or Fraction coefficients: with s's
-    factors dropped, the sign changes of p, p', -rem(p, p'), ... at 0 minus those at +inf.
-    """
-    def sign_changes(values):
-        signs = [v > 0 for v in values if v]
-        return sum(x != y for x, y in zip(signs, signs[1:]))
-    p = [Fraction(c) for c in p]
-    if not p or not p[-1]:
-        raise ValueError(f"the last coefficient must be nonzero, got {p}")
-    while not p[0]:
-        p.pop(0)
-    chain = [p, [i * c for i, c in enumerate(p)][1:]]
-    while chain[-1]:
-        r, q = list(chain[-2]), chain[-1]
-        while len(r) >= len(q):
-            f = r.pop() / q[-1]
-            for i, c in enumerate(q[:-1], len(r) + 1 - len(q)):
-                r[i] -= f * c
-        while r and not r[-1]:
-            r.pop()
-        chain.append([-c / abs(r[-1]) for c in r])  # a positive divisor keeps the signs
-    return sign_changes(q[0] for q in chain[:-1]) - sign_changes(q[-1] for q in chain[:-1])
 
 
 def fold_masses(b, s, eps=0.0):

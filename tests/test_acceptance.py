@@ -2,16 +2,17 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The criteria live in eulercc.acceptance, which pins every tolerance
-and seeds every draw; here they run at their default draw counts, as in
-`eulercc verify` (criteria 1 and 7 on the exact polynomial at b = -2 and
--1), except that criterion 10 scans a million-point numpy grid.
+and seeds every draw; here they run at their default draw counts, with the
+same exact oracles as `eulercc verify`, which runs fewer draws: criteria 1
+and 7 use the polynomial at b = -2 and -1, and criterion 10 compares the
+count of signomials with exponents in (1/4)Z on (0, inf) with Sturm's count.
+Real exponents with close gaps are compared with a dense scan in
+tests/test_signomial.py.
 """
 
 from contextlib import contextmanager
 
 from eulercc import acceptance
-
-from oracles import signomial_scan_count
 
 
 @contextmanager
@@ -72,7 +73,7 @@ def test_criterion_09_figure_reconstruction():
 
 def test_criterion_10_root_engine_vs_oracle():
     with criterion(10):
-        acceptance.root_engine_vs_oracle(scan_count=signomial_scan_count)
+        acceptance.root_engine_vs_oracle()
 
 
 def test_criterion_11_bound_formulas_and_line_reduction():

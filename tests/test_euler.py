@@ -54,7 +54,7 @@ from eulercc.numerics import (
 )
 from eulercc.signomial import Endpoint, Signomial, evaluate, normalize
 
-from oracles import cell_scan_counts, diff1
+from oracles import cell_sign_changes, diff1
 
 
 def rand_masses(rng, lim=10.0):
@@ -765,7 +765,7 @@ def test_cell_views_match_full_line_scans():
         counts = [count_cell(m, b, cell)[0] for cell in (1, 2, 3)]
         if any(c == INFINITE for c in counts):
             continue
-        scans = cell_scan_counts(*m, b)
+        scans = cell_sign_changes(*m, b)
         assert tuple(counts) == scans, (m, b, counts, scans)
         checked += 1
 

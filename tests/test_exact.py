@@ -2,23 +2,24 @@
 
 At integer b, s^k (1+s)^k g(s) is a polynomial with exact rational
 coefficients (acceptance.g_polynomial), and Sturm's theorem counts its
-distinct positive roots exactly (oracles.positive_root_count). A root
+distinct positive roots exactly (acceptance.positive_root_count). A root
 the counter reports unflagged must show an exact sign change of that
 polynomial across s * (1 +/- 4 tol). Known wrong answers are strict xfails,
 each naming the ROADMAP item that should fix it.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from eulercc.acceptance import g_polynomial, horner
+from eulercc.acceptance import g_polynomial, horner, positive_root_count
 from eulercc.classifier import frontier_curve_m2
 from eulercc.euler import CELLS, cell_mass_view, count_cell, degenerate_family
 from eulercc.numerics import DEFAULT_REL_TOL
 
-from oracles import fold_masses, positive_root_count
+from oracles import fold_masses
 
 
 def poly(*roots):
@@ -46,6 +47,11 @@ def test_exact_oracle_refuses_what_it_cannot_count():
         positive_root_count([1, Fraction(0)])
     with pytest.raises(ValueError, match="integer b"):
         g_polynomial((1.0, 2.0, 3.0), -1.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"finite masses and b, .*b = {bad!r}"):
+            g_polynomial((1.0, 2.0, 3.0), bad)
+        with pytest.raises(ValueError, match=f"finite masses and b, got m = .*{bad!r}"):
+            g_polynomial((1.0, bad, 3.0), -1)
     assert g_polynomial((0.4, -1.1, 2.2), 1) == []  # g vanishes identically at b = 1
 
 

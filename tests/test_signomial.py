@@ -29,7 +29,7 @@ from eulercc.numerics import (
     sum_sign,
     sum_value,
 )
-from oracles import signomial_scan_count
+from oracles import signomial_sign_changes
 
 
 def pairs(p: Signomial):
@@ -491,7 +491,24 @@ def test_count_agrees_with_dense_scan_on_window():
             continue
         count, _ = count_and_isolate(p, 1e-6, 1e6)
         import numpy as np
-        assert count == signomial_scan_count(p.pairs, np.linspace(-6, 6, 200_001))
+        assert count == signomial_sign_changes(p.pairs, np.linspace(-6, 6, 200_001))
+    # real exponents in [-5, 5] with gaps down to 1e-3: the 500 draws of seed
+    # 110 with a gap below 0.25, which exponents in (1/4)Z (criterion 10) never
+    # have, against the million-point scan
+    rng = random.Random(110)
+    drawn = close = 0
+    while drawn < 500:
+        exps = sorted(rng.uniform(-5.0, 5.0) for _ in range(rng.randint(1, 6)))
+        gap = min((b - a for a, b in zip(exps, exps[1:])), default=math.inf)
+        if gap < 1e-3:
+            continue
+        p = normalize([(rng.uniform(-10.0, 10.0), e) for e in exps])
+        drawn += 1
+        if gap < 0.25:
+            close += 1
+            count, _ = count_and_isolate(p, 1e-6, 1e6)
+            assert count == signomial_sign_changes(p.pairs), p.pairs
+    assert close == 125
 
 
 def test_subinterval_counts_are_consistent():
