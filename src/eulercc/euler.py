@@ -18,7 +18,11 @@ and +infinity are certified by expanding g into its exact generalized
 power series at 0 (binomial coefficients, explicit tail bound) and
 probing until the leading term dominates; the end at +infinity reduces to
 the end at 0 through the reflection identity
-g_{m1,m2,m3}(1/s) = -s^(-b-1) g_{m3,m2,m1}(s). A b so large that the
+g_{m1,m2,m3}(1/s) = -s^(-b-1) g_{m3,m2,m1}(s). Each anchor is first
+tried on a short series, cut at a low order with its own tail bound,
+whose lower and upper bounds on the full series' other magnitudes decide
+most probes; the full series is built only for an end where they do not,
+and the anchor is the full series' either way. A b so large that the
 binomial coefficients overflow floats has no finite tail bound, and its
 count is refused with ToleranceError.
 """
@@ -37,6 +41,7 @@ from .numerics import (
     RootRecord,
     Tail,
     ToleranceError,
+    _bounded_sign_near_zero,
     certified_sign_near_zero,
     check_tol,
     isolate_between,
@@ -265,39 +270,76 @@ def degenerate_family(m, b):
 
 class _Series(NamedTuple):
     pairs: tuple  # (c, e): strictly increasing e, nonzero c
-    tail: Tail
+    tail: Tail    # bounds the summed magnitudes of all terms beyond pairs
+    full: Tail    # the tail of the full series, whose ratio sets the first probe
+
+
+def _tail_ratio(b, order):
+    """The ratio of the tail bound of a 0+ series cut at order.
+
+    Beyond the cut, |C(b, k+1) / C(b, k)| = |b - k| / (k + 1) stays below
+    it, and so does the ratio for b + 1.
+    """
+    return 1.0 + (max(abs(b), abs(b + 1.0)) + 1.0) / (order + 1.0)
 
 
 @functools.lru_cache(maxsize=1)
 def _binomials(b):
-    """(rows, ratio): rows[i] = (C(b, k), C(b+1, k), k) for k = 3 + i up to the order.
+    """(rows, ratio, peak): rows[i] = (C(b, k), C(b+1, k), k) for k = 3 + i up to the order.
 
     Both come from one recurrence and depend on b alone, so every 0+ series
     at this b shares them; the last row (k = order) and ratio feed the tail
-    bound. Once a running coefficient overflows floats, every later one is
-    +/-inf or nan and no finite tail bound exists: the rows then stop, the
-    first non-finite row is the last one, and ratio is inf. The rows above
-    it still give the low-order coefficients endpoint_sign_g reads. The
-    table of the latest b is kept, so the cells of count_all, which call
-    count_cell at one b, build it once.
+    bound of the full series, and peak is the largest |C| of the rows. Once
+    a running coefficient overflows floats, every later one is +/-inf or nan
+    and no finite tail bound exists: the rows then stop, the first
+    non-finite row is the last one, and ratio and peak are inf. The rows
+    above it still give the low-order coefficients endpoint_sign_g reads.
+    The table of the latest b is kept, so the cells of count_all, which
+    call count_cell at one b, build it once.
     """
-    big = max(abs(b), abs(b + 1.0))
-    order = max(14, 2 * int(math.ceil(big)) + 6)
+    order = max(14, 2 * int(math.ceil(max(abs(b), abs(b + 1.0)))) + 6)
     b1 = b + 1.0
     cb = 1.0    # running C(b, k)
     cb1 = 1.0   # running C(b+1, k)
+    peak = 0.0
     rows = []
     for k in range(order):
         if k >= 3:
             rows.append((cb, cb1, float(k)))
+            peak = max(peak, abs(cb), abs(cb1))
         d = k + 1.0
         cb *= (b - k) / d
         cb1 *= (b1 - k) / d
         if not (math.isfinite(cb) and math.isfinite(cb1)):
             rows.append((cb, cb1, d))
-            return tuple(rows), math.inf
+            return tuple(rows), math.inf, math.inf
     rows.append((cb, cb1, float(order)))
-    return tuple(rows), 1.0 + (big + 1.0) / (order + 1.0)
+    return tuple(rows), _tail_ratio(b, order), max(peak, abs(cb), abs(cb1))
+
+
+# Below this bound on the magnitudes of the full series' coefficients, of
+# g and g' at either end, none of them overflows floats (see _short_order).
+_FINITE_SERIES = 1e300
+
+
+def _short_order(m, b):
+    """The order J of the short 0+ series of g for the triple m, or None.
+
+    J = max(5, floor(b) + 3): b + 1 < J, so no term of the short series
+    merges with a term beyond it, and the tail exponent J - b - 1 at
+    +infinity is positive. None when the coefficients of the full series,
+    of g or g', might overflow floats at either end: the full series
+    refuses those anchors (see _anchor), so the short one must not decide
+    them. The full series' coefficients are at most the sum of |m| times
+    2 * peak + 2 * b^2 + 8, and a derivative multiplies them by at most
+    order + |b| + 2.
+    """
+    rows, _, peak = _binomials(b)
+    order = len(rows) + 2
+    bound = sum(map(abs, m)) * (2.0 * peak + 2.0 * b * b + 8.0) * (order + abs(b) + 2.0)
+    if not bound < _FINITE_SERIES:
+        return None
+    return min(max(5, math.floor(b) + 3), order)
 
 
 def _low_coefficients(m, b):
@@ -320,24 +362,36 @@ def _low_coefficients(m, b):
     )
 
 
-def _zero_series_g(m, b) -> _Series:
+def _zero_series_g(m, b, order=None) -> _Series:
     """g(s) = (m2+m3) s^b + m3 s^(b+1) + sum_k c_k s^k exactly for 0 < s < 1.
 
     The lowest four coefficients come from _low_coefficients, the c_k for
-    k >= 3 from the binomial table _binomials(b) of (1+s)^b and (1+s)^(b+1);
-    the tail bound controls the truncated part. The pairs are sorted by
+    3 <= k < order from the binomial table _binomials(b) of (1+s)^b and
+    (1+s)^(b+1); the tail bound controls the rest. The pairs are sorted by
     exponent once (stably, so colliding exponents sum in a fixed order) and
-    merged.
+    merged. Without an order the series is the full one, cut at the order
+    of the table. A short order J (see _short_order) gives a short series:
+    its pairs are those of the full series below J, and its tail, from the
+    row k = J and _tail_ratio(b, J), bounds every other term of the full
+    series, the full tail included. Either way, full is the full series'
+    tail, so a short series probes where the full one does.
     """
-    rows, ratio = _binomials(b)
+    rows, ratio, _ = _binomials(b)
     m1, _, m3 = m
     m13 = m1 + m3
+    a13, a3 = abs(m13), abs(m3)
+    cb, cb1, k = rows[-1]
+    full = Tail(a13 * abs(cb) + a3 * abs(cb1), k, ratio)
+    if order is None:
+        n, tail = len(rows) - 1, full
+    else:
+        n = order - 3
+        cb, cb1, k = rows[n]
+        tail = Tail(a13 * abs(cb) + a3 * abs(cb1), k, _tail_ratio(b, order))
     pairs = list(zip(_low_coefficients(m, b), (b, b + 1.0, 1.0, 2.0)))
-    pairs += [(m13 * cb - m3 * cb1, k) for cb, cb1, k in rows[:-1]]
+    pairs += [(m13 * cb - m3 * cb1, k) for cb, cb1, k in rows[:n]]
     pairs.sort(key=itemgetter(1))
-    cb, cb1, order = rows[-1]
-    return _Series(merge_sorted(pairs),
-                   Tail(abs(m13) * abs(cb) + abs(m3) * abs(cb1), order, ratio))
+    return _Series(merge_sorted(pairs), tail, full)
 
 
 def _reflect(series: _Series, b) -> _Series:
@@ -348,8 +402,9 @@ def _reflect(series: _Series, b) -> _Series:
     exponents that rounding made equal is needed.
     """
     p = merge_sorted([(-c, e - b - 1.0) for c, e in series.pairs])
-    t = series.tail
-    return _Series(p, Tail(t.coeff, t.exponent - b - 1.0, t.ratio))
+    t, f = series.tail, series.full
+    return _Series(p, Tail(t.coeff, t.exponent - b - 1.0, t.ratio),
+                   Tail(f.coeff, f.exponent - b - 1.0, f.ratio))
 
 
 def _derivative(series: _Series, end) -> _Series:
@@ -360,18 +415,33 @@ def _derivative(series: _Series, end) -> _Series:
     the exponents is kept, and the merge drops the constant term's zero
     coefficient. The tail's coefficient bound grows with the exponent: the
     k-th remainder term gains a factor (E + k) <= E * (1 + 1/E)^k, which the
-    ratio absorbs.
+    ratio absorbs. That needs E > 0; a tail exponent E <= 0 raises
+    ValueError.
     """
     sigma = 1.0 if end is Endpoint.ZERO_PLUS else -1.0
+    t, f = series.tail, series.full
+    if not (t.exponent > 0.0 and f.exponent > 0.0):
+        raise ValueError(f"the tail bound of a derivative needs a positive tail "
+                         f"exponent, got {min(t.exponent, f.exponent)!r}")
     p = merge_sorted([(sigma * c * e, e - sigma) for c, e in series.pairs])
-    t = series.tail
     return _Series(p, Tail(t.coeff * t.exponent, t.exponent - sigma,
-                           t.ratio * (1.0 + 1.0 / t.exponent)))
+                           t.ratio * (1.0 + 1.0 / t.exponent)),
+                   Tail(f.coeff * f.exponent, f.exponent - sigma,
+                        f.ratio * (1.0 + 1.0 / f.exponent)))
+
+
+def _in_s(found, end):
+    """The (x, sign, value) anchor in s from the (x0, sign) certified in the end's variable.
+
+    The sign is certified constant beyond x toward the end, and value is
+    None, since g is not evaluated at x.
+    """
+    x0, sign = found
+    return (x0 if end is Endpoint.ZERO_PLUS else 1.0 / x0), sign, None
 
 
 def _anchor(series: _Series, end, name, b):
-    """The (x, sign, value) anchor in s: the sign is certified constant beyond x
-    toward the end, and value is None, since g is not evaluated at x.
+    """The (x, sign, value) anchor in s of the full series (see _in_s).
 
     name ("g" or "g'") and b only label the ToleranceError raised when a
     coefficient or the tail bound of the series overflowed floats.
@@ -382,8 +452,39 @@ def _anchor(series: _Series, end, name, b):
     if not (math.isfinite(t.coeff) and all(math.isfinite(c) for c, _ in series.pairs)):
         at = "0+" if end is Endpoint.ZERO_PLUS else "+infinity"
         raise ToleranceError(f"the series of {name} at {at} overflows floats at b = {b!r}")
-    x0, sign = certified_sign_near_zero(series.pairs, tail=t, start=0.5 / t.ratio)
-    return (x0 if end is Endpoint.ZERO_PLUS else 1.0 / x0), sign, None
+    return _in_s(certified_sign_near_zero(series.pairs, tail=t, start=0.5 / t.ratio), end)
+
+
+def _end_anchors(mv, b, end, order):
+    """name -> the anchor of g ("g") or g' ("g'") at end, for the triple mv.
+
+    With a short order (see _short_order), an anchor is certified on the
+    short series cut there when its two bounds decide every probe
+    (_bounded_sign_near_zero). The full series is built at most once, for
+    the first anchor they leave undecided, and from then on certifies the
+    end's anchors itself. The anchor is the full series' either way. With
+    order None, the full series certifies every anchor.
+    """
+    def series(cut=None):
+        if end is Endpoint.ZERO_PLUS:
+            return _zero_series_g(mv, b, cut)
+        return _reflect(_zero_series_g(mv[::-1], b, cut), b)
+
+    short = None if order is None else series(order)
+    full = None
+
+    def anchor(name):
+        nonlocal full
+        if full is None:
+            if short is not None:
+                s = short if name == "g" else _derivative(short, end)
+                found = _bounded_sign_near_zero(s.pairs, s.tail, 0.5 / s.full.ratio)
+                if found is not None:
+                    return _in_s(found, end)
+            full = series()
+        return _anchor(full if name == "g" else _derivative(full, end), end, name, b)
+
+    return anchor
 
 
 def _leading_sign(m, b) -> int:
@@ -489,26 +590,20 @@ def _cell_roots(mv, b, h, tol, refine=True):
     for r in h_roots:
         s = r.value / (1.0 - r.value)
         curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
-    zero = _zero_series_g(mv, b)
-    inf = _reflect(_zero_series_g(mv[::-1], b), b)
+    order = _short_order(mv, b)
+    zero = _end_anchors(mv, b, Endpoint.ZERO_PLUS, order)
+    inf = _end_anchors(mv, b, Endpoint.INFINITY, order)
     gp = _gp_sign(mv, b)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints.
     gp_roots = isolate_between(
         gp,
         lambda s, z: sum_sign(((h.pairs, s / (1.0 + s)),), z),
-        _anchor(_derivative(zero, Endpoint.ZERO_PLUS), Endpoint.ZERO_PLUS, "g'", b),
-        _anchor(_derivative(inf, Endpoint.INFINITY), Endpoint.INFINITY, "g'", b),
-        curvature_breaks, tol,
+        zero("g'"), inf("g'"), curvature_breaks, tol,
     )
     # Stage 3: g is strictly monotone between g' roots.
-    return isolate_between(
-        _g_sign(mv, b),
-        gp,
-        _anchor(zero, Endpoint.ZERO_PLUS, "g", b),
-        _anchor(inf, Endpoint.INFINITY, "g", b),
-        gp_roots, tol, refine=refine,
-    )
+    return isolate_between(_g_sign(mv, b), gp, zero("g"), inf("g"), gp_roots, tol,
+                           refine=refine)
 
 
 def _solve_view(mv, b, cell, tol, roots):

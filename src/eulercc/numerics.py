@@ -150,6 +150,7 @@ class Tail(NamedTuple):
 
 _PROBE_FLOOR = 1e-280
 _SHRINK = 0.0625
+_PHASE1_PROBES = 10
 _MARGIN = 0.5
 _PAIR_MARGIN_LOG = 3.0
 # The linear-space domination test decides only outside this relative band
@@ -264,7 +265,7 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
 
     # Phase 1: quick single-term domination.
     x = min(start, 0.25)
-    phase1 = 10 if len(pairs) > 1 else 10 ** 6
+    phase1 = _PHASE1_PROBES if len(pairs) > 1 else 10 ** 6
     skip = None  # (e1 - e0, log threshold), set once the first probe fails
     for _ in range(phase1):
         if x < _PROBE_FLOOR:
@@ -327,6 +328,57 @@ def certified_sign_near_zero(pairs, tail=None, start=0.25):
             return math.exp(lx), zone_sign
         lx += shrink_log
     raise ToleranceError("no probe point dominated by the leading terms")
+
+
+# The two bounds of a short series decide a probe only outside this relative
+# band around |c0|/2, far wider than their rounding and than the rounding of
+# either test of certified_sign_near_zero on the full series.
+_BOUND_BAND = 1e-6
+
+
+def _bounded_sign_near_zero(pairs, tail, start):
+    """certified_sign_near_zero on a full series, decided on a short one, or None.
+
+    pairs are the full series' pairs below tail.exponent, with finite
+    coefficients; tail bounds the magnitudes of all its other terms, and
+    start is its first probe. At each probe of phase 1, L = fsum(|c| x^(e -
+    e0)) over pairs[1:] bounds the full series' other magnitudes from below
+    and U = L + the tail bound from above. U below |c0|/2 by the band is the
+    full series' anchor (x, sign); L above it by the band fails the probe,
+    as the full series' tests and skips do. Anything else is undecided
+    (None): a probe between the two, a U that cannot be trusted (ratio * x
+    near 0.9, a power below the normal range), |c0| below 1e-250, and
+    phase 1 running out.
+    """
+    if not pairs or abs(pairs[0][0]) < _LINEAR_MIN_LEAD:
+        return None
+    c0, e0 = pairs[0]
+    half = _MARGIN * abs(c0)
+    above, below = half * (1.0 + _BOUND_BAND), half * (1.0 - _BOUND_BAND)
+    x = min(start, 0.25)
+    if len(pairs) > 1:
+        # the second term alone fails phase 1's last probe, and so every probe
+        c1, e1 = pairs[1]
+        if abs(c1) * (x * _SHRINK ** (_PHASE1_PROBES - 1)) ** (e1 - e0) > above:
+            return None
+    last = pairs[-1][1] - e0
+    for _ in range(_PHASE1_PROBES):
+        if x < _PROBE_FLOOR:
+            return None
+        lower = math.fsum([abs(c) * x ** (e - e0) for c, e in pairs[1:]])
+        if lower <= above:
+            if x ** last < sys.float_info.min:
+                return None
+            upper = lower
+            if tail.coeff != 0.0:
+                rx = tail.ratio * x
+                power = x ** (tail.exponent - e0)
+                if rx >= 0.9 or power < sys.float_info.min:
+                    return None
+                upper += tail.coeff * power / (1.0 - rx)
+            return (x, 1 if c0 > 0.0 else -1) if upper < below else None
+        x *= _SHRINK
+    return None
 
 
 class RootRecord(NamedTuple):

@@ -31,6 +31,7 @@ from eulercc.euler import (
     _binomials,
     _cell3_from_cell1,
     _derivative,
+    _end_anchors,
     _g_groups,
     _g_sign,
     _gp_groups,
@@ -39,6 +40,7 @@ from eulercc.euler import (
     _masses,
     _reflect,
     _safe_range,
+    _short_order,
     _solution,
     _zero_series_g,
 )
@@ -552,21 +554,24 @@ def _mp_zero_terms(m, b, order):
 
 
 def test_series_tail_bounds_dominate_the_remainder():
+    # Both the full series and the short one (cut at _short_order) must
+    # bound the remainder; b = 3.7184 puts the short order at 6, where the
+    # tail exponent at +infinity is 6 - b - 1 = 1.28.
     rng = random.Random(25)
     masses = [rand_masses(rng) for _ in range(3)] + [(1.0, -2.0, 3.0)]
-    bs = [-3.0, -2.0, 0.0, 2.0, 3.0, -2.5, -0.5, 0.5, 1.5, 3.5] + \
+    bs = [-3.0, -2.0, 0.0, 2.0, 3.0, -2.5, -0.5, 0.5, 1.5, 3.5, 3.7184] + \
         [rng.uniform(-5.0, 5.0) for _ in range(3)]
     with mpmath.workdps(60):
         for m in masses:
-            for b in bs:
-                zero = _zero_series_g(m, b)
+            for b, cut in ((b, cut) for b in bs for cut in (None, _short_order(m, b))):
+                zero = _zero_series_g(m, b, cut)
                 order = int(zero.tail.exponent)
                 for end in (Endpoint.ZERO_PLUS, Endpoint.INFINITY):
                     if end is Endpoint.ZERO_PLUS:
                         series = zero
                         terms = _mp_zero_terms(m, b, order)
                     else:
-                        series = _reflect(_zero_series_g(m[::-1], b), b)
+                        series = _reflect(_zero_series_g(m[::-1], b, cut), b)
                         terms = [(-c, e - mpmath.mpf(b) - 1)
                                  for c, e in _mp_zero_terms(m[::-1], b, order)]
                     sigma = 1 if end is Endpoint.ZERO_PLUS else -1
@@ -586,7 +591,14 @@ def test_series_tail_bounds_dominate_the_remainder():
                                      / (1 - mpmath.mpf(tail.ratio) * x))
                             # 60-digit evaluation noise of the subtraction
                             noise = mpmath.mpf(10) ** -45 * (abs(target) + sum(map(abs, parts)))
-                            assert remainder <= bound + noise, (m, b, end, derivative, x)
+                            assert remainder <= bound + noise, (m, b, cut, end, derivative, x)
+    # Cut at order 3, the tail exponent at +infinity is 3 - b - 1 = -0.7184,
+    # where the derivative's tail bound does not hold: it used to return a
+    # negative coefficient and a ratio below 1, which certified x = 4 for g'
+    # where the full series' anchor is 64.
+    m, b = (1.0, -2.0, 3.0), 3.7184
+    with pytest.raises(ValueError, match=re.escape(repr(3.0 - b - 1.0))):
+        _derivative(_reflect(_zero_series_g(m[::-1], b, 3), b), Endpoint.INFINITY)
 
 
 # The endpoint series builders as they were with Signomial and normalize,
@@ -645,18 +657,29 @@ def _ref_anchor(series: _RefSeries, end):
     return (x0, sign, None) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign, None)
 
 
-def _anchor_or_error(anchor, series, end):
+def _anchor_or_error(anchor):
     try:
-        return anchor(series, end)
+        return anchor()
     except ToleranceError as exc:
         return "ToleranceError", str(exc)
 
 
-def test_flat_series_match_the_normalize_reference():
+def test_flat_series_match_the_normalize_reference(monkeypatch):
     # Integer and half-integer b make b or b+1 collide with the integer
     # exponents (and the reflected ones collide through rounding); the
     # structured masses zero low-order coefficients (m3 = 0, m1 = -m3,
     # m2 = -m3), so zero coefficients are dropped and zero sums removed.
+    # The cell's anchors, tried on the short series first as _cell_roots
+    # asks for them, must be the reference's on the full series.
+    decided = []
+
+    def bounded(*args):
+        found = bounded_sign_near_zero(*args)
+        decided.append(found is not None)
+        return found
+
+    bounded_sign_near_zero = euler._bounded_sign_near_zero
+    monkeypatch.setattr(euler, "_bounded_sign_near_zero", bounded)
     rng = random.Random(26)
     for i in range(5000):
         k = i % 6
@@ -684,15 +707,23 @@ def test_flat_series_match_the_normalize_reference():
         inf = _reflect(_zero_series_g(m[::-1], b), b)
         ref_zero = _ref_zero_series_g(m, b)
         ref_inf = _ref_reflect(_ref_zero_series_g(m[::-1], b), b)
+        order = _short_order(m, b)
         for end, series, ref in ((Endpoint.ZERO_PLUS, zero, ref_zero),
                                  (Endpoint.INFINITY, inf, ref_inf)):
-            for got, want in ((series, ref),
-                              (_derivative(series, end), _ref_derivative(ref, end))):
+            cell_anchor = _end_anchors(m, b, end, order)
+            # g' first, as in _cell_roots
+            for name, got, want in (("g'", _derivative(series, end), _ref_derivative(ref, end)),
+                                    ("g", series, ref)):
                 # repr tells -0.0 from 0.0 and round-trips every float
                 assert repr(got.pairs) == repr(want.signomial.pairs), (m, b, end)
                 assert repr(got.tail) == repr(want.tail), (m, b, end)
-                assert repr(_anchor_or_error(lambda s, e: _anchor(s, e, "g", b), got, end)) == \
-                    repr(_anchor_or_error(_ref_anchor, want, end)), (m, b, end)
+                expected = repr(_anchor_or_error(lambda: _ref_anchor(want, end)))
+                assert repr(_anchor_or_error(lambda: _anchor(got, end, "g", b))) == expected, \
+                    (m, b, end)
+                assert repr(_anchor_or_error(lambda: cell_anchor(name))) == expected, \
+                    (m, b, end, name)
+    # both branches ran: anchors the short series decided, and fallbacks
+    assert True in decided and False in decided
 
 
 def test_endpoint_sign_reflection_identity():

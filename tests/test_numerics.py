@@ -22,6 +22,7 @@ from eulercc.numerics import (
     isolate_between,
     sum_sign,
 )
+from eulercc.signomial import Endpoint
 
 # --- reference: the anchor as it was when every probe was decided in log space ---
 # (a verbatim copy; only the function's name differs)
@@ -138,10 +139,12 @@ def reference_sign_near_zero(pairs, tail=None, start=0.25):
 
 
 def _recorded_anchor_inputs(monkeypatch, draws):
-    """(pairs, tail, start) of every anchor count_all asks for on the draws.
+    """(pairs, tail, start) of every full-series anchor count_all may ask for on the draws.
 
-    Both callers are recorded: euler's four series anchors per cell and the
-    signomial engine's anchors along the h chain.
+    euler's four full series per cell (g and g' at 0+ and at +infinity) are
+    built directly, since count_all certifies most of its anchors on a short
+    series; the signomial engine's anchors along the h chain are recorded
+    as count_all asks for them.
     """
     seen = []
 
@@ -149,7 +152,6 @@ def _recorded_anchor_inputs(monkeypatch, draws):
         seen.append((tuple(pairs), tail, start))
         return certified_sign_near_zero(pairs, tail, start)
 
-    monkeypatch.setattr(euler, "certified_sign_near_zero", record)
     monkeypatch.setattr(signomial, "certified_sign_near_zero", record)
     for m, b in draws:
         for masses in (m, m[::-1]):
@@ -157,6 +159,15 @@ def _recorded_anchor_inputs(monkeypatch, draws):
                 count_all(masses, b)
             except ToleranceError:
                 pass
+            for cell in euler.CELLS:
+                mv = euler.cell_mass_view(euler._rescaled(masses), cell)
+                if euler.degenerate_family(mv, b) is not None or euler.h_signomial(mv, b).is_zero:
+                    continue
+                for end, series in (
+                        (Endpoint.ZERO_PLUS, euler._zero_series_g(mv, b)),
+                        (Endpoint.INFINITY, euler._reflect(euler._zero_series_g(mv[::-1], b), b))):
+                    for s in (series, euler._derivative(series, end)):
+                        seen.append((s.pairs, s.tail, 0.5 / s.tail.ratio))
     monkeypatch.undo()
     return seen
 
