@@ -7,6 +7,9 @@ Hashes, section by section and in total:
   mirror (m3, m2, m1), or the error it raised, on the seeded draws of the
   benchmark workloads of those names (m in [-10, 10]^3, b in [-5, 5] or
   [0.8, 1.2], drawn in the order perfbench/workloads.py draws them);
+- counts: the same draws' counts and degenerate flags alone, or the
+  error, with no root values, so that a change that moves roots can still
+  show that it changed no count or flag;
 - refusals: the repr of count_all(m, b), or the error it raised, where the
   series of g overflow floats: for two seeded mass triples per seed at every
   integer b in [-380, -360] and in [1015, 1031], and for a tenth of --draws
@@ -56,28 +59,48 @@ CLI_EXAMPLES = (
 )
 
 
+def solve(masses, b):
+    """count_all(masses, b), or the ToleranceError it raised."""
+    try:
+        return count_all(masses, b)
+    except ToleranceError as exc:
+        return exc
+
+
+def result_text(result):
+    if isinstance(result, ToleranceError):
+        return f"ToleranceError: {result}"
+    return repr(result)
+
+
 def count_line(masses, b):
     """The repr of count_all(masses, b), or the ToleranceError it raised, with its input."""
-    try:
-        result = repr(count_all(masses, b))
-    except ToleranceError as exc:
-        result = f"ToleranceError: {exc}"
-    return f"{masses!r} {b!r} {result}"
+    return f"{masses!r} {b!r} {result_text(solve(masses, b))}"
+
+
+def counts_text(result):
+    """The counts and the solutions' degenerate flags of a count_all result, or its error."""
+    if isinstance(result, ToleranceError):
+        return result_text(result)
+    counts, sols = result
+    return f"{counts!r} {[sol.degenerate for sol in sols]!r}"
 
 
 def draw_masses(rng):
     return tuple(rng.uniform(-10.0, 10.0) for _ in range(3))
 
 
-def draw_lines(name, seeds, draws):
-    """The repr lines of count_all on the first draws of a census-type workload."""
+def draw_results(name, seeds, draws):
+    """(masses, b, result) of count_all on the first draws of a census-type workload."""
+    results = []
     for seed in seeds:
         rng = random.Random(f"{name}:{seed}")
         for _ in range(draws):
             m = draw_masses(rng)
             b = rng.uniform(*DRAW_B_RANGES[name])
             for masses in (m, m[::-1]):
-                yield count_line(masses, b)
+                results.append((masses, b, solve(masses, b)))
+    return results
 
 
 def refusal_lines(seeds, draws):
@@ -131,7 +154,11 @@ def main():
                     help="print the hashed lines instead of the digests")
     args = ap.parse_args()
 
-    sections = {name: draw_lines(name, args.seeds, args.draws) for name in DRAW_B_RANGES}
+    results = {name: draw_results(name, args.seeds, args.draws) for name in DRAW_B_RANGES}
+    sections = {name: (f"{m!r} {b!r} {result_text(r)}" for m, b, r in results[name])
+                for name in DRAW_B_RANGES}
+    sections["counts"] = (f"{name} {m!r} {b!r} {counts_text(r)}"
+                          for name in DRAW_B_RANGES for m, b, r in results[name])
     sections["refusals"] = refusal_lines(args.seeds, args.draws)
     sections["grid"] = grid_lines("-n", "50x50", "--check")
     sections["map"] = grid_lines("-n", "200x200")

@@ -6,18 +6,23 @@ sit at 0, 1, and 1+s with shape parameter s > 0. The balance function
     g(s) = (m2+m3) s^b + (m1+m3)(1+s)^b + m3 (s^(b+1) - (1+s)^(b+1))
            - m1 (1+s) - m2 s
 
-vanishes exactly at the central configurations of the cell; b = -2 is the
-gravitational case, b = -1 the point-vortex case. The counting pipeline
-walks a derivative chain: the second derivative transforms under
-y = s/(1+s) into a four-term signomial H = b(b-1)*h on (0, 1)
-(h_signomial), whose roots are isolated by the certified signomial engine;
-the sign-constant pieces of g'' then locate the roots of g', and those in
-turn the roots of g. Where H is empty and g is not identically zero, g is
-affine in s and its root is read off directly. Signs at the open ends 0+
-and +infinity are certified by expanding g into its exact generalized
-power series at 0 (binomial coefficients, explicit tail bound) and
-probing until the leading term dominates; the end at +infinity reduces to
-the end at 0 through the reflection identity
+vanishes exactly at the central configurations of the cell; b = -2 is
+the gravitational case, b = -1 the point-vortex case. The counting
+pipeline walks a derivative chain: the second derivative transforms
+under y = s/(1+s) into a four-term signomial H = b(b-1)*h on (0, 1)
+(h_signomial), whose roots are isolated by the certified signomial
+engine; the sign-constant pieces of g'' then locate the roots of g', and
+those in turn the roots of g. The roots of H and of g' stay unrefined
+brackets between certified points: the function one stage up has a
+single extremum in each bracket, at the root, so an end where it already
+has the extremum's sign gives its sign there, and a bracket is narrowed,
+and at last refined, only when neither end does. Only the roots of g are
+refined, and only when they are asked for. Where H is empty and g is not
+identically zero, g is affine in s and its root is read off directly.
+Signs at the open ends 0+ and +infinity are certified by expanding g
+into its exact generalized power series at 0 (binomial coefficients,
+explicit tail bound) and probing until the leading term dominates; the
+end at +infinity reduces to the end at 0 through the reflection identity
 g_{m1,m2,m3}(1/s) = -s^(-b-1) g_{m3,m2,m1}(s). Each anchor is first
 tried on a short series, cut at a low order with its own tail bound,
 whose lower and upper bounds on the full series' other magnitudes decide
@@ -38,6 +43,7 @@ from .numerics import (
     DEFAULT_REL_TOL,
     INFINITE,
     LOG_SAFE,
+    Bracket,
     RootRecord,
     Tail,
     ToleranceError,
@@ -48,7 +54,7 @@ from .numerics import (
     sum_sign,
     sum_value,
 )
-from .signomial import Endpoint, Signomial, count_and_isolate, merge_sorted, normalize
+from .signomial import Endpoint, Signomial, _isolate, merge_sorted, normalize
 
 __all__ = [
     "INFINITE",
@@ -325,9 +331,12 @@ _FINITE_SERIES = 1e300
 def _short_order(m, b):
     """The order J of the short 0+ series of g for the triple m, or None.
 
-    J = max(5, floor(b) + 3): b + 1 < J, so no term of the short series
-    merges with a term beyond it, and the tail exponent J - b - 1 at
-    +infinity is positive. None when the coefficients of the full series,
+    J = max(5, floor(b) + 3), and floor(-b) + 3 for b < -5: b + 1 < J, so
+    no term of the short series merges with a term beyond it, and the tail
+    exponent J - b - 1 at +infinity is positive. Growing with |b|, J keeps
+    the tail ratio 1 + (max(|b|, |b + 1|) + 1)/(J + 1) at most 2, so the
+    short series' tail bound holds at the first probes on both sides of
+    b = 0. None when the coefficients of the full series,
     of g or g', might overflow floats at either end: the full series
     refuses those anchors (see _anchor), so the short one must not decide
     them. The full series' coefficients are at most the sum of |m| times
@@ -339,7 +348,7 @@ def _short_order(m, b):
     bound = sum(map(abs, m)) * (2.0 * peak + 2.0 * b * b + 8.0) * (order + abs(b) + 2.0)
     if not bound < _FINITE_SERIES:
         return None
-    return min(max(5, math.floor(b) + 3), order)
+    return min(max(5, math.floor(-b if b < -5.0 else b) + 3), order)
 
 
 def _low_coefficients(m, b):
@@ -575,31 +584,42 @@ def _affine_roots(mv, b):
     return [(s, False)] if s > 0.0 else []
 
 
+def _y_to_s(y):
+    """s = y/(1-y) for y on (0, 1]; +infinity at y = 1."""
+    return y / (1.0 - y) if y < 1.0 else math.inf
+
+
 def _cell_roots(mv, b, h, tol, refine=True):
     """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}.
 
     With refine=False the roots of g are only counted (isolate_between's
-    unrefined records); the h and g' breakpoints are refined either way,
-    since a coarse breakpoint could hide a pair of roots of g.
+    unrefined records). The breakpoints below g are never refined unless
+    their bracket ends cannot tell the sign of the function above at them:
+    the roots of H come unrefined from the signomial engine and the roots
+    of g' from the g' stage, and each stage reads the sign at a breakpoint
+    from the ends of its bracket (see isolate_between).
     """
     # Stage 1: sign changes of g'' as breakpoints, via the signomial engine
     # on (0, 1) in y (the forced boundary zero at y = 1 is excluded), mapped
-    # to s = y/(1-y).
-    _, h_roots = count_and_isolate(h, 0.0, 1.0, tol)
+    # to s = y/(1-y). A bracket reaching y = 1 reaches +infinity in s.
     curvature_breaks = []
-    for r in h_roots:
-        s = r.value / (1.0 - r.value)
-        curvature_breaks.append(RootRecord(s * (1.0 - tol), s * (1.0 + tol), s, r.degenerate))
+    for r in _isolate(h.pairs, 0.0, 1.0, tol, refine=False):
+        if isinstance(r, Bracket):
+            curvature_breaks.append(Bracket(_y_to_s(r.lo), _y_to_s(r.hi), r.sign))
+        else:
+            curvature_breaks.append(RootRecord(_y_to_s(r.lo), _y_to_s(r.hi),
+                                               _y_to_s(r.value), r.degenerate))
     order = _short_order(mv, b)
     zero = _end_anchors(mv, b, Endpoint.ZERO_PLUS, order)
     inf = _end_anchors(mv, b, Endpoint.INFINITY, order)
     gp = _gp_sign(mv, b)
 
-    # Stage 2: g' is strictly monotone between curvature breakpoints.
+    # Stage 2: g' is strictly monotone between curvature breakpoints, and
+    # g'' has the sign of H(s/(1+s)).
     gp_roots = isolate_between(
         gp,
         lambda s, z: sum_sign(((h.pairs, s / (1.0 + s)),), z),
-        zero("g'"), inf("g'"), curvature_breaks, tol,
+        zero("g'"), inf("g'"), curvature_breaks, tol, refine=False,
     )
     # Stage 3: g is strictly monotone between g' roots.
     return isolate_between(_g_sign(mv, b), gp, zero("g"), inf("g"), gp_roots, tol,

@@ -388,16 +388,31 @@ class RootRecord(NamedTuple):
     lo == hi == value where it evaluates to exactly zero; for
     degenerate=True the root sits where the bracketing derivative-chain
     function is itself below the degeneracy threshold, so the bracket is
-    only a location estimate. A record from isolate_between(refine=False)
-    is unrefined: value is nan and only the number of records means
-    anything, so it must not serve as a chain root of a later stage
-    (isolate_between refuses it).
+    only a location estimate. isolate_between(refine=False) returns the
+    roots it does not refine as Brackets, which serve as chain roots of a
+    later stage as refined records do.
     """
 
     lo: float
     hi: float
     value: float
     degenerate: bool
+
+
+class Bracket(NamedTuple):
+    """An unrefined root: the function changes sign exactly once across [lo, hi].
+
+    sign is its certified sign at lo. As a chain root of a later stage it
+    is read by its ends (see isolate_between). value is nan and degenerate
+    False, so a caller that only counts roots takes a Bracket where it
+    takes a RootRecord.
+    """
+
+    lo: float
+    hi: float
+    sign: int
+    value = math.nan
+    degenerate = False
 
 
 # The interpolation steps truncate and project as ITP does (Oliveira &
@@ -583,33 +598,102 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL,
             hi = mid
 
 
+# A breakpoint whose bracket ends cannot decide is narrowed by this many
+# bisection steps on the chain function between two readings of the ends,
+# for at most this many rounds, before its chain root is refined in full.
+_NARROW_STEPS = 4
+_NARROW_ROUNDS = 2
+
+
+def _decides(ends, sign):
+    """True when a bracket end shows the target's sign at the extremum inside.
+
+    That sign is the chain function's sign at the low end (see
+    _read_bracket); the end must read it with a value outside the rounding
+    noise, and neither end may read zero.
+    """
+    (_, sa, va), (_, sc, vc) = ends
+    return sa != 0 and sc != 0 and (sa == sign and va is not None
+                                    or sc == sign and vc is not None)
+
+
+def _read_bracket(read, chain_fn, bracket, rel_tol):
+    """(ends, root): a chain root's bracket read at its ends, and the root if they cannot decide.
+
+    read(x) is the target's (x, sign, value) with BOUNDARY_ZERO_REL, read
+    once per point, and chain_fn(x) the chain function's (sign, value) with
+    threshold 0. The target is monotone on either side of the chain root,
+    which is the one extremum in the bracket: a maximum where the chain
+    function is positive at the low end, a minimum where it is negative.
+    So an end where the target has that sign shows the target's sign at
+    the root (_decides), and root is None. Otherwise the bracket is
+    narrowed, _NARROW_STEPS bisection steps on the chain function at a
+    time, each on a sign read with a value, and its ends are read again,
+    for at most _NARROW_ROUNDS rounds. When they still do not decide, the
+    chain root is refined by bisect_sign_change and root is its RootRecord.
+    ends are the two last read, inside the bracket either way.
+    """
+    lo, hi, sign = bracket
+    value_lo = value_hi = None
+    for step in range(_NARROW_ROUNDS * _NARROW_STEPS + 1):
+        if step % _NARROW_STEPS == 0:
+            ends = read(lo), read(hi)
+            if _decides(ends, sign):
+                return ends, None
+        if step == _NARROW_ROUNDS * _NARROW_STEPS:
+            break
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi))) if hi > 8.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        s, v = chain_fn(mid)
+        if s == 0 or v is None:
+            break
+        if s == sign:
+            lo, value_lo = mid, v
+        else:
+            hi, value_hi = mid, v
+    value, lo, hi, _ = bisect_sign_change(chain_fn, lo, hi, sign, rel_tol, value_lo, value_hi)
+    return ends, RootRecord(lo=lo, hi=hi, value=value, degenerate=False)
+
+
 def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
                     rel_tol=DEFAULT_REL_TOL, refine=True):
     """One stage of a derivative chain: the roots of a target between anchors.
 
     sign_fn(x, zero_rel) and chain_sign_fn(x, zero_rel) return the (sign,
     value) of the target and of its chain function at x, as sum_sign does
-    on their groups with that threshold; chain_roots are the chain
-    function's roots (the lower stage's RootRecords, sorted), between which
-    the target is strictly monotone. left and right are (x, sign, value)
-    anchors whose signs are certified constant beyond them (toward 0+ and
-    +infinity respectively, or exact boundary values); value is the
-    target's value read at x as sum_sign returns it, or None where none was
-    read. An anchor with sign 0 is a boundary zero and is not recorded.
+    on their groups with that threshold. chain_roots are the chain
+    function's roots (the lower stage's records, sorted), between which the
+    target is strictly monotone: the chain function has the sign of the
+    derivative of the target times a positive function. left and right
+    are (x, sign, value) anchors whose signs are certified constant beyond
+    them (toward 0+ and +infinity respectively, or exact boundary values);
+    value is the target's value read at x as sum_sign returns it, or None
+    where none was read. An anchor with sign 0 is a boundary zero and is
+    not recorded.
 
-    Signs are evaluated here with three thresholds: BOUNDARY_ZERO_REL at the
-    breakpoints, where a sign of 0 is itself a root of the target, recorded
-    once with the chain root's bracket and flagged degenerate; 0.0 while
-    bisect_sign_change refines a sign change, starting from the values read
-    at the breakpoints; and DEGENERACY_REL for the chain function at a
-    refined root, which flags it degenerate when that sign is 0.
+    The target's sign at each chain root is read with BOUNDARY_ZERO_REL.
+    A refined chain root (a RootRecord) is read at its value. A Bracket is
+    read at its ends, narrowed and at last refined when they cannot decide
+    (_read_bracket); a bracket with an end beyond an anchor is read the
+    same way, and only its ends between the anchors are kept. A bracket
+    reaching +infinity, whose end cannot be read, is first brought to the
+    right anchor when the chain sign read there with a value places its
+    root inside, and skipped when it places it beyond; ToleranceError
+    when that sign is in the rounding noise. A sign of 0 at a chain root
+    is itself a root of the target, recorded once with the chain root's
+    bracket and flagged degenerate. The roots are counted as the sign
+    changes between consecutive points read, the anchors and the bracket
+    ends with a sign included; each lies alone between its two points.
+    bisect_sign_change refines it from the values read there, with
+    threshold 0.0, and DEGENERACY_REL for the chain function at the
+    refined root flags it degenerate when that sign is 0.
 
-    With refine=False each sign change between breakpoints is counted
-    without being refined or tested for degeneracy: its record is the
-    certified bracket between the two breakpoints, with value nan and
-    degenerate False, so only the number of records is meaningful. A
-    caller that needs only the count of roots saves the bisection. Such
-    records cannot be chain_roots: a nan breakpoint raises ValueError.
+    With refine=False each sign change between points is returned as the
+    Bracket of its two points, neither refined nor tested for degeneracy:
+    a caller that needs only the count of roots saves the bisection, and a
+    later stage reads it as a chain root by its ends. The records come in
+    increasing order either way.
     """
     xl, sl, _ = left
     xr, sr, _ = right
@@ -618,29 +702,68 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
         if sl != 0 and sr != 0 and sl != sr:
             raise ToleranceError("conflicting certified signs on overlapping zones")
         return []
-    pts = [left]
+    read_at = {}
+
+    def read(x):
+        if x not in read_at:
+            read_at[x] = (x, *sign_fn(x, BOUNDARY_ZERO_REL))
+        return read_at[x]
+
     out = []
-    for r in chain_roots:
-        if math.isnan(r.value):
-            raise ValueError("an unrefined root record cannot be a breakpoint")
-        if xl < r.value < xr:
-            s, v = sign_fn(r.value, BOUNDARY_ZERO_REL)
-            pts.append((r.value, s, v))
-            if s == 0:
-                out.append(RootRecord(lo=r.lo, hi=r.hi, value=r.value, degenerate=True))
-    pts.append(right)
-    for (xa, sa, va), (xb, sb, vb) in zip(pts, pts[1:]):
+    prev = left
+
+    def visit(point):
+        # the roots between prev and point, then point becomes prev
+        nonlocal prev
+        (xa, sa, va), (xb, sb, vb) = prev, point
+        prev = point
         if sa == 0 or sb == 0 or sa == sb:
-            continue
+            return
         if not refine:
-            out.append(RootRecord(lo=xa, hi=xb, value=math.nan, degenerate=False))
-            continue
+            out.append(Bracket(lo=xa, hi=xb, sign=sa))
+            return
         value, lo, hi, _ = bisect_sign_change(
             lambda x: sign_fn(x, 0.0), xa, xb, sa, rel_tol, va, vb)
         # A mid-point landing exactly on zero says nothing about degeneracy;
         # only the chain function's magnitude at the root does.
         degenerate = chain_sign_fn(value, DEGENERACY_REL)[0] == 0
         out.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=degenerate))
-    if refine:
-        out.sort(key=lambda r: r.value)
+
+    def chain_fn(x):
+        return chain_sign_fn(x, 0.0)
+
+    def end(point):
+        # a bracket end with a sign, between the anchors
+        if point[1] != 0 and xl < point[0] < xr:
+            visit(point)
+
+    def at_chain_root(r):
+        if xl < r.value < xr:
+            point = read(r.value)
+            visit(point)
+            if point[1] == 0:
+                out.append(RootRecord(lo=r.lo, hi=r.hi, value=r.value, degenerate=True))
+
+    for r in chain_roots:
+        if isinstance(r, Bracket):
+            if r.hi <= xl or r.lo >= xr:
+                continue
+            if r.hi == math.inf:
+                # the end cannot be read: the chain sign at the right anchor
+                # places the root beyond it, or brings the end to it
+                s, v = chain_fn(xr)
+                if v is None or s == 0:
+                    raise ToleranceError(f"the chain root of the bracket from {r.lo!r} "
+                                         f"to +infinity cannot be placed beside {xr!r}")
+                if s == r.sign:
+                    continue
+                r = r._replace(hi=xr)
+            (a, c), r = _read_bracket(read, chain_fn, r, rel_tol)
+            end(a)
+            if r is not None:
+                at_chain_root(r)
+            end(c)
+        else:
+            at_chain_root(r)
+    visit(right)
     return out

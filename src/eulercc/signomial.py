@@ -155,25 +155,32 @@ def derivative_chain(p: Signomial):
 # --- counting and isolation ---------------------------------------------------
 
 
-def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
+def _isolate(pairs, lo: float, hi: float, tol: float, refine: bool = True):
+    """The roots of pairs on (lo, hi), as isolate_between returns them.
+
+    The lower levels of the chain come back unrefined: their Brackets are
+    read as breakpoints by their ends, and only this level's roots are
+    refined, when refine is set.
+    """
     pivot = _first_variation_pivot(pairs)
     if pivot is None:
         # All coefficients share one sign: no positive roots at all.
         return []
     q = _shift_differentiate(pairs, pivot)
-    q_roots = _isolate(q, lo, hi, tol)
+    q_roots = _isolate(q, lo, hi, tol, refine=False)
 
     # Left anchor: domination probe for the open end at 0, direct evaluation
     # for a finite boundary (a boundary zero is excluded, not counted).
     # The value read at a finite boundary goes on to the refinement, which
-    # can interpolate from it.
-    inner = q_roots[0].value if q_roots else (hi if math.isfinite(hi) else 2.0)
+    # can interpolate from it. The probes start below the first chain root
+    # and above the last.
+    inner = q_roots[0].lo if q_roots else (hi if math.isfinite(hi) else 2.0)
     if lo == 0.0:
         left = (*certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner)), None)
     else:
         left = (lo, *sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL))
     if math.isinf(hi):
-        outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
+        outer = q_roots[-1].hi if q_roots else max(left[0], 0.5)
         # x -> 1/x carries the open end at infinity to 0+
         u, sign = certified_sign_near_zero([(c, -e) for c, e in reversed(pairs)],
                                            start=1.0 / (2.0 * outer))
@@ -182,7 +189,7 @@ def _isolate(pairs, lo: float, hi: float, tol: float) -> list[RootRecord]:
         right = (hi, *sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL))
     return isolate_between(lambda x, z: sum_sign(((pairs, x),), z),
                            lambda x, z: sum_sign(((q, x),), z),
-                           left, right, q_roots, rel_tol=tol)
+                           left, right, q_roots, rel_tol=tol, refine=refine)
 
 
 def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,

@@ -271,3 +271,21 @@ def test_classifier_matches_counter_on_random_offgrid_points():
         assert (counts.e1, counts.e2, counts.e3, counts.total) == \
             (rc.e1, rc.e2, rc.e3, rc.total)
         checked += 1
+
+
+# Points of the 200 x 200 figure grid (`grid --check --margin 0`) whose counts
+# disagreed with the classifier while every breakpoint was read at its refined
+# value: four beside (m2, b) = (-1, 1) and two on the half-line m2 = b - 2,
+# where a root or a breakpoint sits at extreme s (ROADMAP item 1).
+@pytest.mark.parametrize("m2, b", [
+    (-0.98492462311557816, 0.94472361809045236),
+    (-0.98492462311557816, 0.98492462311557816),
+    (-0.95477386934673358, 1.025125628140704),
+    (-0.92462311557788945, 1.0653266331658289),
+    (0.43216080402009993, 2.4321608040201008),
+    (0.67336683417085386, 2.6733668341708547),
+])
+def test_margin_zero_grid_points_match_the_classifier(m2, b):
+    rc = classify_total(m2, b)
+    counts, _ = count_all((1.0, m2, 1.0), b, roots=False)
+    assert (counts.e1, counts.e2, counts.total) == (rc.e1, rc.e2, rc.total)

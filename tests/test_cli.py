@@ -138,9 +138,9 @@ README_OUTPUTS = [
      '"degenerate": false}], "degenerate_family": null}\n'),
     (("signomial", "--terms", "[[1,0.5],[-3,1],[1,2]]"),
      '{"sign_variations": 2, "laguerre_bound": 2, "count": 2, "roots": [{"lo": '
-     '0.12061475842816455, "hi": 0.12061475842822487, "value": 0.12061475842819472, '
-     '"degenerate": false}, {"lo": 2.3472963553324684, "hi": 2.3472963553344464, '
-     '"value": 2.3472963553334574, "degenerate": false}]}\n'),
+     '0.1206147584281336, "hi": 0.12061475842822719, "value": 0.1206147584281804, '
+     '"degenerate": false}, {"lo": 2.3472963553326736, "hi": 2.3472963553340378, '
+     '"value": 2.3472963553333557, "degenerate": false}]}\n'),
     (("signomial", "--terms", "[[2,0],[5,1],[4,2],[-4,3],[-5,4],[-2,5]]"),
      '{"sign_variations": 1, "laguerre_bound": 1, "count": 1, "roots": [{"lo": 1, '
      '"hi": 1, "value": 1, "degenerate": false}]}\n'),

@@ -672,10 +672,13 @@ def test_flat_series_match_the_normalize_reference(monkeypatch):
     # The cell's anchors, tried on the short series first as _cell_roots
     # asks for them, must be the reference's on the full series.
     decided = []
+    below = []  # the outcomes at b < -5
 
     def bounded(*args):
         found = bounded_sign_near_zero(*args)
         decided.append(found is not None)
+        if b < -5.0:
+            below.append(found is not None)
         return found
 
     bounded_sign_near_zero = euler._bounded_sign_near_zero
@@ -700,8 +703,11 @@ def test_flat_series_match_the_normalize_reference(monkeypatch):
             b = float(rng.randint(-4, 6))
         elif r < 0.75:
             b = rng.randint(-9, 13) / 2.0
-        else:
+        elif r < 0.9:
             b = rng.uniform(-6.0, 6.0)
+        else:
+            # below b = -5 the short series' order grows with |b|
+            b = rng.uniform(-40.0, -5.0)
         m = tuple(m)
         zero = _zero_series_g(m, b)
         inf = _reflect(_zero_series_g(m[::-1], b), b)
@@ -724,6 +730,8 @@ def test_flat_series_match_the_normalize_reference(monkeypatch):
                     (m, b, end, name)
     # both branches ran: anchors the short series decided, and fallbacks
     assert True in decided and False in decided
+    # and the short series decided most anchors below b = -5
+    assert sum(below) > 0.9 * len(below) > 100
 
 
 def test_endpoint_sign_reflection_identity():
@@ -1177,3 +1185,72 @@ def test_h_basis_functions_positive_below_one():
         assert beta > 0.0
         assert gamma > 0.0
         assert alpha < beta
+
+
+# Benchmark draws (census and band_b1, seeds 1-3, in the order
+# scripts/output_digest.py draws them) whose count went up by one root in
+# one cell once breakpoints were read from their bracket ends: each count
+# is the one a 400-digit sign scan of g at 3,000 log-spaced points of
+# [1e-300, 1e300] gives, and the mirror (m3, m2, m1) gives it reversed.
+SCANNED_COUNTS = [
+    # census, seed 1
+    ((-8.011956503270186, 7.914010009936547, -8.992333802006158), 0.9227489095455264, (1, 3, 1)),
+    # census, seed 3
+    ((-9.806847039341548, 8.808364824887104, -8.162939553027226), 1.113103779507325, (1, 2, 0)),
+    # band_b1, seed 1
+    ((9.724074820802148, -9.673099936329823, 3.7001044527349976), 0.9695431985395611, (1, 2, 0)),
+    ((-6.106806662056132, -2.4554516491878564, 6.1000866300306384), 0.8733325389823859, (1, 0, 2)),
+    ((2.5916913597810236, -2.7484272866114345, -2.423390573979458), 1.037434923107825, (2, 1, 0)),
+    ((-9.293512576488919, 9.27751948642998, -5.557591351907165), 0.9051241473629007, (1, 2, 0)),
+    ((-9.015873374752223, 9.401005222121093, 7.7264920748240336), 1.0067179105455402, (2, 1, 0)),
+    ((-3.1867689481681687, -3.4011920428346727, 3.1795635838690277), 0.9977963272311812, (1, 1, 3)),
+    ((-5.113771707496797, 5.045193519471553, -6.2674923086689915), 0.9941097724509556, (1, 3, 1)),
+    ((9.704629303970151, 9.32466863485844, -8.95908323189147), 1.0645418341050212, (1, 0, 2)),
+    ((9.814340195835612, -9.905670744351678, -8.981585654155149), 0.9486443507996234, (2, 1, 0)),
+    ((4.536013846849848, 2.5445271389772586, -4.4549636041689356), 1.0309162244360388, (1, 0, 2)),
+    ((-8.408944751953847, 8.653697164648403, 2.4112534389196334), 1.0909704559360027, (2, 1, 0)),
+    ((8.92610161965695, -8.697303295464199, 8.699742026696164), 0.9579052628210931, (1, 3, 1)),
+    ((9.096229316035188, -9.162937644074255, -5.168586002751383), 1.005542372227256, (2, 1, 0)),
+    ((-3.6436058831482825, -3.9761310947521578, 3.549076209407506), 0.9708181527190757, (1, 1, 3)),
+    # band_b1, seed 2
+    ((9.287338353231899, 4.344685854249615, -9.058036909076915), 1.0397450182343428, (1, 0, 2)),
+    ((5.401653450233926, -6.457443252148664, -5.908407116421619), 1.173937705375319, (2, 1, 0)),
+    ((-8.245682898009818, 8.229124760028256, -8.129182631077336), 0.8500997154074164, (1, 2, 0)),
+    ((-2.7378550288570924, 2.670164199469715, -1.4532545580657992), 1.009010482521023, (1, 2, 0)),
+    ((-4.740661920883471, 4.767640417968613, 1.2709721328483532), 0.9864064531830328, (2, 1, 0)),
+    ((-9.755415668812379, 9.635153135523879, -7.7034747289852445), 0.9832962833744353, (1, 2, 0)),
+    ((4.441528925517467, 2.1895451462793396, -4.417833014745167), 0.9833991132351341, (1, 0, 2)),
+    ((8.660345646603197, 9.551381484470514, -8.489576032421496), 1.0015000557727345, (1, 1, 3)),
+    ((7.594900686926, 1.8772295775540382, -7.5538647857271375), 0.977494555956947, (1, 0, 2)),
+    ((-6.229750461783943, 7.289356784072805, 8.096371616489556), 1.1303873969843665, (3, 1, 1)),
+    ((6.248015328834722, 4.436515890202099, -5.928624250577698), 1.0482634215848095, (1, 0, 2)),
+    ((9.82349173560143, -9.643283128403583, 9.037507379202466), 0.9689088397065606, (1, 2, 0)),
+    ((-4.170486471210351, 4.4590973988207505, 3.97850808964548), 1.0696942094067663, (2, 1, 0)),
+    ((-9.077974482933291, 8.933207376762258, -3.1499210897516665), 1.0065031015467822, (1, 2, 0)),
+    ((8.95922505087427, 7.136339756243711, -8.735435507270227), 0.9889971487227507, (1, 0, 2)),
+    ((9.271859213750297, 9.918656402658566, -7.597098002248918), 1.1674114434037326, (1, 1, 3)),
+    ((-8.730745953436895, -9.891326428516807, 7.791921925424891), 1.0843482245304534, (1, 1, 3)),
+    # band_b1, seed 3
+    ((5.629144321957913, -5.732130339706445, -6.318137500004339), 0.959486087203343, (3, 1, 1)),
+    ((5.701121448964265, -5.643209346782951, 2.9514188677057422), 0.9643574251446736, (1, 2, 0)),
+    ((-6.19743484245496, 6.481223844185845, 5.326493455200751), 1.0527958738817542, (2, 1, 0)),
+    ((6.823730840441154, -6.34454940843598, 4.073771892773536), 1.1161056257320552, (1, 2, 0)),
+    ((7.025984061189742, -7.107405524152783, -6.7839818071214575), 0.9439898808510877, (2, 1, 0)),
+    ((-2.6514369008834215, 2.674808793844388, 1.5936093042970612), 0.9892257185999499, (2, 1, 0)),
+    ((3.688771263724826, -3.4719641809388158, 2.5973800167310053), 1.062859164471914, (1, 2, 0)),
+    ((-8.471853851118023, 8.268412154336414, -8.110376372668014), 1.0072006107308122, (1, 2, 0)),
+    ((7.4293640864518125, -7.4478320020262405, -8.841840540256953), 0.8432049371570401, (3, 1, 1)),
+    ((9.588954493243996, 5.9072947190912615, -9.435544151777364), 0.9859836157019407, (1, 0, 2)),
+    ((-6.457748733692393, 6.093157347889459, -5.070049598465105), 1.046659474874403, (1, 2, 0)),
+    ((-9.678565526939362, -7.003591785378687, 9.581372156571682), 1.0038213783719907, (1, 0, 2)),
+    ((8.443769059315876, -8.279041113995444, 4.571578872887297), 1.0090566058865869, (1, 2, 0)),
+    ((-8.426124434225473, 9.13883876421189, 5.962142254159836), 1.1109394763199387, (2, 1, 0)),
+    ((-7.6261132412297545, -6.129031561906144, 7.490959467060584), 0.9896061675410033, (1, 0, 2)),
+    ((-8.18082019414991, -4.861704940007472, 8.008703893224638), 1.025083503715233, (1, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("m, b, counts", SCANNED_COUNTS)
+def test_counts_match_a_400_digit_scan(m, b, counts):
+    assert count_all(m, b)[0][:3] == counts
+    assert count_all(m[::-1], b)[0][:3] == counts[::-1]

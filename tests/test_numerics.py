@@ -1,8 +1,10 @@
 """The numeric kernels against verbatim copies of their earlier forms.
 
 The endpoint anchor's linear-space domination test and its probe skip
-against the log-space form; the refinement walk against plain bisection,
-on synthetic rounding noise and on the refinements count_all runs.
+against the log-space form; the reading of a breakpoint's sign from the
+ends of its bracket against the same stage with the breakpoint refined;
+the refinement walk against plain bisection, on synthetic rounding noise
+and on the refinements count_all runs.
 """
 
 import math
@@ -11,9 +13,11 @@ import random
 import pytest
 
 from eulercc import euler, numerics, signomial
+from eulercc.acceptance import g_polynomial, positive_root_count
 from eulercc.euler import count_all
 from eulercc.numerics import (
     DEFAULT_REL_TOL,
+    Bracket,
     RootRecord,
     Tail,
     ToleranceError,
@@ -343,12 +347,158 @@ def _outcome(fn, pairs, tail, start):
         return f"{type(exc).__name__}: {exc}"
 
 
-def test_unrefined_records_are_refused_as_breakpoints():
-    unrefined = RootRecord(lo=0.25, hi=0.75, value=math.nan, degenerate=False)
-    with pytest.raises(ValueError, match="unrefined"):
-        isolate_between(lambda x, z: sum_sign(((((1.0, 1.0), (-0.5, 0.0)), x),), z),
-                        lambda x, z: sum_sign(((((1.0, 0.0),), x),), z),
-                        (0.1, -1, None), (0.9, 1, None), [unrefined])
+# --- the reading rule: a breakpoint's sign from the ends of its bracket ---------
+
+
+def _poly_sign(*coeffs, calls=None):
+    """(x, zero_rel) -> sum_sign of sum(c x^k), coeffs from k = 0; calls records (x, zero_rel)."""
+    pairs = tuple((float(c), float(k)) for k, c in enumerate(coeffs) if c)
+
+    def sign(x, zero_rel):
+        if calls is not None:
+            calls.append((x, zero_rel))
+        return sum_sign(((pairs, x),), zero_rel)
+
+    return sign
+
+
+def _check_against_refined_chain_roots(got, sign_fn, chain_sign_fn, left, right, chain_roots,
+                                       **kwargs):
+    """got, isolate_between's records, against the ones it returns when every
+    Bracket among the chain roots is first refined to a RootRecord (the old rule)."""
+    refined = []
+    for r in chain_roots:
+        if isinstance(r, Bracket):
+            value, lo, hi, _ = bisect_sign_change(lambda x: chain_sign_fn(x, 0.0),
+                                                  r.lo, r.hi, r.sign)
+            r = RootRecord(lo=lo, hi=hi, value=value, degenerate=False)
+        refined.append(r)
+    want = isolate_between(sign_fn, chain_sign_fn, left, right, refined, **kwargs)
+    assert [r.degenerate for r in got] == [r.degenerate for r in want]
+    for g, w in zip(got, want):
+        assert g.value == pytest.approx(w.value, rel=4 * DEFAULT_REL_TOL, nan_ok=True)
+
+
+# x^2 - 4x + 3 = (x - 1)(x - 3), and its derivative 2x - 4, negative below the
+# minimum at 2
+_TARGET = (3.0, -4.0, 1.0)
+_DERIVATIVE = (-4.0, 2.0)
+
+
+def test_a_bracket_end_decides_without_narrowing():
+    # The minimum at 2 is below zero: the target is negative at both ends of
+    # the bracket, each end shows it, and the chain function is read only at
+    # the two roots, for their degeneracy.
+    chain_calls = []
+    args = (_poly_sign(*_TARGET), _poly_sign(*_DERIVATIVE, calls=chain_calls),
+            (0.5, 1, None), (4.0, 1, None), [Bracket(lo=1.5, hi=2.5, sign=-1)])
+    roots = isolate_between(*args)
+    assert [r.value for r in roots] == [pytest.approx(1.0), pytest.approx(3.0)]
+    assert [z for _, z in chain_calls] == [numerics.DEGENERACY_REL] * 2
+    _check_against_refined_chain_roots(roots, *args)
+    # unrefined, the two sign changes are the brackets of their points
+    assert isolate_between(*args, refine=False) == [Bracket(lo=0.5, hi=1.5, sign=1),
+                                                    Bracket(lo=2.5, hi=4.0, sign=-1)]
+
+
+@pytest.mark.parametrize("target, count", [
+    ((5.0, -4.0, 1.0), 0),  # (x - 2)^2 + 1: its minimum 1 is above zero
+    ((4.0, -4.0, 1.0), 1),  # (x - 2)^2: zero at the minimum, a degenerate root
+])
+def test_extremum_on_the_far_side_is_read_at_the_refined_chain_root(target, count):
+    # The target is positive at both ends, the side away from a minimum, so
+    # no end and no narrowing can decide: the chain root is refined and the
+    # target read there with BOUNDARY_ZERO_REL, as every breakpoint was before.
+    target_calls, chain_calls = [], []
+    args = (_poly_sign(*target, calls=target_calls), _poly_sign(*_DERIVATIVE, calls=chain_calls),
+            (0.5, 1, None), (4.0, 1, None), [Bracket(lo=1.25, hi=2.95, sign=-1)])
+    roots = isolate_between(*args)
+    assert len(roots) == count
+    # the narrowing steps, then the refinement
+    assert len(chain_calls) > numerics._NARROW_ROUNDS * numerics._NARROW_STEPS
+    x, zero_rel = target_calls[-1]
+    assert zero_rel == numerics.BOUNDARY_ZERO_REL
+    assert x == pytest.approx(2.0, rel=2 * DEFAULT_REL_TOL)
+    if count:
+        assert roots[0].degenerate and roots[0].lo <= 2.0 <= roots[0].hi
+    _check_against_refined_chain_roots(roots, *args)
+
+
+@pytest.mark.parametrize("left, right, bracket, values, narrowed", [
+    # the chain root 2 lies inside the left anchor's bracket but above it
+    ((0.9, 1, None), (4.0, 1, None), Bracket(lo=0.5, hi=2.5, sign=-1), [1.0, 3.0], False),
+    # ... and below it, where the anchor's sign already holds
+    ((2.2, -1, None), (4.0, 1, None), Bracket(lo=0.5, hi=2.5, sign=-1), [3.0], False),
+    # the bracket reaches past the right anchor, to the root 3, which reads
+    # zero: that end keeps the other from deciding, and narrowing decides
+    ((0.5, 1, None), (2.6, -1, None), Bracket(lo=1.5, hi=3.0, sign=-1), [1.0], True),
+])
+def test_bracket_straddling_an_anchor(left, right, bracket, values, narrowed):
+    chain_calls = []
+    args = (_poly_sign(*_TARGET), _poly_sign(*_DERIVATIVE, calls=chain_calls),
+            left, right, [bracket])
+    roots = isolate_between(*args)
+    assert [r.value for r in roots] == [pytest.approx(v) for v in values]
+    assert (0.0 in [z for _, z in chain_calls]) == narrowed
+    _check_against_refined_chain_roots(roots, *args)
+
+
+def test_h_bracket_reaching_y_one_is_narrowed(monkeypatch):
+    # In cell 2 of this fold draw the top level of the h stage gets a bracket
+    # from its chain function that reaches y = 1, where H reads its forced
+    # zero. That end cannot decide; after narrowing, both ends do.
+    m, b = (0.6771886089623074, -0.5724068641860653, 0.46234833159033956), -2.0
+    stages = []
+    real = numerics.isolate_between
+
+    def spy(*args, **kwargs):
+        stages.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(signomial, "isolate_between", spy)
+    euler.count_cell(m, b, 2)
+    (sign_fn, chain_sign_fn, left, right, chain_roots), kwargs = stages[-1]
+    assert right[:2] == (1.0, 0) and sign_fn(1.0, numerics.BOUNDARY_ZERO_REL)[0] == 0
+    assert [r.hi for r in chain_roots if isinstance(r, Bracket)] == [1.0]
+    read = []
+
+    def recorded(*args):
+        found = numerics._read_bracket.__wrapped__(*args)
+        read.append(found)
+        return found
+
+    recorded.__wrapped__ = numerics._read_bracket
+    monkeypatch.setattr(numerics, "_read_bracket", recorded)
+    roots = real(sign_fn, chain_sign_fn, left, right, chain_roots, **kwargs)
+    monkeypatch.undo()
+    ends, refined = read[-1]
+    assert refined is None and 0.5 < ends[0][0] < ends[1][0] < 1.0
+    _check_against_refined_chain_roots(roots, sign_fn, chain_sign_fn, left, right, chain_roots,
+                                       **kwargs)
+
+
+def test_h_bracket_reaching_y_one_ends_at_the_right_anchor(monkeypatch):
+    # At b = 2 the two terms of H in cell 1 of this fold draw cancel at y = 1
+    # to 2e-12 of their size, above the zero threshold, so H's root bracket
+    # reaches y = 1, which is +infinity in s. The chain sign at the g' stage's
+    # right anchor places the root beyond it, as the end at the last y below
+    # 1 does, and the count is exact.
+    m, b = (0.7071645873767574, -5.7592436576155524e-05, 0.7070489749963377), 2.0
+    stages = []
+    real = numerics.isolate_between
+
+    def spy(*args, **kwargs):
+        stages.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(euler, "isolate_between", spy)
+    count, _ = euler.count_cell(m, b, 1)
+    args, kwargs = stages[0]  # the g' stage
+    right, chain_roots = args[3:5]
+    assert [r.hi for r in chain_roots] == [math.inf] and math.isfinite(right[0])
+    finite = [r._replace(hi=euler._y_to_s(1.0 - 2.0 ** -53)) for r in chain_roots]
+    assert real(*args[:4], finite, *args[5:], **kwargs) == real(*args, **kwargs)
+    assert count == positive_root_count(g_polynomial(euler.cell_mass_view(m, 1), b))
 
 
 def test_anchor_fast_path_matches_log_reference(monkeypatch):
@@ -461,7 +611,7 @@ def test_refinements_return_plain_bisection(monkeypatch):
     for name, b_range in (("census", (-5.0, 5.0)), ("band_b1", (0.8, 1.2))):
         for seed in (1, 2):
             rng = random.Random(f"{name}:{seed}")
-            for m, b in _census_draws(rng, 300, b_range):
+            for m, b in _census_draws(rng, 550, b_range):
                 for masses in (m, m[::-1]):
                     try:
                         count_all(masses, b)
@@ -470,5 +620,6 @@ def test_refinements_return_plain_bisection(monkeypatch):
     monkeypatch.undo()
     diffs = [(got, want) for got, want in compared if got != want]
     assert diffs == []
-    # 14,932 refinements
+    # 15,037 refinements, of which 6,530 refine a breakpoint whose bracket ends
+    # could not decide
     assert len(compared) > 14_000

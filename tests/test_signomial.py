@@ -351,29 +351,29 @@ def certified_sign_near_inf(pairs, start=4.0):
     return 1.0 / u0, sign
 
 
-def _ref_isolate(p, lo, hi, tol):
+def _ref_isolate(p, lo, hi, tol, refine=True):
     if len(p) <= 1 or _ref_sign_variations(p) == 0:
         # All stored coefficients share one sign: no positive roots at all.
         return []
     pivot = _ref_first_variation_pivot(p)
     q = _ref_shift_and_differentiate(p, pivot)
-    q_roots = _ref_isolate(q, lo, hi, tol)
+    q_roots = _ref_isolate(q, lo, hi, tol, refine=False)
 
     # Left anchor: domination probe for the open end at 0, direct evaluation
     # for a finite boundary (a boundary zero is excluded, not counted).
-    inner = q_roots[0].value if q_roots else (hi if math.isfinite(hi) else 2.0)
+    inner = q_roots[0].lo if q_roots else (hi if math.isfinite(hi) else 2.0)
     if lo == 0.0:
         left = certified_sign_near_zero(p.pairs(), start=0.5 * min(1.0, inner))
     else:
         left = (lo, sum_sign(_ref_groups(p, lo), BOUNDARY_ZERO_REL)[0])
     if math.isinf(hi):
-        outer = q_roots[-1].value if q_roots else max(left[0], 0.5)
+        outer = q_roots[-1].hi if q_roots else max(left[0], 0.5)
         right = certified_sign_near_inf(p.pairs(), start=2.0 * outer)
     else:
         right = (hi, sum_sign(_ref_groups(p, hi), BOUNDARY_ZERO_REL)[0])
     return isolate_between(lambda x, z: sum_sign(_ref_groups(p, x), z),
                            lambda x, z: sum_sign(_ref_groups(q, x), z),
-                           (*left, None), (*right, None), q_roots, rel_tol=tol)
+                           (*left, None), (*right, None), q_roots, rel_tol=tol, refine=refine)
 
 
 def _ref_count_and_isolate(p, lo, hi):
