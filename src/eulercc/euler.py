@@ -30,6 +30,15 @@ most probes; the full series is built only for an end where they do not,
 and the anchor is the full series' either way. A b so large that the
 binomial coefficients overflow floats has no finite tail bound, and its
 count is refused with ToleranceError.
+
+A symmetric view, whose left and right masses are equal, is its own
+reflection, g(1/s) = -s^(-b-1) g(s): g(1) = 0 exactly, and the other roots
+pair as s <-> 1/s. Its chain runs on s in (0, 1) alone, H on y in
+(0, 1/2), and ends at s = 1, where g'(1) read by the kernel anchors the g'
+stage and g just left of 1 has the opposite sign; no series at +infinity
+is built. The roots are those of the half, s = 1, and the half's
+reciprocals (see _fold). Cell 2 of every figure point (1, m2, 1) is such a
+view; its cell 3 is still cell 1 reflected.
 """
 
 from __future__ import annotations
@@ -40,7 +49,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .numerics import (
+    BOUNDARY_ZERO_REL,
     DEFAULT_REL_TOL,
+    DEGENERACY_REL,
     INFINITE,
     LOG_SAFE,
     Bracket,
@@ -51,6 +62,7 @@ from .numerics import (
     certified_sign_near_zero,
     check_tol,
     isolate_between,
+    refine_bracket,
     sum_sign,
     sum_value,
 )
@@ -590,20 +602,29 @@ def _y_to_s(y):
 
 
 def _cell_roots(mv, b, h, tol, refine=True):
-    """Roots of g on s > 0 for the (left, middle, right) triple mv, b not in {0, 1}.
+    """The (s, degenerate) pairs of the roots of g on s > 0 for the triple mv, b not in {0, 1}.
 
-    With refine=False the roots of g are only counted (isolate_between's
-    unrefined records). The breakpoints below g are never refined unless
-    their bracket ends cannot tell the sign of the function above at them:
-    the roots of H come unrefined from the signomial engine and the roots
-    of g' from the g' stage, and each stage reads the sign at a breakpoint
-    from the ends of its bracket (see isolate_between).
+    mv is the (left, middle, right) triple. With refine=False the roots of
+    g are only counted (isolate_between's unrefined records, whose s is
+    nan). The breakpoints below g are never refined unless their bracket
+    ends cannot tell the sign of the function above at them: the roots of
+    H come unrefined from the signomial engine and the roots of g' from the
+    g' stage, and each stage reads the sign at a breakpoint from the ends
+    of its bracket (see isolate_between).
+
+    The stages end at +infinity, anchored on the series there, except for
+    a symmetric view, mv[0] == mv[2], whose stages end at s = 1: g
+    vanishes there exactly, g' is read there by the kernel, and g just left
+    of it has the sign opposite to g'(1). Its roots on (0, 1) are then
+    folded (see _fold).
     """
+    symmetric = mv[0] == mv[2]
     # Stage 1: sign changes of g'' as breakpoints, via the signomial engine
-    # on (0, 1) in y (the forced boundary zero at y = 1 is excluded), mapped
-    # to s = y/(1-y). A bracket reaching y = 1 reaches +infinity in s.
+    # on (0, 1) in y (the forced boundary zero at y = 1 is excluded), or on
+    # (0, 1/2) for s in (0, 1), mapped to s = y/(1-y). A bracket reaching
+    # y = 1 reaches +infinity in s.
     curvature_breaks = []
-    for r in _isolate(h.pairs, 0.0, 1.0, tol, refine=False):
+    for r in _isolate(h.pairs, 0.0, 0.5 if symmetric else 1.0, tol, refine=False):
         if isinstance(r, Bracket):
             curvature_breaks.append(Bracket(_y_to_s(r.lo), _y_to_s(r.hi), r.sign))
         else:
@@ -611,19 +632,69 @@ def _cell_roots(mv, b, h, tol, refine=True):
                                                _y_to_s(r.value), r.degenerate))
     order = _short_order(mv, b)
     zero = _end_anchors(mv, b, Endpoint.ZERO_PLUS, order)
-    inf = _end_anchors(mv, b, Endpoint.INFINITY, order)
     gp = _gp_sign(mv, b)
+    if symmetric:
+        sign, value = gp(1.0, BOUNDARY_ZERO_REL)
+        right = {"g'": (1.0, sign, value), "g": (1.0, -sign, None)}.get
+    else:
+        right = _end_anchors(mv, b, Endpoint.INFINITY, order)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints, and
     # g'' has the sign of H(s/(1+s)).
     gp_roots = isolate_between(
         gp,
         lambda s, z: sum_sign(((h.pairs, s / (1.0 + s)),), z),
-        zero("g'"), inf("g'"), curvature_breaks, tol, refine=False,
+        zero("g'"), right("g'"), curvature_breaks, tol, refine=False,
     )
     # Stage 3: g is strictly monotone between g' roots.
-    return isolate_between(_g_sign(mv, b), gp, zero("g"), inf("g"), gp_roots, tol,
-                           refine=refine)
+    g = _g_sign(mv, b)
+    left = zero("g")
+    roots = isolate_between(g, gp, left, right("g"), gp_roots, tol,
+                            refine=refine and not symmetric)
+    if symmetric:
+        return _fold(roots, gp_roots, (left[1], -sign), g, gp, tol, refine)
+    return [(r.value, r.degenerate) for r in roots]
+
+
+def _fold(half, gp_roots, signs, g, gp, tol, refine):
+    """The (s, degenerate) pairs of a symmetric view's roots, from half, its roots on (0, 1).
+
+    A symmetric view's g satisfies g(1/u) = -u^(-b-1) g(u), so g(1) = 0 and
+    its other roots pair as s <-> 1/s. The roots are the half's, then
+    s = 1, then the half's at 1/s in reverse order. Each pair is (1/t, t)
+    with t = 1/s rounded, so each member is the other's reciprocal bit for
+    bit. s = 1 is flagged when g'(1) reads 0 at DEGENERACY_REL.
+
+    half holds the unrefined records of the g stage on (0, 1), and signs
+    are g's certified signs at 0+ and just left of s = 1, 0 when g'(1)
+    reads 0. A Bracket is a certified sign change, refined here when
+    refine is set. A flagged RootRecord is a zero read at a root of g',
+    which a certified sign change may hide: there is one when the
+    Brackets leave g's two signs unmatched. A lone zero read that hides
+    one is a root and is mirrored. A lone zero read that hides none, at
+    the last root of g' in the half, is s = 1 itself: g is monotone from
+    there to s = 1 and vanishes at both ends, so it stays in the noise in
+    between. It is not mirrored and flags s = 1. Any other zero read has
+    no certified sign change to mirror, and the count is refused with
+    ToleranceError.
+    """
+    degenerate_one = gp(1.0, DEGENERACY_REL)[0] == 0
+    lows = [r for r in half if isinstance(r, Bracket)]
+    zeros = [r for r in half if not isinstance(r, Bracket)]
+    if zeros:
+        first, last = signs
+        hidden = last != 0 and first * (-1) ** len(lows) != last
+        if len(zeros) == 1 and hidden:
+            lows = half
+        elif len(zeros) == 1 and zeros[0] is half[-1] and zeros[0].value >= gp_roots[-1].lo:
+            degenerate_one = True
+        else:
+            raise ToleranceError(f"a zero of g at s = {zeros[0].value!r} in a symmetric view "
+                                 f"has no certified sign change to mirror")
+    if refine:
+        lows = [refine_bracket(g, gp, r, tol) if isinstance(r, Bracket) else r for r in lows]
+    highs = [(1.0 / r.value, r.degenerate) for r in reversed(lows)]
+    return [(1.0 / s, d) for s, d in reversed(highs)] + [(1.0, degenerate_one)] + highs
 
 
 def _solve_view(mv, b, cell, tol, roots):
@@ -637,8 +708,7 @@ def _solve_view(mv, b, cell, tol, roots):
     if h.is_zero:
         pairs = _affine_roots(mv, b)
     else:
-        pairs = [(r.value, r.degenerate)
-                 for r in _cell_roots(mv, b, h, tol, roots)]
+        pairs = _cell_roots(mv, b, h, tol, roots)
     return len(pairs), ([_solution(cell, s, deg) for s, deg in pairs] if roots else [])
 
 
@@ -664,7 +734,13 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
     changes no output bit. When m1 == m3, cell 3 is cell 1 reflected: its
     count is cell 1's and its solutions are cell 1's at s -> 1/s, in
     reverse order, with the same degenerate flags, as count_all gives them.
-    Raises ValueError when a mass or b is NaN or infinite, cell is not the
+    A symmetric view, whose left and right masses are equal (cell 1 when
+    m2 == m3, cell 2 when m1 == m3, cell 3 when m1 == m2), is solved on
+    s in (0, 1) and folded at s = 1: its count is odd, the middle solution
+    is s = 1.0, flagged when g'(1) reads zero at the degeneracy threshold,
+    and the others pair as s and 1/s bit for bit, each with its partner's
+    flag. A zero of g in (0, 1) with no certified sign change to mirror
+    raises ToleranceError. Raises ValueError when a mass or b is NaN or infinite, cell is not the
     int 1, 2 or 3, tol is not in (0, 1), or that division would round a
     mass or flush it to zero (see _rescaled). Raises ToleranceError naming
     b when the binomial coefficients of g's series overflow floats (|b|
@@ -681,9 +757,10 @@ def count_cell(m, b, cell=2, tol=DEFAULT_REL_TOL, *, roots=True):
 def count_all(m, b, tol=DEFAULT_REL_TOL, *, roots=True):
     """Counts for all three cells. Returns (CellCount, solutions).
 
-    Cells 1 and 2 are counted by count_cell. When m1 == m3, cell 3 is cell 1
-    reflected, as count_cell gives it, without being solved again;
-    otherwise count_cell counts it too. With roots=False only the counts
+    Cells 1 and 2 are counted by count_cell. When m1 == m3, cell 2 is
+    folded at s = 1 (see count_cell), and cell 3 is cell 1 reflected, as
+    count_cell gives it, without being solved again; otherwise count_cell
+    counts it too. With roots=False only the counts
     are computed and solutions is []. Raises ValueError when a mass or b is
     NaN or infinite.
     """

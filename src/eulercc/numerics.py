@@ -656,6 +656,23 @@ def _read_bracket(read, chain_fn, bracket, rel_tol):
     return ends, RootRecord(lo=lo, hi=hi, value=value, degenerate=False)
 
 
+def refine_bracket(sign_fn, chain_sign_fn, bracket, rel_tol=DEFAULT_REL_TOL,
+                   value_lo=None, value_hi=None):
+    """The RootRecord of a Bracket's sign change, refined by bisect_sign_change.
+
+    sign_fn and chain_sign_fn are as for isolate_between, value_lo and
+    value_hi the target's values at the bracket's ends where they were read.
+    The target is read with threshold 0.0, and the root is flagged
+    degenerate when the chain function reads 0 there at DEGENERACY_REL.
+    """
+    value, lo, hi, _ = bisect_sign_change(lambda x: sign_fn(x, 0.0), bracket.lo, bracket.hi,
+                                          bracket.sign, rel_tol, value_lo, value_hi)
+    # A mid-point landing exactly on zero says nothing about degeneracy;
+    # only the chain function's magnitude at the root does.
+    degenerate = chain_sign_fn(value, DEGENERACY_REL)[0] == 0
+    return RootRecord(lo=lo, hi=hi, value=value, degenerate=degenerate)
+
+
 def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
                     rel_tol=DEFAULT_REL_TOL, refine=True):
     """One stage of a derivative chain: the roots of a target between anchors.
@@ -685,9 +702,7 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
     bracket and flagged degenerate. The roots are counted as the sign
     changes between consecutive points read, the anchors and the bracket
     ends with a sign included; each lies alone between its two points.
-    bisect_sign_change refines it from the values read there, with
-    threshold 0.0, and DEGENERACY_REL for the chain function at the
-    refined root flags it degenerate when that sign is 0.
+    refine_bracket refines it from the values read there.
 
     With refine=False each sign change between points is returned as the
     Bracket of its two points, neither refined nor tested for degeneracy:
@@ -719,15 +734,9 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
         prev = point
         if sa == 0 or sb == 0 or sa == sb:
             return
-        if not refine:
-            out.append(Bracket(lo=xa, hi=xb, sign=sa))
-            return
-        value, lo, hi, _ = bisect_sign_change(
-            lambda x: sign_fn(x, 0.0), xa, xb, sa, rel_tol, va, vb)
-        # A mid-point landing exactly on zero says nothing about degeneracy;
-        # only the chain function's magnitude at the root does.
-        degenerate = chain_sign_fn(value, DEGENERACY_REL)[0] == 0
-        out.append(RootRecord(lo=lo, hi=hi, value=value, degenerate=degenerate))
+        bracket = Bracket(lo=xa, hi=xb, sign=sa)
+        out.append(refine_bracket(sign_fn, chain_sign_fn, bracket, rel_tol, va, vb)
+                   if refine else bracket)
 
     def chain_fn(x):
         return chain_sign_fn(x, 0.0)

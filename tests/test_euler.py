@@ -32,6 +32,7 @@ from eulercc.euler import (
     _cell3_from_cell1,
     _derivative,
     _end_anchors,
+    _fold,
     _g_groups,
     _g_sign,
     _gp_groups,
@@ -39,14 +40,20 @@ from eulercc.euler import (
     _low_coefficients,
     _masses,
     _reflect,
+    _rescaled,
     _safe_range,
     _short_order,
     _solution,
+    _solve_view,
     _zero_series_g,
 )
+from eulercc.classifier import frontier_curve_m2
 from eulercc.numerics import (
     BOUNDARY_ZERO_REL,
+    DEFAULT_REL_TOL,
     DEGENERACY_REL,
+    Bracket,
+    RootRecord,
     Tail,
     ToleranceError,
     _fsum_tier,
@@ -1033,6 +1040,138 @@ def test_cell_3_is_cell_1_reflected_when_m1_equals_m3(monkeypatch):
     del calls[:]
     count_all((2.0, -3.0, 2.5), -2.0)
     assert calls == [1, 2, 3]
+
+
+# --- symmetric views: solved on (0, 1) and folded at s = 1 ----------------------------
+
+
+def _symmetric_views(seed, n):
+    # ((m1, m2, m3), b, cell) with the cell's left and right masses equal:
+    # cell 2 of (a, m2, a), cell 1 of (m1, a, a) and cell 3 of (a, a, m3)
+    views = [(m, b, 2) for m, b in _symmetric_draws(seed, n) + _FIGURE_GRID]
+    for (a, x, _), b in _symmetric_draws(seed + 1, n):
+        views += [((x, a, a), b, 1), ((a, a, x), b, 3)]
+    return views
+
+
+def test_symmetric_views_pair_their_roots_around_one():
+    # g(1/u) = -u^(-b-1) g(u): s = 1 is a root, the middle one, and the others
+    # are each other's reciprocals bit for bit
+    for m, b, cell in _symmetric_views(93, 300):
+        n, sols = count_cell(m, b, cell)
+        if n == INFINITE or h_signomial(cell_mass_view(m, cell), b).is_zero:
+            continue
+        assert n % 2 == 1 and len(sols) == n, (m, b, cell)
+        assert sols[n // 2].s == 1.0, (m, b, cell)
+        for k, sol in enumerate(sols):
+            assert sol.s == 1.0 / sols[n - 1 - k].s, (m, b, cell)
+            if k != n // 2:
+                assert sol.degenerate == sols[n - 1 - k].degenerate, (m, b, cell)
+        assert count_cell(m, b, cell, roots=False) == (n, []), (m, b, cell)
+
+
+def test_fold_and_the_cell_3_reflection_agree_when_all_masses_are_equal():
+    # with m1 == m2 == m3, count_cell takes cell 3 from cell 1 reflected, and
+    # the fold solves the same symmetric view directly
+    rng = random.Random(94)
+    for i in range(400):
+        a = rng.uniform(-10.0, 10.0)
+        b = rng.uniform(-5.0, 5.0) if i % 2 else rng.uniform(0.8, 1.2)
+        m = (a, a, a)
+        for roots in (True, False):
+            direct = _solve_view(cell_mass_view(_rescaled(m), 3), b, 3, DEFAULT_REL_TOL, roots)
+            assert repr(count_cell(m, b, 3, roots=roots)) == repr(direct), (m, b)
+
+
+def test_nearly_symmetric_views_count_as_the_fold():
+    # moving one outer mass by an ulp runs the whole line to +infinity, with
+    # its series anchors there; away from the frontiers the count is the same
+    for m, b in _symmetric_draws(95, 300):
+        a, m2, _ = m
+        near = (a, m2, math.nextafter(a, math.inf))
+        assert count_cell(near, b, 2, roots=False)[0] == count_cell(m, b, 2, roots=False)[0], \
+            (m, b)
+
+
+def test_symmetric_views_stop_every_stage_at_one(monkeypatch):
+    # H on y in (0, 1/2), which is s in (0, 1), and no series at +infinity
+    ends = []
+    real_anchors, real_isolate = euler._end_anchors, euler._isolate
+
+    def anchors(mv, b, end, order):
+        ends.append(end)
+        return real_anchors(mv, b, end, order)
+
+    def isolate(pairs, lo, hi, tol, refine=True):
+        ends.append(hi)
+        return real_isolate(pairs, lo, hi, tol, refine)
+
+    monkeypatch.setattr(euler, "_end_anchors", anchors)
+    monkeypatch.setattr(euler, "_isolate", isolate)
+    assert count_cell((1.0, -0.9, 1.0), 0.5, 2)[0] == 3
+    assert ends == [0.5, Endpoint.ZERO_PLUS]
+    del ends[:]
+    count_cell((1.0, -0.9, 1.5), 0.5, 2)
+    assert ends == [1.0, Endpoint.ZERO_PLUS, Endpoint.INFINITY]
+
+
+@pytest.mark.parametrize("b", [-2.0, -1.0, 0.5, 2.5])
+def test_frontier_root_at_one_is_one_flagged_root(b):
+    # on the curve m2 = frontier_curve_m2(b), s = 1 is a triple root: g'(1)
+    # reads zero, and so does H at y = 1/2, the right end of the h stage
+    m = (1.0, frontier_curve_m2(b), 1.0)
+    assert count_cell(m, b, 2) == (1, [_solution(2, 1.0, True)])
+    assert count_cell(m, b, 2, roots=False) == (1, [])
+
+
+def test_noise_level_middle_mass_next_to_family_iv_has_its_one_root_at_one():
+    # g = -2^-53 s (s - 1) at b = 2, inside the rounding noise everywhere: no
+    # root of the half may be mirrored, so the count is at most 1
+    assert count_cell((1.0, -2.0 ** -53, 1.0), 2.0, 2) == (1, [_solution(2, 1.0, True)])
+    assert count_all((1.0, -2.0 ** -53, 1.0), 2.0, roots=False)[0] == (0, 1, 0, 1)
+
+
+def _zero_read(s):
+    return RootRecord(lo=s * (1.0 - 1e-12), hi=s * (1.0 + 1e-12), value=s, degenerate=True)
+
+
+def _gp_at_one(sign):
+    return lambda s, zero_rel: (sign, None)
+
+
+_CHAIN = [Bracket(1e-4, 1e-2, 1), Bracket(0.1, 0.5, -1)]
+
+
+def test_fold_mirrors_a_zero_read_that_hides_a_sign_change():
+    # g is positive at 0+ and negative just left of 1, and no bracket changes
+    # its sign: the zero read at 1e-3 is a root, and 1e3 its mirror
+    half = [_zero_read(1e-3)]
+    assert _fold(half, _CHAIN, (1, -1), None, _gp_at_one(1), DEFAULT_REL_TOL, True) == \
+        [(1.0 / (1.0 / 1e-3), True), (1.0, False), (1.0 / 1e-3, True)]
+    # the brackets' sign changes are read off first
+    half = [Bracket(1e-5, 1e-4, 1), _zero_read(1e-3)]
+    assert len(_fold(half, _CHAIN, (1, 1), None, _gp_at_one(1), DEFAULT_REL_TOL, False)) == 5
+
+
+def test_fold_takes_a_zero_read_at_the_last_root_of_g_prime_as_s_one():
+    # g keeps its sign around the zero read, which lies in the last bracket of
+    # g': g is monotone from there to s = 1, where it vanishes
+    for signs in ((1, 1), (-1, 0), (1, 0)):
+        assert _fold([_zero_read(0.3)], _CHAIN, signs, None, _gp_at_one(1),
+                     DEFAULT_REL_TOL, True) == [(1.0, True)], signs
+    # g'(1) reading zero at the degeneracy threshold flags s = 1 on its own
+    assert _fold([], [], (1, 0), None, _gp_at_one(0), DEFAULT_REL_TOL, False) == [(1.0, True)]
+
+
+@pytest.mark.parametrize("half, signs", [
+    ([_zero_read(1e-3)], (1, 1)),            # before the last root of g'
+    ([_zero_read(1e-3)], (1, 0)),            # no certified sign just left of 1
+    ([_zero_read(1e-3), _zero_read(0.3)], (1, -1)),  # two zero reads
+    ([_zero_read(0.3), Bracket(0.4, 0.6, -1)], (-1, 1)),  # a sign change after it
+])
+def test_fold_refuses_a_zero_read_with_no_certified_sign_change(half, signs):
+    with pytest.raises(ToleranceError, match="no certified sign change to mirror"):
+        _fold(half, _CHAIN, signs, None, _gp_at_one(1), DEFAULT_REL_TOL, False)
 
 
 def test_cell_3_counted_independently_matches_the_reflection():

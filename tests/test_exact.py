@@ -89,16 +89,40 @@ KNOWN_WRONG = [
      "counts (1, 0, 1) with flagged roots, exact (0, 0, 1)"),
     ((0.4992827083164979, 0.0, 0.4993724292502949), 2.0, 3,
      "unflagged cell-3 root at 8.984175883e-5, exact root 8.98417586e-5"),
-    ((-5.361559892466568, -5.361559892466568, 5.3615598924665715), -1.0, 1,
-     "unflagged cell-3 root at 1.376e15, exact root 1.509e15"),
-    ((1.701482148107269, 1.701482148107269, -1.7014821481072695), -1.0, 1,
-     "unflagged cell-3 root at 2.647e15, exact root 3.831e15"),
-    ((1.0, -2.0 ** -53, 1.0), 2.0, 1,
-     "flagged cell-2 root at s = 4, exact root at s = 1"),
     # a draw of test_counter_matches_exact_count_at_integer_b
     ((-0.570988238590342, -5.642755291571209, 3.378673369782465), 5.0, 1,
      "unflagged cell-3 root at 8.812522935880956e-4, exact root 8.812522935980558e-4"),
 ]
+
+
+# Former entries of KNOWN_WRONG that the fold of symmetric views at s = 1
+# puts right: the cell-3 views of the first two, (m1, m3, m1), and the cell-2
+# view of the third are symmetric, so their roots above 1 are the reciprocals
+# of the well-placed roots below it. The third sits next to family iv, where
+# g = -2^-53 s (s - 1) is inside the rounding noise on all of s > 0: its one
+# root is s = 1 itself, flagged.
+FOLDED_RIGHT = [
+    ((-5.361559892466568, -5.361559892466568, 5.3615598924665715), -1.0),
+    ((1.701482148107269, 1.701482148107269, -1.7014821481072695), -1.0),
+    ((1.0, -2.0 ** -53, 1.0), 2.0),
+]
+
+
+@pytest.mark.parametrize("m, b", FOLDED_RIGHT)
+def test_symmetric_views_folded_at_one_are_right(m, b):
+    assert not exact_disagreements(m, b, flagged_too=True)
+
+
+def test_folded_middle_cell_matches_exact_count_at_integer_b():
+    # (1, m2, 1) is symmetric in cell 2: the count is solved on (0, 1) and
+    # folded at s = 1
+    rng = random.Random(26)
+    for b in (-6.0, -5.0, -4.0, -3.0, -2.0, -1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
+        for _ in range(40):
+            m = (1.0, rng.uniform(-10.0, 10.0), 1.0)
+            n, sols = count_cell(m, b, 2)
+            assert n == positive_root_count(g_polynomial(m, b)) == len(sols), (m, b)
+            assert count_cell(m, b, 2, roots=False)[0] == n, (m, b)
 
 
 def test_counter_matches_exact_count_at_integer_b():
