@@ -19,6 +19,11 @@ has the extremum's sign gives its sign there, and a bracket is narrowed,
 and at last refined, only when neither end does. Only the roots of g are
 refined, and only when they are asked for. Where H is empty and g is not
 identically zero, g is affine in s and its root is read off directly.
+Before the signomial engine runs, an exact pre-count reads H's
+coefficient signs, H(1) = 0 and the sign of H'(1) (Descartes, parity and
+Rolle, see _no_roots_below_one): where they show H rootless on (0, 1),
+g'' has no breakpoint and the h stage is skipped; where they cannot
+decide, the engine isolates H's roots as before.
 Signs at the open ends 0+ and +infinity are certified by expanding g
 into its exact generalized power series at 0 (binomial coefficients,
 explicit tail bound) and probing until the leading term dominates; the
@@ -66,7 +71,7 @@ from .numerics import (
     sum_sign,
     sum_value,
 )
-from .signomial import Endpoint, Signomial, _isolate, merge_sorted, normalize
+from .signomial import Endpoint, Signomial, _isolate, merge_sorted, normalize, sign_variations
 
 __all__ = [
     "INFINITE",
@@ -265,6 +270,53 @@ def h_signomial(m, b) -> Signomial:
         (-bb * (m1 + m3), 1.0),
         (bb * m1 - 2.0 * b * m3, 0.0),
     ])
+
+
+def _no_roots_below_one(h):
+    """True when H = h_signomial(...), of pairs (c_i, e_i), has no root in (0, 1); False defers.
+
+    It decides only when H(1) reads 0 at BOUNDARY_ZERO_REL, so y = 1 is the
+    chain's boundary zero, and H'(1) does not. By Descartes, v sign
+    variations allow at most v positive roots, one of them y = 1. H just
+    left of 1 has the sign of -H'(1); where sigma, H's sign at 0+ (its
+    lowest-exponent coefficient's), matches it, (0, 1) holds an even
+    number. So v = 1 allows none, and so does v = 2 with that parity. For
+    v = 3, four alternating terms, Rolle bounds the roots in (0, 1) by those
+    of (y^-e1 H)' = y^(e2-e1-1) Q, where sigma Q = B - A y^-alpha - C y^beta
+    with A = |c0|(e1-e0), B = |c2|(e2-e1), C = |c3|(e3-e1), alpha = e2-e0
+    and beta = e3-e2. It rises to one maximum, at y_r with
+    y_r^(alpha+beta) = A alpha / (C beta), and then falls. With y_r >= 1
+    it has at most one root in (0, 1), which the parity leaves none; with
+    sigma Q < 0 on a log-interval around y_r, each term bounded at the end
+    where it is largest, it has none. Both tests keep a relative margin of
+    1e-9 in the logs for rounding.
+    """
+    cs = [c for c, _ in h.pairs]
+    if abs(math.fsum(cs)) > BOUNDARY_ZERO_REL * math.fsum(map(abs, cs)):
+        return False
+    v = sign_variations(h)
+    if v == 1:
+        return True
+    slopes = [c * e for c, e in h.pairs]
+    slope = math.fsum(slopes)
+    if (abs(slope) <= BOUNDARY_ZERO_REL * math.fsum(map(abs, slopes))
+            or (slope > 0.0) == (cs[0] > 0.0)):
+        return False
+    if v == 2:
+        return True
+    (c0, e0), (_, e1), (c2, e2), (c3, e3) = h.pairs
+    alpha, beta = e2 - e0, e3 - e2
+    log_a = math.log(abs(c0)) + math.log(e1 - e0)
+    log_c = math.log(abs(c3)) + math.log(e3 - e1)
+    log_yr = (log_a + math.log(alpha) - log_c - math.log(beta)) / (alpha + beta)
+    w = 1e-9 * (1.0 + abs(log_yr))
+    if log_yr > w:
+        return True
+    # log A - alpha log y at the interval's top, log C + beta log y at its bottom
+    t1, t3 = log_a - alpha * (log_yr + w), log_c + beta * (log_yr - w)
+    top = max(t1, t3)
+    log_b = math.log(abs(c2)) + math.log(e2 - e1)
+    return log_b < top + math.log1p(math.exp(min(t1, t3) - top)) - 1e-9 * (1.0 + abs(top))
 
 
 def degenerate_family(m, b):
@@ -610,7 +662,9 @@ def _cell_roots(mv, b, h, tol, refine=True):
     ends cannot tell the sign of the function above at them: the roots of
     H come unrefined from the signomial engine and the roots of g' from the
     g' stage, and each stage reads the sign at a breakpoint from the ends
-    of its bracket (see isolate_between).
+    of its bracket (see isolate_between). The h stage is skipped, with no
+    breakpoint, where _no_roots_below_one shows H rootless on (0, 1); it
+    runs the signomial engine wherever that pre-count defers.
 
     The stages end at +infinity, anchored on the series there, except for
     a symmetric view, mv[0] == mv[2], whose stages end at s = 1: g
@@ -619,12 +673,15 @@ def _cell_roots(mv, b, h, tol, refine=True):
     folded (see _fold).
     """
     symmetric = mv[0] == mv[2]
-    # Stage 1: sign changes of g'' as breakpoints, via the signomial engine
-    # on (0, 1) in y (the forced boundary zero at y = 1 is excluded), or on
-    # (0, 1/2) for s in (0, 1), mapped to s = y/(1-y). A bracket reaching
-    # y = 1 reaches +infinity in s.
+    # Stage 1: sign changes of g'' as breakpoints, none where the exact
+    # pre-count shows H rootless on (0, 1) (_no_roots_below_one), else via
+    # the signomial engine on (0, 1) in y (the forced boundary zero at y = 1
+    # is excluded), or on (0, 1/2) for s in (0, 1), mapped to s = y/(1-y).
+    # A bracket reaching y = 1 reaches +infinity in s.
+    h_roots = [] if _no_roots_below_one(h) else _isolate(
+        h.pairs, 0.0, 0.5 if symmetric else 1.0, tol, refine=False)
     curvature_breaks = []
-    for r in _isolate(h.pairs, 0.0, 0.5 if symmetric else 1.0, tol, refine=False):
+    for r in h_roots:
         if isinstance(r, Bracket):
             curvature_breaks.append(Bracket(_y_to_s(r.lo), _y_to_s(r.hi), r.sign))
         else:

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -11,7 +12,7 @@ import mpmath
 import pytest
 
 from eulercc import euler
-from eulercc.acceptance import diff2, g_polynomial, horner
+from eulercc.acceptance import diff2, g_polynomial, horner, positive_root_count
 from eulercc.euler import (
     CELLS,
     INFINITE,
@@ -61,7 +62,7 @@ from eulercc.numerics import (
     sum_sign,
     sum_value,
 )
-from eulercc.signomial import Endpoint, Signomial, evaluate, normalize
+from eulercc.signomial import Endpoint, Signomial, _isolate, evaluate, normalize, sign_variations
 
 from oracles import cell_sign_changes, diff1
 
@@ -332,6 +333,148 @@ def test_transform_identity_against_finite_differences():
         scale = (1.0 - y) ** (1.0 - b) * sum(abs(c) * y ** e for c, e in big_h.pairs)
         assert abs(lhs - rhs) <= 1e-5 * max(scale, abs(lhs), 1.0)
         checked += 1
+
+
+# --- the exact pre-count of H on (0, 1) -----------------------------------------------
+
+
+def _poly(*coeffs):
+    """sum(c_i y^i) as a Signomial, the constant first."""
+    return normalize((c, i) for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("h", [
+    _poly(-1, 1),                         # v = 1: y - 1
+    _poly(2, -3, 1),                      # v = 2, even parity: (y - 1)(y - 2)
+    _poly(-6, 11, -6, 1),                 # v = 3, y_r = 6^(1/3): (y - 1)(y - 2)(y - 3)
+    _poly(-(1 + 1e-6), 3 + 1e-6, -3, 1),  # v = 3, log y_r = 3.3e-7, past the margin:
+                                          # (y - 1)((y - 1)^2 + 1e-6)
+    _poly(-0.35, 1.35, -2, 1),            # v = 3, y_r = 0.35^(1/3) < 1, sigma Q < 0
+                                          # around it: (y - 1)((y - 0.5)^2 + 0.1)
+])
+def test_pre_count_proves_h_rootless_below_one(h):
+    assert euler._no_roots_below_one(h)
+    assert _isolate(h.pairs, 0.0, 1.0, DEFAULT_REL_TOL, refine=False) == []
+
+
+@pytest.mark.parametrize("h, roots", [
+    (_poly(2.001, -3, 1), 0),             # H(1) = 0.001 is not read as zero
+    (_poly(1, -2, 1), 0),                 # H'(1) reads zero: (y - 1)^2
+    (_poly(-1, 3, -3, 1), 0),             # H'(1) reads zero: (y - 1)^3
+    (_poly(0.5, -1.5, 1), 1),             # v = 2, odd parity: (y - 0.5)(y - 1)
+    (_poly(-1, 3.5, -3.5, 1), 1),         # v = 3, odd parity: (y - 0.5)(y - 1)(y - 2)
+    (_poly(-(1 + 1e-10), 3 + 1e-10, -3, 1), 0),  # log y_r = 3.3e-11, inside the margin,
+                                          # and the bound on sigma Q around y_r straddles
+                                          # 0: (y - 1)((y - 1)^2 + 1e-10)
+    (_poly(-0.26, 1.26, -2, 1), 0),       # y_r < 1, where sigma Q > 0:
+                                          # (y - 1)((y - 0.5)^2 + 0.01)
+    (_poly(-0.18, 1.08, -1.9, 1), 2),     # y_r < 1, two roots: (y - 0.3)(y - 0.6)(y - 1)
+])
+def test_pre_count_defers_to_the_chain(h, roots):
+    assert not euler._no_roots_below_one(h)
+    assert len(_isolate(h.pairs, 0.0, 1.0, DEFAULT_REL_TOL, refine=False)) == roots
+
+
+def _pre_count_draws(rng, n):
+    """(masses, b): integer b, b = k +/- 10^-j, b near 1, |b| <= 40 and b in [-5, 5].
+
+    A fifth of the triples put one mass at a relative 0, 1e-15, -1e-12 or 1e-9
+    from another (next to the families at integer b), a tenth zero a mass,
+    and 3 in 10 are symmetric views of cell 2.
+    """
+    draws = []
+    for _ in range(n):
+        b = rng.choice((
+            lambda: float(rng.randint(-8, 8)),
+            lambda: rng.randint(-6, 6) + rng.choice((-1.0, 1.0)) * 10.0 ** -rng.randint(1, 15),
+            lambda: rng.uniform(0.8, 1.2),
+            lambda: rng.uniform(-40.0, 40.0),
+            lambda: rng.uniform(-5.0, 5.0),
+        ))()
+        m = list(rand_masses(rng))
+        if rng.random() < 0.2:
+            i, j = rng.sample(range(3), 2)
+            m[i] = m[j] * (1.0 + rng.choice((0.0, 1e-15, -1e-12, 1e-9)))
+        if rng.random() < 0.1:
+            m[rng.randrange(3)] = 0.0
+        if rng.random() < 0.3:
+            m[2] = m[0]
+        draws.append((tuple(m), b))
+    return draws
+
+
+def _kernels(draws):
+    """(mv, b, H) of every view of the draws that reaches the chain."""
+    for m, b in draws:
+        for cell in CELLS:
+            mv = cell_mass_view(_rescaled(m), cell)
+            if degenerate_family(mv, b) is None and not (h := h_signomial(mv, b)).is_zero:
+                yield mv, b, h
+
+
+def test_pre_count_agrees_with_the_chain():
+    # where the pre-count finds no root in (0, 1), the h stage finds none on
+    # its range, (0, 1/2) for a symmetric view; every rule decides some views
+    cells, decided = 0, collections.Counter()
+    for mv, b, h in _kernels(_pre_count_draws(random.Random(28), 4000)):
+        cells += 1
+        if euler._no_roots_below_one(h):
+            decided[sign_variations(h)] += 1
+            hi = 0.5 if mv[0] == mv[2] else 1.0
+            assert _isolate(h.pairs, 0.0, hi, DEFAULT_REL_TOL, refine=False) == [], (mv, b)
+    assert cells >= 10_000
+    assert sum(decided.values()) > 0.6 * cells and min(decided[v] for v in (1, 2, 3)) > 100
+
+
+def test_pre_count_answers_where_the_h_stage_cannot_anchor_at_zero():
+    # H = -4e-300 - 2.09 y^(1e-6) - 8e-300 y + 2.09 y^1.000001: no probe of
+    # the h stage finds its lowest term dominant, while one sign variation
+    # leaves no root in (0, 1). g = -m2 (s - s^b) up to terms of 2e-300 s, so
+    # s = 1 is the one root.
+    m, b = (2e-300, -1.0453989944787914, 2e-300), 2.000001
+    h = h_signomial(m, b)
+    with pytest.raises(ToleranceError, match="no probe point"):
+        _isolate(h.pairs, 0.0, 0.5, DEFAULT_REL_TOL, refine=False)
+    assert euler._no_roots_below_one(h)
+    assert count_cell(m, b, 2) == (1, [_solution(2, 1.0, False)])
+
+
+def _exact_roots_below_one(mv, b):
+    """The number of distinct roots in (0, 1) of H for the exact masses mv at integer b, by Sturm.
+
+    y^k H(y), k = max(0, 2 - b), is a polynomial; y = t/(1 + t) carries (0, 1)
+    to t > 0, where (1 + t)^d y^k H counts them (d its degree).
+    """
+    m1, m2, m3 = map(Fraction, mv)
+    b = int(b)
+    bb, k = b * (b - 1), max(0, 2 - b)
+    terms = ((-bb * m2 + 2 * b * m3, b - 1), (bb * (m2 + m3), b - 2),
+             (-bb * (m1 + m3), 1), (bb * m1 - 2 * b * m3, 0))
+    d = max(e for _, e in terms) + k
+    p = [Fraction(0)] * (d + 1)
+    for c, e in terms:
+        p[e + k] += c
+    t = [Fraction(0)] * (d + 1)
+    for i, c in enumerate(p):
+        for j in range(d - i + 1):
+            t[i + j] += c * math.comb(d - i, j)
+    while not t[-1]:
+        t.pop()
+    return positive_root_count(t)
+
+
+def test_pre_count_matches_the_exact_count_at_integer_b():
+    rng = random.Random(29)
+    decided = 0
+    for b in range(-6, 7):
+        if b in (0, 1):
+            continue
+        draws = [(m, float(b)) for m, _ in _pre_count_draws(rng, 40)]
+        for mv, b, h in _kernels(draws):
+            if euler._no_roots_below_one(h):
+                decided += 1
+                assert _exact_roots_below_one(mv, b) == 0, (mv, b)
+    assert decided >= 1000
 
 
 # --- degenerate_family ----------------------------------------------------------------
@@ -1111,8 +1254,15 @@ def test_symmetric_views_stop_every_stage_at_one(monkeypatch):
     assert count_cell((1.0, -0.9, 1.0), 0.5, 2)[0] == 3
     assert ends == [0.5, Endpoint.ZERO_PLUS]
     del ends[:]
-    count_cell((1.0, -0.9, 1.5), 0.5, 2)
+    # a view whose H has a root in (0, 1) runs the h stage on (0, 1)
+    count_cell((1.0, 0.9, -1.5), 0.5, 2)
     assert ends == [1.0, Endpoint.ZERO_PLUS, Endpoint.INFINITY]
+    # one that the pre-count shows rootless runs none, symmetric or not
+    for m, b, want in (((1.0, -0.9, 1.5), 0.5, [Endpoint.ZERO_PLUS, Endpoint.INFINITY]),
+                       ((1.0, -0.9, 1.0), -2.0, [Endpoint.ZERO_PLUS])):
+        del ends[:]
+        count_cell(m, b, 2)
+        assert ends == want
 
 
 @pytest.mark.parametrize("b", [-2.0, -1.0, 0.5, 2.5])
