@@ -504,17 +504,16 @@ def _derivative(series: _Series, end) -> _Series:
 
 
 def _in_s(found, end):
-    """The (x, sign, value) anchor in s from the (x0, sign) certified in the end's variable.
+    """The (x, sign) anchor in s from the (x0, sign) certified in the end's variable.
 
-    The sign is certified constant beyond x toward the end, and value is
-    None, since g is not evaluated at x.
+    The sign is certified constant beyond x toward the end.
     """
     x0, sign = found
-    return (x0 if end is Endpoint.ZERO_PLUS else 1.0 / x0), sign, None
+    return (x0 if end is Endpoint.ZERO_PLUS else 1.0 / x0), sign
 
 
 def _anchor(series: _Series, end, name, b):
-    """The (x, sign, value) anchor in s of the full series (see _in_s).
+    """The (x, sign) anchor in s of the full series (see _in_s).
 
     name ("g" or "g'") and b only label the ToleranceError raised when a
     coefficient or the tail bound of the series overflowed floats.
@@ -656,13 +655,15 @@ def _y_to_s(y):
 def _cell_roots(mv, b, h, tol, refine=True):
     """The (s, degenerate) pairs of the roots of g on s > 0 for the triple mv, b not in {0, 1}.
 
-    mv is the (left, middle, right) triple. With refine=False the roots of
-    g are only counted (isolate_between's unrefined records, whose s is
-    nan). The breakpoints below g are never refined unless their bracket
-    ends cannot tell the sign of the function above at them: the roots of
-    H come unrefined from the signomial engine and the roots of g' from the
+    mv is the (left, middle, right) triple. Each stage returns its sign
+    changes as Brackets (see isolate_between). With refine set, those of g
+    are refined here by refine_bracket, for plain and symmetric views
+    alike; with refine=False they are only counted, and their s is nan.
+    The breakpoints below g are never refined unless their bracket ends
+    cannot tell the sign of the function above at them: the roots of H
+    come unrefined from the signomial engine and the roots of g' from the
     g' stage, and each stage reads the sign at a breakpoint from the ends
-    of its bracket (see isolate_between). The h stage is skipped, with no
+    of its bracket. The h stage is skipped, with no
     breakpoint, where _no_roots_below_one shows H rootless on (0, 1); it
     runs the signomial engine wherever that pre-count defers.
 
@@ -691,8 +692,8 @@ def _cell_roots(mv, b, h, tol, refine=True):
     zero = _end_anchors(mv, b, Endpoint.ZERO_PLUS, order)
     gp = _gp_sign(mv, b)
     if symmetric:
-        sign, value = gp(1.0, BOUNDARY_ZERO_REL)
-        right = {"g'": (1.0, sign, value), "g": (1.0, -sign, None)}.get
+        sign = gp(1.0, BOUNDARY_ZERO_REL)[0]
+        right = {"g'": (1.0, sign), "g": (1.0, -sign)}.get
     else:
         right = _end_anchors(mv, b, Endpoint.INFINITY, order)
 
@@ -701,20 +702,21 @@ def _cell_roots(mv, b, h, tol, refine=True):
     gp_roots = isolate_between(
         gp,
         lambda s, z: sum_sign(((h.pairs, s / (1.0 + s)),), z),
-        zero("g'"), right("g'"), curvature_breaks, tol, refine=False,
+        zero("g'"), right("g'"), curvature_breaks, tol,
     )
     # Stage 3: g is strictly monotone between g' roots.
     g = _g_sign(mv, b)
     left = zero("g")
-    roots = isolate_between(g, gp, left, right("g"), gp_roots, tol,
-                            refine=refine and not symmetric)
+    found = isolate_between(g, gp, left, right("g"), gp_roots, tol)
+    roots = [refine_bracket(g, gp, r, tol) if refine and isinstance(r, Bracket) else r
+             for r in found]
     if symmetric:
-        return _fold(roots, gp_roots, (left[1], -sign), g, gp, tol, refine)
+        return _fold(found, roots, gp_roots, (left[1], -sign), gp)
     return [(r.value, r.degenerate) for r in roots]
 
 
-def _fold(half, gp_roots, signs, g, gp, tol, refine):
-    """The (s, degenerate) pairs of a symmetric view's roots, from half, its roots on (0, 1).
+def _fold(half, roots, gp_roots, signs, gp):
+    """The (s, degenerate) pairs of a symmetric view's roots, from its roots on (0, 1).
 
     A symmetric view's g satisfies g(1/u) = -u^(-b-1) g(u), so g(1) = 0 and
     its other roots pair as s <-> 1/s. The roots are the half's, then
@@ -722,34 +724,33 @@ def _fold(half, gp_roots, signs, g, gp, tol, refine):
     with t = 1/s rounded, so each member is the other's reciprocal bit for
     bit. s = 1 is flagged when g'(1) reads 0 at DEGENERACY_REL.
 
-    half holds the unrefined records of the g stage on (0, 1), and signs
-    are g's certified signs at 0+ and just left of s = 1, 0 when g'(1)
-    reads 0. A Bracket is a certified sign change, refined here when
-    refine is set. A flagged RootRecord is a zero read at a root of g',
-    which a certified sign change may hide: there is one when the
-    Brackets leave g's two signs unmatched. A lone zero read that hides
-    one is a root and is mirrored. A lone zero read that hides none, at
-    the last root of g' in the half, is s = 1 itself: g is monotone from
+    half holds the records of the g stage on (0, 1) as isolate_between
+    returns them, roots the same with their Brackets refined (half itself
+    for a count), and signs g's certified signs at 0+ and just left of
+    s = 1, 0 when g'(1) reads 0. The rule reads half; the mirror, roots. A
+    Bracket is a certified sign change. A flagged RootRecord is a zero read
+    at a root of g', which a certified sign change may hide: there is one
+    when the Brackets leave g's two signs unmatched. A lone zero read that
+    hides one is a root and is mirrored. A lone zero read that hides none,
+    at the last root of g' in the half, is s = 1 itself: g is monotone from
     there to s = 1 and vanishes at both ends, so it stays in the noise in
-    between. It is not mirrored and flags s = 1. Any other zero read has
-    no certified sign change to mirror, and the count is refused with
+    between. It is not mirrored and flags s = 1. Any other zero read has no
+    certified sign change to mirror, and the count is refused with
     ToleranceError.
     """
     degenerate_one = gp(1.0, DEGENERACY_REL)[0] == 0
-    lows = [r for r in half if isinstance(r, Bracket)]
-    zeros = [r for r in half if not isinstance(r, Bracket)]
+    lows = [r for r, u in zip(roots, half) if isinstance(u, Bracket)]
+    zeros = [u for u in half if not isinstance(u, Bracket)]
     if zeros:
         first, last = signs
         hidden = last != 0 and first * (-1) ** len(lows) != last
         if len(zeros) == 1 and hidden:
-            lows = half
+            lows = roots
         elif len(zeros) == 1 and zeros[0] is half[-1] and zeros[0].value >= gp_roots[-1].lo:
             degenerate_one = True
         else:
             raise ToleranceError(f"a zero of g at s = {zeros[0].value!r} in a symmetric view "
                                  f"has no certified sign change to mirror")
-    if refine:
-        lows = [refine_bracket(g, gp, r, tol) if isinstance(r, Bracket) else r for r in lows]
     highs = [(1.0 / r.value, r.degenerate) for r in reversed(lows)]
     return [(1.0 / s, d) for s, d in reversed(highs)] + [(1.0, degenerate_one)] + highs
 

@@ -388,9 +388,8 @@ class RootRecord(NamedTuple):
     lo == hi == value where it evaluates to exactly zero; for
     degenerate=True the root sits where the bracketing derivative-chain
     function is itself below the degeneracy threshold, so the bracket is
-    only a location estimate. isolate_between(refine=False) returns the
-    roots it does not refine as Brackets, which serve as chain roots of a
-    later stage as refined records do.
+    only a location estimate. refine_bracket makes one from a Bracket, and
+    isolate_between returns one, flagged, for a zero read at a chain root.
     """
 
     lo: float
@@ -402,10 +401,11 @@ class RootRecord(NamedTuple):
 class Bracket(NamedTuple):
     """An unrefined root: the function changes sign exactly once across [lo, hi].
 
-    sign is its certified sign at lo. As a chain root of a later stage it
-    is read by its ends (see isolate_between). value is nan and degenerate
-    False, so a caller that only counts roots takes a Bracket where it
-    takes a RootRecord.
+    sign is its certified sign at lo. isolate_between returns every sign
+    change as one; as a chain root of a later stage it is read by its ends,
+    and refine_bracket refines it for a caller that wants the root. value
+    is nan and degenerate False, so a caller that only counts roots takes a
+    Bracket where it takes a RootRecord.
     """
 
     lo: float
@@ -539,31 +539,29 @@ def _itp_bracket(eval_fn, lo, hi, sign_lo, rel_tol, nodes):
     raise ToleranceError("interpolation steps failed to converge within iteration budget")
 
 
-def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL,
-                       value_lo=None, value_hi=None):
+def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
     """Refine a certified sign change on [lo, hi], 0 < lo < hi, to plain bisection's result.
 
     eval_fn(x) returns (sign, value) as sum_sign(groups, 0.0) does; value
     is None inside the rounding noise, or always for a caller that reads
-    signs only. value_lo and value_hi are the values at lo and hi when the
-    caller has read them. Plain bisection splits a bracket spanning more
-    than a factor of 8 at its geometric midpoint, so brackets reaching
-    toward 0 or infinity converge in O(log log-range) steps, and after that
-    at its midpoint, until the width is at most rel_tol * hi; it evaluates
-    every midpoint.
+    signs only. Plain bisection splits a bracket spanning more than a
+    factor of 8 at its geometric midpoint, so brackets reaching toward 0 or
+    infinity converge in O(log log-range) steps, and after that at its
+    midpoint, until the width is at most rel_tol * hi; it evaluates every
+    midpoint.
 
     The walk evaluates the geometric midpoints as plain bisection does. On
     the bracket of at most a factor of 8 that follows, interpolation steps
-    (_itp_bracket) start from the values already read, the ends' and the
-    geometric midpoints', and find bounds l < h of the sign change: points
-    with a value, never an exact zero or a value inside the noise. The walk
-    then replays plain bisection from that bracket: a midpoint between l and
-    h is evaluated, and one outside only decides the side. So the result is
-    the one plain bisection returns, bit for bit, exact zeros included.
+    (_itp_bracket) start from the values read at those midpoints, if any,
+    and find bounds l < h of the sign change: points with a value, never an
+    exact zero or a value inside the noise. The walk then replays plain
+    bisection from that bracket: a midpoint between l and h is evaluated,
+    and one outside only decides the side. So the result is the one plain
+    bisection returns, bit for bit, exact zeros included.
 
     Returns (value, lo, hi, hit_zero); at an exact zero lo == hi == value.
     """
-    nodes = [(x, v) for x, v in ((lo, value_lo), (hi, value_hi)) if v is not None]
+    nodes = []
     while hi > 8.0 * lo:
         mid = math.exp(0.5 * (math.log(lo) + math.log(hi)))
         if not lo < mid < hi:  # bracket exhausted float resolution
@@ -634,7 +632,6 @@ def _read_bracket(read, chain_fn, bracket, rel_tol):
     ends are the two last read, inside the bracket either way.
     """
     lo, hi, sign = bracket
-    value_lo = value_hi = None
     for step in range(_NARROW_ROUNDS * _NARROW_STEPS + 1):
         if step % _NARROW_STEPS == 0:
             ends = read(lo), read(hi)
@@ -649,24 +646,23 @@ def _read_bracket(read, chain_fn, bracket, rel_tol):
         if s == 0 or v is None:
             break
         if s == sign:
-            lo, value_lo = mid, v
+            lo = mid
         else:
-            hi, value_hi = mid, v
-    value, lo, hi, _ = bisect_sign_change(chain_fn, lo, hi, sign, rel_tol, value_lo, value_hi)
+            hi = mid
+    value, lo, hi, _ = bisect_sign_change(chain_fn, lo, hi, sign, rel_tol)
     return ends, RootRecord(lo=lo, hi=hi, value=value, degenerate=False)
 
 
-def refine_bracket(sign_fn, chain_sign_fn, bracket, rel_tol=DEFAULT_REL_TOL,
-                   value_lo=None, value_hi=None):
+def refine_bracket(sign_fn, chain_sign_fn, bracket, rel_tol=DEFAULT_REL_TOL):
     """The RootRecord of a Bracket's sign change, refined by bisect_sign_change.
 
-    sign_fn and chain_sign_fn are as for isolate_between, value_lo and
-    value_hi the target's values at the bracket's ends where they were read.
-    The target is read with threshold 0.0, and the root is flagged
-    degenerate when the chain function reads 0 there at DEGENERACY_REL.
+    sign_fn and chain_sign_fn are those of the isolate_between call that
+    returned the Bracket. The target is read with threshold 0.0 from the
+    bracket alone, and the root is flagged degenerate when the chain
+    function reads 0 there at DEGENERACY_REL.
     """
     value, lo, hi, _ = bisect_sign_change(lambda x: sign_fn(x, 0.0), bracket.lo, bracket.hi,
-                                          bracket.sign, rel_tol, value_lo, value_hi)
+                                          bracket.sign, rel_tol)
     # A mid-point landing exactly on zero says nothing about degeneracy;
     # only the chain function's magnitude at the root does.
     degenerate = chain_sign_fn(value, DEGENERACY_REL)[0] == 0
@@ -674,7 +670,7 @@ def refine_bracket(sign_fn, chain_sign_fn, bracket, rel_tol=DEFAULT_REL_TOL,
 
 
 def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
-                    rel_tol=DEFAULT_REL_TOL, refine=True):
+                    rel_tol=DEFAULT_REL_TOL):
     """One stage of a derivative chain: the roots of a target between anchors.
 
     sign_fn(x, zero_rel) and chain_sign_fn(x, zero_rel) return the (sign,
@@ -683,14 +679,12 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
     function's roots (the lower stage's records, sorted), between which the
     target is strictly monotone: the chain function has the sign of the
     derivative of the target times a positive function. left and right
-    are (x, sign, value) anchors whose signs are certified constant beyond
-    them (toward 0+ and +infinity respectively, or exact boundary values);
-    value is the target's value read at x as sum_sign returns it, or None
-    where none was read. An anchor with sign 0 is a boundary zero and is
-    not recorded.
+    are (x, sign) anchors whose signs are certified constant beyond them
+    (toward 0+ and +infinity respectively, or exact boundary values). An
+    anchor with sign 0 is a boundary zero and is not recorded.
 
     The target's sign at each chain root is read with BOUNDARY_ZERO_REL.
-    A refined chain root (a RootRecord) is read at its value. A Bracket is
+    A chain root that is a RootRecord is read at its value. A Bracket is
     read at its ends, narrowed and at last refined when they cannot decide
     (_read_bracket); a bracket with an end beyond an anchor is read the
     same way, and only its ends between the anchors are kept. A bracket
@@ -699,19 +693,16 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
     root inside, and skipped when it places it beyond; ToleranceError
     when that sign is in the rounding noise. A sign of 0 at a chain root
     is itself a root of the target, recorded once with the chain root's
-    bracket and flagged degenerate. The roots are counted as the sign
-    changes between consecutive points read, the anchors and the bracket
-    ends with a sign included; each lies alone between its two points.
-    refine_bracket refines it from the values read there.
-
-    With refine=False each sign change between points is returned as the
-    Bracket of its two points, neither refined nor tested for degeneracy:
-    a caller that needs only the count of roots saves the bisection, and a
-    later stage reads it as a chain root by its ends. The records come in
-    increasing order either way.
+    bracket and flagged degenerate. The other roots are the sign changes
+    between consecutive points read, the anchors and the bracket ends with
+    a sign included; each lies alone between its two points and is
+    returned as their Bracket, neither refined nor tested for degeneracy.
+    A later stage reads it as a chain root by its ends, and a caller that
+    wants the root refines it with refine_bracket. The records come in
+    increasing order.
     """
-    xl, sl, _ = left
-    xr, sr, _ = right
+    xl, sl = left
+    xr, sr = right
     if xl >= xr:
         # Certified constant-sign zones overlap: no room for any root.
         if sl != 0 and sr != 0 and sl != sr:
@@ -730,13 +721,10 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
     def visit(point):
         # the roots between prev and point, then point becomes prev
         nonlocal prev
-        (xa, sa, va), (xb, sb, vb) = prev, point
+        (xa, sa), (xb, sb) = prev[:2], point[:2]
         prev = point
-        if sa == 0 or sb == 0 or sa == sb:
-            return
-        bracket = Bracket(lo=xa, hi=xb, sign=sa)
-        out.append(refine_bracket(sign_fn, chain_sign_fn, bracket, rel_tol, va, vb)
-                   if refine else bracket)
+        if sa != 0 and sb != 0 and sa != sb:
+            out.append(Bracket(lo=xa, hi=xb, sign=sa))
 
     def chain_fn(x):
         return chain_sign_fn(x, 0.0)

@@ -21,10 +21,12 @@ from typing import NamedTuple
 from .numerics import (
     BOUNDARY_ZERO_REL,
     DEFAULT_REL_TOL,
+    Bracket,
     RootRecord,
     certified_sign_near_zero,
     check_tol,
     isolate_between,
+    refine_bracket,
     sum_sign,
     sum_value,
 )
@@ -158,9 +160,9 @@ def derivative_chain(p: Signomial):
 def _isolate(pairs, lo: float, hi: float, tol: float, refine: bool = True):
     """The roots of pairs on (lo, hi), as isolate_between returns them.
 
-    The lower levels of the chain come back unrefined: their Brackets are
-    read as breakpoints by their ends, and only this level's roots are
-    refined, when refine is set.
+    Every level of the chain isolates its roots as Brackets, and a lower
+    level's are read as breakpoints by their ends. With refine set, this
+    level's Brackets are then refined, each by refine_bracket.
     """
     pivot = _first_variation_pivot(pairs)
     if pivot is None:
@@ -170,26 +172,31 @@ def _isolate(pairs, lo: float, hi: float, tol: float, refine: bool = True):
     q_roots = _isolate(q, lo, hi, tol, refine=False)
 
     # Left anchor: domination probe for the open end at 0, direct evaluation
-    # for a finite boundary (a boundary zero is excluded, not counted).
-    # The value read at a finite boundary goes on to the refinement, which
-    # can interpolate from it. The probes start below the first chain root
-    # and above the last.
+    # for a finite boundary (a boundary zero is excluded, not counted). The
+    # probes start below the first chain root and above the last.
     inner = q_roots[0].lo if q_roots else (hi if math.isfinite(hi) else 2.0)
     if lo == 0.0:
-        left = (*certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner)), None)
+        left = certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner))
     else:
-        left = (lo, *sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL))
+        left = (lo, sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL)[0])
     if math.isinf(hi):
         outer = q_roots[-1].hi if q_roots else max(left[0], 0.5)
         # x -> 1/x carries the open end at infinity to 0+
         u, sign = certified_sign_near_zero([(c, -e) for c, e in reversed(pairs)],
                                            start=1.0 / (2.0 * outer))
-        right = (1.0 / u, sign, None)
+        right = (1.0 / u, sign)
     else:
-        right = (hi, *sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL))
-    return isolate_between(lambda x, z: sum_sign(((pairs, x),), z),
-                           lambda x, z: sum_sign(((q, x),), z),
-                           left, right, q_roots, rel_tol=tol, refine=refine)
+        right = (hi, sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL)[0])
+
+    def sign_fn(x, z):
+        return sum_sign(((pairs, x),), z)
+
+    def chain_fn(x, z):
+        return sum_sign(((q, x),), z)
+
+    roots = isolate_between(sign_fn, chain_fn, left, right, q_roots, rel_tol=tol)
+    return [refine_bracket(sign_fn, chain_fn, r, tol) if refine and isinstance(r, Bracket) else r
+            for r in roots]
 
 
 def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,

@@ -804,7 +804,7 @@ def _ref_anchor(series: _RefSeries, end):
         raise ToleranceError("series vanished to working order; cannot certify a sign")
     t = series.tail
     x0, sign = certified_sign_near_zero(p.pairs, tail=t, start=min(0.25, 0.5 / t.ratio))
-    return (x0, sign, None) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign, None)
+    return (x0, sign) if end is Endpoint.ZERO_PLUS else (1.0 / x0, sign)
 
 
 def _anchor_or_error(anchor):
@@ -1296,21 +1296,26 @@ def test_fold_mirrors_a_zero_read_that_hides_a_sign_change():
     # g is positive at 0+ and negative just left of 1, and no bracket changes
     # its sign: the zero read at 1e-3 is a root, and 1e3 its mirror
     half = [_zero_read(1e-3)]
-    assert _fold(half, _CHAIN, (1, -1), None, _gp_at_one(1), DEFAULT_REL_TOL, True) == \
+    assert _fold(half, half, _CHAIN, (1, -1), _gp_at_one(1)) == \
         [(1.0 / (1.0 / 1e-3), True), (1.0, False), (1.0 / 1e-3, True)]
     # the brackets' sign changes are read off first
     half = [Bracket(1e-5, 1e-4, 1), _zero_read(1e-3)]
-    assert len(_fold(half, _CHAIN, (1, 1), None, _gp_at_one(1), DEFAULT_REL_TOL, False)) == 5
+    assert len(_fold(half, half, _CHAIN, (1, 1), _gp_at_one(1))) == 5
+    # the rule reads half, and the mirror the refined records
+    roots = [RootRecord(lo=1e-5, hi=1e-4, value=5e-5, degenerate=False), half[1]]
+    assert _fold(half, roots, _CHAIN, (1, 1), _gp_at_one(1)) == \
+        [(1.0 / (1.0 / 5e-5), False), (1.0 / (1.0 / 1e-3), True), (1.0, False),
+         (1.0 / 1e-3, True), (1.0 / 5e-5, False)]
 
 
 def test_fold_takes_a_zero_read_at_the_last_root_of_g_prime_as_s_one():
     # g keeps its sign around the zero read, which lies in the last bracket of
     # g': g is monotone from there to s = 1, where it vanishes
     for signs in ((1, 1), (-1, 0), (1, 0)):
-        assert _fold([_zero_read(0.3)], _CHAIN, signs, None, _gp_at_one(1),
-                     DEFAULT_REL_TOL, True) == [(1.0, True)], signs
+        half = [_zero_read(0.3)]
+        assert _fold(half, half, _CHAIN, signs, _gp_at_one(1)) == [(1.0, True)], signs
     # g'(1) reading zero at the degeneracy threshold flags s = 1 on its own
-    assert _fold([], [], (1, 0), None, _gp_at_one(0), DEFAULT_REL_TOL, False) == [(1.0, True)]
+    assert _fold([], [], [], (1, 0), _gp_at_one(0)) == [(1.0, True)]
 
 
 @pytest.mark.parametrize("half, signs", [
@@ -1321,7 +1326,7 @@ def test_fold_takes_a_zero_read_at_the_last_root_of_g_prime_as_s_one():
 ])
 def test_fold_refuses_a_zero_read_with_no_certified_sign_change(half, signs):
     with pytest.raises(ToleranceError, match="no certified sign change to mirror"):
-        _fold(half, _CHAIN, signs, None, _gp_at_one(1), DEFAULT_REL_TOL, False)
+        _fold(half, half, _CHAIN, signs, _gp_at_one(1))
 
 
 def test_cell_3_counted_independently_matches_the_reflection():

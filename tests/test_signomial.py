@@ -22,10 +22,12 @@ from eulercc.signomial import (
 from eulercc.numerics import (
     BOUNDARY_ZERO_REL,
     DEFAULT_REL_TOL,
+    Bracket,
     ToleranceError,
     bisect_sign_change,
     certified_sign_near_zero,
     isolate_between,
+    refine_bracket,
     sum_sign,
     sum_value,
 )
@@ -371,9 +373,18 @@ def _ref_isolate(p, lo, hi, tol, refine=True):
         right = certified_sign_near_inf(p.pairs(), start=2.0 * outer)
     else:
         right = (hi, sum_sign(_ref_groups(p, hi), BOUNDARY_ZERO_REL)[0])
-    return isolate_between(lambda x, z: sum_sign(_ref_groups(p, x), z),
-                           lambda x, z: sum_sign(_ref_groups(q, x), z),
-                           (*left, None), (*right, None), q_roots, rel_tol=tol, refine=refine)
+
+    def sign_fn(x, z):
+        return sum_sign(_ref_groups(p, x), z)
+
+    def chain_fn(x, z):
+        return sum_sign(_ref_groups(q, x), z)
+
+    roots = isolate_between(sign_fn, chain_fn, left, right, q_roots, rel_tol=tol)
+    if refine:
+        roots = [refine_bracket(sign_fn, chain_fn, r, tol) if isinstance(r, Bracket) else r
+                 for r in roots]
+    return roots
 
 
 def _ref_count_and_isolate(p, lo, hi):
