@@ -68,10 +68,11 @@ from .numerics import (
     check_tol,
     isolate_between,
     refine_bracket,
+    run_chain,
     sum_sign,
     sum_value,
 )
-from .signomial import Endpoint, Signomial, _isolate, merge_sorted, normalize, sign_variations
+from .signomial import Endpoint, Signomial, _levels, merge_sorted, normalize, sign_variations
 
 __all__ = [
     "INFINITE",
@@ -503,7 +504,7 @@ def _derivative(series: _Series, end) -> _Series:
                         f.ratio * (1.0 + 1.0 / f.exponent)))
 
 
-def _in_s(found, end):
+def _anchor_in_s(found, end):
     """The (x, sign) anchor in s from the (x0, sign) certified in the end's variable.
 
     The sign is certified constant beyond x toward the end.
@@ -513,7 +514,7 @@ def _in_s(found, end):
 
 
 def _anchor(series: _Series, end, name, b):
-    """The (x, sign) anchor in s of the full series (see _in_s).
+    """The (x, sign) anchor in s of the full series (see _anchor_in_s).
 
     name ("g" or "g'") and b only label the ToleranceError raised when a
     coefficient or the tail bound of the series overflowed floats.
@@ -524,7 +525,7 @@ def _anchor(series: _Series, end, name, b):
     if not (math.isfinite(t.coeff) and all(math.isfinite(c) for c, _ in series.pairs)):
         at = "0+" if end is Endpoint.ZERO_PLUS else "+infinity"
         raise ToleranceError(f"the series of {name} at {at} overflows floats at b = {b!r}")
-    return _in_s(certified_sign_near_zero(series.pairs, tail=t, start=0.5 / t.ratio), end)
+    return _anchor_in_s(certified_sign_near_zero(series.pairs, tail=t, start=0.5 / t.ratio), end)
 
 
 def _end_anchors(mv, b, end, order):
@@ -552,7 +553,7 @@ def _end_anchors(mv, b, end, order):
                 s = short if name == "g" else _derivative(short, end)
                 found = _bounded_sign_near_zero(s.pairs, s.tail, 0.5 / s.full.ratio)
                 if found is not None:
-                    return _in_s(found, end)
+                    return _anchor_in_s(found, end)
             full = series()
         return _anchor(full if name == "g" else _derivative(full, end), end, name, b)
 
@@ -652,6 +653,30 @@ def _y_to_s(y):
     return y / (1.0 - y) if y < 1.0 else math.inf
 
 
+def _in_s(h_roots, xr, curvature):
+    """Yield the h stage's records, in y, as the g' stage's chain roots, in s = y/(1-y).
+
+    A bracket reaching y = 1 reaches s = +infinity, where its end cannot be
+    read. When it starts below the g' stage's right anchor xr, the sign of
+    curvature, that stage's chain function, read at xr drops it (its root
+    lies beyond xr) or brings its end to xr; ToleranceError when that sign
+    is in the rounding noise.
+    """
+    for r in h_roots:
+        lo, hi = _y_to_s(r.lo), _y_to_s(r.hi)
+        if isinstance(r, RootRecord):
+            yield RootRecord(lo, hi, _y_to_s(r.value), r.degenerate)
+        elif hi < math.inf or lo >= xr:
+            yield Bracket(lo, hi, r.sign)
+        else:
+            sign, value = curvature(xr, 0.0)
+            if value is None or sign == 0:
+                raise ToleranceError(f"the chain root of the bracket from {lo!r} "
+                                     f"to +infinity cannot be placed beside {xr!r}")
+            if sign != r.sign:
+                yield Bracket(lo, xr, r.sign)
+
+
 def _cell_roots(mv, b, h, tol, refine=True):
     """The (s, degenerate) pairs of the roots of g on s > 0 for the triple mv, b not in {0, 1}.
 
@@ -661,11 +686,11 @@ def _cell_roots(mv, b, h, tol, refine=True):
     alike; with refine=False they are only counted, and their s is nan.
     The breakpoints below g are never refined unless their bracket ends
     cannot tell the sign of the function above at them: the roots of H
-    come unrefined from the signomial engine and the roots of g' from the
-    g' stage, and each stage reads the sign at a breakpoint from the ends
-    of its bracket. The h stage is skipped, with no
-    breakpoint, where _no_roots_below_one shows H rootless on (0, 1); it
-    runs the signomial engine wherever that pre-count defers.
+    come unrefined from its derivative chain (_levels, run_chain) and the
+    roots of g' from the g' stage, and each stage reads the sign at a
+    breakpoint from the ends of its bracket. The h stage is skipped, with
+    no breakpoint, where _no_roots_below_one shows H rootless on (0, 1);
+    it runs H's chain wherever that pre-count defers.
 
     The stages end at +infinity, anchored on the series there, except for
     a symmetric view, mv[0] == mv[2], whose stages end at s = 1: g
@@ -676,18 +701,10 @@ def _cell_roots(mv, b, h, tol, refine=True):
     symmetric = mv[0] == mv[2]
     # Stage 1: sign changes of g'' as breakpoints, none where the exact
     # pre-count shows H rootless on (0, 1) (_no_roots_below_one), else via
-    # the signomial engine on (0, 1) in y (the forced boundary zero at y = 1
-    # is excluded), or on (0, 1/2) for s in (0, 1), mapped to s = y/(1-y).
-    # A bracket reaching y = 1 reaches +infinity in s.
-    h_roots = [] if _no_roots_below_one(h) else _isolate(
-        h.pairs, 0.0, 0.5 if symmetric else 1.0, tol, refine=False)
-    curvature_breaks = []
-    for r in h_roots:
-        if isinstance(r, Bracket):
-            curvature_breaks.append(Bracket(_y_to_s(r.lo), _y_to_s(r.hi), r.sign))
-        else:
-            curvature_breaks.append(RootRecord(_y_to_s(r.lo), _y_to_s(r.hi),
-                                               _y_to_s(r.value), r.degenerate))
+    # H's derivative chain on (0, 1) in y (the forced boundary zero at y = 1
+    # is excluded), or on (0, 1/2) for s in (0, 1).
+    h_roots = [] if _no_roots_below_one(h) else run_chain(
+        _levels(h, 0.0, 0.5 if symmetric else 1.0), tol)
     order = _short_order(mv, b)
     zero = _end_anchors(mv, b, Endpoint.ZERO_PLUS, order)
     gp = _gp_sign(mv, b)
@@ -698,12 +715,13 @@ def _cell_roots(mv, b, h, tol, refine=True):
         right = _end_anchors(mv, b, Endpoint.INFINITY, order)
 
     # Stage 2: g' is strictly monotone between curvature breakpoints, and
-    # g'' has the sign of H(s/(1+s)).
-    gp_roots = isolate_between(
-        gp,
-        lambda s, z: sum_sign(((h.pairs, s / (1.0 + s)),), z),
-        zero("g'"), right("g'"), curvature_breaks, tol,
-    )
+    # g'' has the sign of H(s/(1+s)); _in_s maps the breakpoints to s.
+    def curvature(s, z):
+        return sum_sign(((h.pairs, s / (1.0 + s)),), z)
+
+    gp_left, gp_right = zero("g'"), right("g'")
+    gp_roots = isolate_between(gp, curvature, gp_left, gp_right,
+                               _in_s(h_roots, gp_right[0], curvature), tol)
     # Stage 3: g is strictly monotone between g' roots.
     g = _g_sign(mv, b)
     left = zero("g")

@@ -687,11 +687,8 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
     A chain root that is a RootRecord is read at its value. A Bracket is
     read at its ends, narrowed and at last refined when they cannot decide
     (_read_bracket); a bracket with an end beyond an anchor is read the
-    same way, and only its ends between the anchors are kept. A bracket
-    reaching +infinity, whose end cannot be read, is first brought to the
-    right anchor when the chain sign read there with a value places its
-    root inside, and skipped when it places it beyond; ToleranceError
-    when that sign is in the rounding noise. A sign of 0 at a chain root
+    same way, and only its ends between the anchors are kept. One wholly
+    beyond an anchor is skipped unread. A sign of 0 at a chain root
     is itself a root of the target, recorded once with the chain root's
     bracket and flagged degenerate. The other roots are the sign changes
     between consecutive points read, the anchors and the bracket ends with
@@ -745,16 +742,6 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
         if isinstance(r, Bracket):
             if r.hi <= xl or r.lo >= xr:
                 continue
-            if r.hi == math.inf:
-                # the end cannot be read: the chain sign at the right anchor
-                # places the root beyond it, or brings the end to it
-                s, v = chain_fn(xr)
-                if v is None or s == 0:
-                    raise ToleranceError(f"the chain root of the bracket from {r.lo!r} "
-                                         f"to +infinity cannot be placed beside {xr!r}")
-                if s == r.sign:
-                    continue
-                r = r._replace(hi=xr)
             (a, c), r = _read_bracket(read, chain_fn, r, rel_tol)
             end(a)
             if r is not None:
@@ -764,3 +751,17 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
             at_chain_root(r)
     visit(right)
     return out
+
+
+def run_chain(levels, rel_tol):
+    """The top level's records of one derivative chain, whose levels come lowest first.
+
+    A level is a (sign_fn, chain_sign_fn, ends) triple: isolate_between's
+    functions, and ends(records_below) -> (left, right, chain_roots). The
+    lowest level's chain function has no roots, so its ends get []; with
+    no levels the records are [].
+    """
+    records = []
+    for sign_fn, chain_sign_fn, ends in levels:
+        records = isolate_between(sign_fn, chain_sign_fn, *ends(records), rel_tol=rel_tol)
+    return records

@@ -4,11 +4,12 @@ The root counter follows the classical Descartes/Laguerre argument made
 effective: pick the exponent at the first sign change of the coefficient
 sequence, divide it out, differentiate. The resulting signomial has one
 term and one sign variation fewer, and by Rolle its roots separate the
-monotone pieces of the original. Recursing down to a variation-free
-signomial and walking back up with certified sign evaluations yields a
-count of distinct positive roots that is exact up to floating-point
-evaluation precision, with ambiguous (near-double) roots flagged instead
-of guessed.
+monotone pieces of the original. These reductions, down to a
+variation-free signomial (derivative_chain), are the levels of one
+derivative chain (_levels), which numerics.run_chain walks back up with
+certified sign evaluations. That yields a count of distinct positive roots
+that is exact up to floating-point evaluation precision, with ambiguous
+(near-double) roots flagged instead of guessed.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .numerics import (
     RootRecord,
     certified_sign_near_zero,
     check_tol,
-    isolate_between,
     refine_bracket,
+    run_chain,
     sum_sign,
     sum_value,
 )
@@ -157,46 +158,40 @@ def derivative_chain(p: Signomial):
 # --- counting and isolation ---------------------------------------------------
 
 
-def _isolate(pairs, lo: float, hi: float, tol: float, refine: bool = True):
-    """The roots of pairs on (lo, hi), as isolate_between returns them.
+def _levels(p: Signomial, lo: float, hi: float):
+    """The levels of p's derivative chain on (lo, hi), lowest first, for run_chain.
 
-    Every level of the chain isolates its roots as Brackets, and a lower
-    level's are read as breakpoints by their ends. With refine set, this
-    level's Brackets are then refined, each by refine_bracket.
+    Each reduction of derivative_chain(p) is the chain function of the one
+    above it; the top level's target is p. A level's anchors are certified
+    from the records of the level below (ends), and a p without sign
+    variations has no levels.
     """
-    pivot = _first_variation_pivot(pairs)
-    if pivot is None:
-        # All coefficients share one sign: no positive roots at all.
-        return []
-    q = _shift_differentiate(pairs, pivot)
-    q_roots = _isolate(q, lo, hi, tol, refine=False)
+    def level(pairs, q):
+        def ends(q_roots):
+            # Left anchor: domination probe for the open end at 0, direct
+            # evaluation for a finite boundary (a boundary zero is excluded,
+            # not counted). The probes start below the first chain root and
+            # above the last.
+            inner = q_roots[0].lo if q_roots else (hi if math.isfinite(hi) else 2.0)
+            if lo == 0.0:
+                left = certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner))
+            else:
+                left = (lo, sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL)[0])
+            if math.isinf(hi):
+                outer = q_roots[-1].hi if q_roots else max(left[0], 0.5)
+                # x -> 1/x carries the open end at infinity to 0+
+                u, sign = certified_sign_near_zero([(c, -e) for c, e in reversed(pairs)],
+                                                   start=1.0 / (2.0 * outer))
+                right = (1.0 / u, sign)
+            else:
+                right = (hi, sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL)[0])
+            return left, right, q_roots
 
-    # Left anchor: domination probe for the open end at 0, direct evaluation
-    # for a finite boundary (a boundary zero is excluded, not counted). The
-    # probes start below the first chain root and above the last.
-    inner = q_roots[0].lo if q_roots else (hi if math.isfinite(hi) else 2.0)
-    if lo == 0.0:
-        left = certified_sign_near_zero(pairs, start=0.5 * min(1.0, inner))
-    else:
-        left = (lo, sum_sign(((pairs, lo),), BOUNDARY_ZERO_REL)[0])
-    if math.isinf(hi):
-        outer = q_roots[-1].hi if q_roots else max(left[0], 0.5)
-        # x -> 1/x carries the open end at infinity to 0+
-        u, sign = certified_sign_near_zero([(c, -e) for c, e in reversed(pairs)],
-                                           start=1.0 / (2.0 * outer))
-        right = (1.0 / u, sign)
-    else:
-        right = (hi, sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL)[0])
+        return (lambda x, z: sum_sign(((pairs, x),), z),
+                lambda x, z: sum_sign(((q, x),), z), ends)
 
-    def sign_fn(x, z):
-        return sum_sign(((pairs, x),), z)
-
-    def chain_fn(x, z):
-        return sum_sign(((q, x),), z)
-
-    roots = isolate_between(sign_fn, chain_fn, left, right, q_roots, rel_tol=tol)
-    return [refine_bracket(sign_fn, chain_fn, r, tol) if refine and isinstance(r, Bracket) else r
-            for r in roots]
+    chain = [p.pairs] + [q.pairs for _, q in derivative_chain(p)]
+    return [level(pairs, q) for pairs, q in zip(chain, chain[1:])][::-1]
 
 
 def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,
@@ -218,5 +213,10 @@ def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,
             raise ValueError(f"signomial terms must be finite, got term [{c!r}, {e!r}]")
     if p.is_zero:
         return IDENTICALLY_ZERO, []
-    roots = _isolate(p.pairs, lo, hi, tol)
+    levels = _levels(p, lo, hi)
+    if not levels:
+        return 0, []
+    sign_fn, chain_fn, _ = levels[-1]
+    roots = [refine_bracket(sign_fn, chain_fn, r, tol) if isinstance(r, Bracket) else r
+             for r in run_chain(levels, tol)]
     return len(roots), roots

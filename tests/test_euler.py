@@ -38,6 +38,7 @@ from eulercc.euler import (
     _g_sign,
     _gp_groups,
     _gp_sign,
+    _in_s,
     _low_coefficients,
     _masses,
     _reflect,
@@ -46,6 +47,7 @@ from eulercc.euler import (
     _short_order,
     _solution,
     _solve_view,
+    _y_to_s,
     _zero_series_g,
 )
 from eulercc.classifier import frontier_curve_m2
@@ -59,10 +61,11 @@ from eulercc.numerics import (
     ToleranceError,
     _fsum_tier,
     certified_sign_near_zero,
+    run_chain,
     sum_sign,
     sum_value,
 )
-from eulercc.signomial import Endpoint, Signomial, _isolate, evaluate, normalize, sign_variations
+from eulercc.signomial import Endpoint, Signomial, _levels, evaluate, normalize, sign_variations
 
 from oracles import cell_sign_changes, diff1
 
@@ -354,7 +357,7 @@ def _poly(*coeffs):
 ])
 def test_pre_count_proves_h_rootless_below_one(h):
     assert euler._no_roots_below_one(h)
-    assert _isolate(h.pairs, 0.0, 1.0, DEFAULT_REL_TOL, refine=False) == []
+    assert run_chain(_levels(h, 0.0, 1.0), DEFAULT_REL_TOL) == []
 
 
 @pytest.mark.parametrize("h, roots", [
@@ -372,7 +375,36 @@ def test_pre_count_proves_h_rootless_below_one(h):
 ])
 def test_pre_count_defers_to_the_chain(h, roots):
     assert not euler._no_roots_below_one(h)
-    assert len(_isolate(h.pairs, 0.0, 1.0, DEFAULT_REL_TOL, refine=False)) == roots
+    assert len(run_chain(_levels(h, 0.0, 1.0), DEFAULT_REL_TOL)) == roots
+
+
+def test_in_s_places_a_bracket_reaching_y_one():
+    # The h stage's records map from y to s = y/(1-y). A bracket reaching
+    # y = 1 reaches s = +infinity: the curvature sign read with a value at
+    # the right anchor drops it (the bracket's sign at its low end) or brings
+    # its end to the anchor (the other sign), and refuses in the noise.
+    reads = []
+
+    def curvature(sign, value):
+        def read(s, zero_rel):
+            reads.append((s, zero_rel))
+            return sign, value
+        return read
+
+    below = [Bracket(0.2, 0.25, -1), RootRecord(0.25, 0.5, 0.4, True)]
+    mapped = [Bracket(_y_to_s(0.2), _y_to_s(0.25), -1),
+              RootRecord(_y_to_s(0.25), 1.0, _y_to_s(0.4), True)]
+    h_roots = below + [Bracket(0.5, 1.0, 1)]
+    assert list(_in_s(h_roots, 4.0, curvature(1, 2.0))) == mapped
+    assert list(_in_s(h_roots, 4.0, curvature(-1, -2.0))) == mapped + [Bracket(1.0, 4.0, 1)]
+    for sign, value in ((-1, None), (0, 0.0)):
+        with pytest.raises(ToleranceError, match="cannot be placed beside 4.0"):
+            list(_in_s(h_roots, 4.0, curvature(sign, value)))
+    assert reads == [(4.0, 0.0)] * 4
+    # one that starts beyond the anchor is left for the g' stage to skip, unread
+    assert list(_in_s([Bracket(0.9, 1.0, 1)], 4.0, curvature(0, None))) == [
+        Bracket(_y_to_s(0.9), math.inf, 1)]
+    assert len(reads) == 4
 
 
 def _pre_count_draws(rng, n):
@@ -421,7 +453,7 @@ def test_pre_count_agrees_with_the_chain():
         if euler._no_roots_below_one(h):
             decided[sign_variations(h)] += 1
             hi = 0.5 if mv[0] == mv[2] else 1.0
-            assert _isolate(h.pairs, 0.0, hi, DEFAULT_REL_TOL, refine=False) == [], (mv, b)
+            assert run_chain(_levels(h, 0.0, hi), DEFAULT_REL_TOL) == [], (mv, b)
     assert cells >= 10_000
     assert sum(decided.values()) > 0.6 * cells and min(decided[v] for v in (1, 2, 3)) > 100
 
@@ -434,7 +466,7 @@ def test_pre_count_answers_where_the_h_stage_cannot_anchor_at_zero():
     m, b = (2e-300, -1.0453989944787914, 2e-300), 2.000001
     h = h_signomial(m, b)
     with pytest.raises(ToleranceError, match="no probe point"):
-        _isolate(h.pairs, 0.0, 0.5, DEFAULT_REL_TOL, refine=False)
+        run_chain(_levels(h, 0.0, 0.5), DEFAULT_REL_TOL)
     assert euler._no_roots_below_one(h)
     assert count_cell(m, b, 2) == (1, [_solution(2, 1.0, False)])
 
@@ -1239,18 +1271,18 @@ def test_nearly_symmetric_views_count_as_the_fold():
 def test_symmetric_views_stop_every_stage_at_one(monkeypatch):
     # H on y in (0, 1/2), which is s in (0, 1), and no series at +infinity
     ends = []
-    real_anchors, real_isolate = euler._end_anchors, euler._isolate
+    real_anchors, real_levels = euler._end_anchors, euler._levels
 
     def anchors(mv, b, end, order):
         ends.append(end)
         return real_anchors(mv, b, end, order)
 
-    def isolate(pairs, lo, hi, tol, refine=True):
+    def levels(p, lo, hi):
         ends.append(hi)
-        return real_isolate(pairs, lo, hi, tol, refine)
+        return real_levels(p, lo, hi)
 
     monkeypatch.setattr(euler, "_end_anchors", anchors)
-    monkeypatch.setattr(euler, "_isolate", isolate)
+    monkeypatch.setattr(euler, "_levels", levels)
     assert count_cell((1.0, -0.9, 1.0), 0.5, 2)[0] == 3
     assert ends == [0.5, Endpoint.ZERO_PLUS]
     del ends[:]

@@ -469,7 +469,7 @@ def test_h_bracket_reaching_y_one_is_narrowed(monkeypatch):
         stages.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(signomial, "isolate_between", spy)
+    monkeypatch.setattr(numerics, "isolate_between", spy)  # as run_chain looks it up
     euler.count_cell(m, b, 2)
     (sign_fn, chain_sign_fn, left, right, chain_roots), kwargs = stages[-1]
     assert right[:2] == (1.0, 0) and sign_fn(1.0, numerics.BOUNDARY_ZERO_REL)[0] == 0
@@ -495,22 +495,31 @@ def test_h_bracket_reaching_y_one_ends_at_the_right_anchor(monkeypatch):
     # At b = 2 the two terms of H in cell 1 of this fold draw cancel at y = 1
     # to 2e-12 of their size, above the zero threshold, so H's root bracket
     # reaches y = 1, which is +infinity in s. The chain sign at the g' stage's
-    # right anchor places the root beyond it, as the end at the last y below
-    # 1 does, and the count is exact.
+    # right anchor places the root beyond it (euler._in_s), as the end at the
+    # last y below 1 does, and the count is exact.
     m, b = (0.7071645873767574, -5.7592436576155524e-05, 0.7070489749963377), 2.0
-    stages = []
-    real = numerics.isolate_between
+    stages, placed = [], []
+    real, real_in_s = numerics.isolate_between, euler._in_s
 
     def spy(*args, **kwargs):
+        # the chain roots _in_s yields, kept to run the stage on them again
+        args = (*args[:4], list(args[4]), *args[5:])
         stages.append((args, kwargs))
         return real(*args, **kwargs)
 
+    def in_s(h_roots, xr, curvature):
+        placed.append((h_roots, xr))
+        return real_in_s(h_roots, xr, curvature)
+
     monkeypatch.setattr(euler, "isolate_between", spy)
+    monkeypatch.setattr(euler, "_in_s", in_s)
     count, _ = euler.count_cell(m, b, 1)
+    (h_roots, xr), = placed
+    assert [r.hi for r in h_roots] == [1.0] and math.isfinite(xr)
     args, kwargs = stages[0]  # the g' stage
-    right, chain_roots = args[3:5]
-    assert [r.hi for r in chain_roots] == [math.inf] and math.isfinite(right[0])
-    finite = [r._replace(hi=euler._y_to_s(1.0 - 2.0 ** -53)) for r in chain_roots]
+    assert args[3][0] == xr and args[4] == []  # dropped: its root lies beyond xr
+    finite = [Bracket(euler._y_to_s(r.lo), euler._y_to_s(1.0 - 2.0 ** -53), r.sign)
+              for r in h_roots]
     assert real(*args[:4], finite, *args[5:], **kwargs) == real(*args, **kwargs)
     assert count == positive_root_count(g_polynomial(euler.cell_mass_view(m, 1), b))
 
@@ -656,7 +665,7 @@ def test_stages_return_brackets_and_zero_reads_only(monkeypatch):
             kinds[type(r).__name__] += 1
         return records
 
-    monkeypatch.setattr(signomial, "isolate_between", spy)
+    monkeypatch.setattr(numerics, "isolate_between", spy)
     monkeypatch.setattr(euler, "isolate_between", spy)
     rng = random.Random(29)
     draws = _census_draws(rng, 150, (-5.0, 5.0)) + _census_draws(rng, 150, (0.8, 1.2))
