@@ -10,6 +10,9 @@ Hashes, section by section and in total:
 - counts: the same draws' counts and degenerate flags alone, or the
   error, with no root values, so that a change that moves roots can still
   show that it changed no count or flag;
+- counts_only: the repr of count_all(m, b, roots=False), or the error it
+  raised, on the same draws, which reaches the count-only path that the
+  grid takes;
 - refusals: the repr of count_all(m, b), or the error it raised, where the
   series of g overflow floats: for two seeded mass triples per seed at every
   integer b in [-380, -360] and in [1015, 1031], and for a tenth of --draws
@@ -59,10 +62,10 @@ CLI_EXAMPLES = (
 )
 
 
-def solve(masses, b):
-    """count_all(masses, b), or the ToleranceError it raised."""
+def solve(masses, b, roots=True):
+    """count_all(masses, b, roots=roots), or the ToleranceError it raised."""
     try:
-        return count_all(masses, b)
+        return count_all(masses, b, roots=roots)
     except ToleranceError as exc:
         return exc
 
@@ -159,6 +162,8 @@ def main():
                 for name in DRAW_B_RANGES}
     sections["counts"] = (f"{name} {m!r} {b!r} {counts_text(r)}"
                           for name in DRAW_B_RANGES for m, b, r in results[name])
+    sections["counts_only"] = (f"{name} {m!r} {b!r} {result_text(solve(m, b, roots=False))}"
+                               for name in DRAW_B_RANGES for m, b, _ in results[name])
     sections["refusals"] = refusal_lines(args.seeds, args.draws)
     sections["grid"] = grid_lines("-n", "50x50", "--check")
     sections["map"] = grid_lines("-n", "200x200")
@@ -175,9 +180,9 @@ def main():
             if args.lines:
                 print(f"{name}: {line}")
         if not args.lines:
-            print(f"{name:8s} {count:6d} lines  sha256 {digest.hexdigest()}")
+            print(f"{name:11s} {count:6d} lines  sha256 {digest.hexdigest()}")
     if not args.lines:
-        print(f"{'all':8s} {'':6s}        sha256 {total.hexdigest()}")
+        print(f"{'all':11s} {'':6s}        sha256 {total.hexdigest()}")
     return 0
 
 

@@ -35,6 +35,13 @@ most probes; the full series is built only for an end where they do not,
 and the anchor is the full series' either way. A b so large that the
 binomial coefficients overflow floats has no finite tail bound, and its
 count is refused with ToleranceError.
+Before any anchor is built for a cell whose g'' has no breakpoint, the
+signs of g' and g at both ends are read from the leading pairs of their
+exact series, with no probe (_end_sign). Where g' has one sign at both
+ends, g is monotone, and its end signs give its count, 0 or 1; only a
+root that is asked for is then isolated, between g's anchors. Every other
+cell, and every end whose leading pair cannot settle its sign, is
+anchored as above.
 
 A symmetric view, whose left and right masses are equal, is its own
 reflection, g(1/s) = -s^(-b-1) g(s): g(1) = 0 exactly, and the other roots
@@ -59,6 +66,8 @@ from .numerics import (
     DEGENERACY_REL,
     INFINITE,
     LOG_SAFE,
+    _LINEAR_MIN_LEAD,
+    _PROBE_FLOOR,
     Bracket,
     RootRecord,
     Tail,
@@ -560,6 +569,91 @@ def _end_anchors(mv, b, end, order):
     return anchor
 
 
+# _end_sign leaves to the anchor a leading pair of opposite signs whose root,
+# in log x, lies below this bound, 10 above the probe floor: there
+# certified_sign_near_zero's phase 2 may certify the sign above the root.
+_END_ROOT_LOG = math.log(_PROBE_FLOOR) + 10.0
+
+
+def _end_sign(mv, b, end, name, order):
+    """The sign of g ("g") or g' ("g'") at end for the triple mv, read without a probe, or None.
+
+    It is the sign of the leading coefficient of the end's exact series,
+    whose two lowest terms come from _low_coefficients with the float
+    operations of _zero_series_g, _reflect and _derivative; order is
+    _short_order(mv, b). Where it is a sign, it is the sign of the end's
+    anchor (_end_anchors(mv, b, end, order)(name)), which certifies it.
+    None, and the anchor is needed, when order is None, when the two
+    lowest nonzero terms are not among the four low terms or share an
+    exponent with another term, when the leading coefficient is below
+    1e-250, where the anchor's tests leave linear space, and when the two
+    have opposite signs and their root lies below _END_ROOT_LOG, where the
+    anchor may carry the opposite sign from above the root.
+    """
+    if order is None:
+        return None
+    # the four low terms of g at the end, reflected as _reflect does, and
+    # top, the exponent 3 of the first binomial row, shifted the same way
+    if end is Endpoint.ZERO_PLUS:
+        sigma = 1.0
+        cs = _low_coefficients(mv, b)
+        es = (b, b + 1.0, 1.0, 2.0)
+        top = 3.0
+    else:
+        sigma = -1.0
+        c0, c1, c2, c3 = _low_coefficients(mv[::-1], b)
+        cs = (-c0, -c1, -c2, -c3)
+        es = (b - b - 1.0, b + 1.0 - b - 1.0, 1.0 - b - 1.0, 2.0 - b - 1.0)
+        top = 3.0 - b - 1.0
+    derivative = name == "g'"
+    if derivative:
+        top -= sigma
+    # the low terms by their exponents b, b + 1, 1 and 2, an order the shifts
+    # keep up to ties: the first two nonzero ones lead, and the next one, or
+    # else the first row, must lie above them
+    if b < 1.0:
+        rank = (0, 1, 2, 3) if b < 0.0 else (0, 2, 1, 3)
+    else:
+        rank = (2, 0, 3, 1) if b < 2.0 else (2, 3, 0, 1)
+    lead = []
+    for i in rank:
+        c, e = cs[i], es[i]
+        if derivative:
+            c, e = sigma * c * e, e - sigma  # as _derivative
+        if c != 0.0:
+            lead.append((c, e))
+            if len(lead) == 3:
+                break
+    if len(lead) < 2:
+        return None
+    (c0, e0), (c1, e1) = lead[0], lead[1]
+    above = lead[2][1] if len(lead) == 3 else top
+    if not (e0 < e1 < above and e1 < top) or abs(c0) < _LINEAR_MIN_LEAD:
+        return None
+    if ((c0 > 0.0) != (c1 > 0.0)
+            and (math.log(abs(c0)) - math.log(abs(c1))) / (e1 - e0) < _END_ROOT_LOG):
+        return None
+    return 1 if c0 > 0.0 else -1
+
+
+def _gp_leads_differ(mv, b):
+    """True when _end_sign's two reads of g' for the triple mv cannot give one sign.
+
+    The low term that comes first at both ends is that of s^b for b < 1 and
+    that of s for b >= 1. These are its g' coefficients at 0+ and at
+    +infinity, with the float operations of _end_sign, which returns their
+    signs or None where they are nonzero. So opposite signs settle that g'
+    changes sign, or is left to the anchors, in a few operations; a zero
+    gives False, and the reads decide.
+    """
+    m1, m2, m3 = mv
+    if b < 1.0:
+        first, last = (m2 + m3) * b, -(m2 + m1)
+    else:
+        first, last = (b - 1.0) * m1 - m2 - m3, ((b - 1.0) * m3 - m2 - m1) * (1.0 - b - 1.0)
+    return first * last < 0.0
+
+
 def _leading_sign(m, b) -> int:
     """Sign of g at 0+: that of the lowest-order coefficient of its exact series."""
     pairs = _zero_series_g(m, b).pairs
@@ -692,6 +786,17 @@ def _cell_roots(mv, b, h, tol, refine=True):
     no breakpoint, where _no_roots_below_one shows H rootless on (0, 1);
     it runs H's chain wherever that pre-count defers.
 
+    Where g'' has no breakpoint, g' is monotone, and so is g wherever g'
+    has one sign at both ends. Those end signs are read from the exact
+    series' leading pairs (_end_sign) before any anchor is built, and not
+    at all for g' where its leading coefficients already differ
+    (_gp_leads_differ). Equal g' end signs skip the g' stage and its
+    anchors. Then equal g end signs leave no root, and unequal ones one
+    root: counted without anchors when refine is off, isolated between
+    g's anchors when it is on, so every root stays the one the anchors
+    give. Where a sign cannot be read so, the stages run on the anchors
+    as before.
+
     The stages end at +infinity, anchored on the series there, except for
     a symmetric view, mv[0] == mv[2], whose stages end at s = 1: g
     vanishes there exactly, g' is read there by the kernel, and g just left
@@ -706,30 +811,53 @@ def _cell_roots(mv, b, h, tol, refine=True):
     h_roots = [] if _no_roots_below_one(h) else run_chain(
         _levels(h, 0.0, 0.5 if symmetric else 1.0), tol)
     order = _short_order(mv, b)
-    zero = _end_anchors(mv, b, Endpoint.ZERO_PLUS, order)
     gp = _gp_sign(mv, b)
     if symmetric:
         sign = gp(1.0, BOUNDARY_ZERO_REL)[0]
         right = {"g'": (1.0, sign), "g": (1.0, -sign)}.get
-    else:
-        right = _end_anchors(mv, b, Endpoint.INFINITY, order)
 
-    # Stage 2: g' is strictly monotone between curvature breakpoints, and
-    # g'' has the sign of H(s/(1+s)); _in_s maps the breakpoints to s.
-    def curvature(s, z):
-        return sum_sign(((h.pairs, s / (1.0 + s)),), z)
+    def end_signs(name):
+        # name's signs at 0+ and at the right end, read without anchors, or
+        # None where one of them cannot be read so
+        first = _end_sign(mv, b, Endpoint.ZERO_PLUS, name, order)
+        if first is None:
+            return None
+        last = right(name)[1] if symmetric else _end_sign(mv, b, Endpoint.INFINITY, name, order)
+        return None if last is None else (first, last)
 
-    gp_left, gp_right = zero("g'"), right("g'")
-    gp_roots = isolate_between(gp, curvature, gp_left, gp_right,
-                               _in_s(h_roots, gp_right[0], curvature), tol)
-    # Stage 3: g is strictly monotone between g' roots.
-    g = _g_sign(mv, b)
-    left = zero("g")
-    found = isolate_between(g, gp, left, right("g"), gp_roots, tol)
-    roots = [refine_bracket(g, gp, r, tol) if refine and isinstance(r, Bracket) else r
-             for r in found]
+    gp_roots = found = None
+    may_settle = not h_roots and (symmetric or not _gp_leads_differ(mv, b))
+    if may_settle and (signs := end_signs("g'")) and signs[0] == signs[1]:
+        # g' keeps its sign: no root of g', and one root of g where its end
+        # signs differ, somewhere between the ends when only counted
+        gp_roots = []
+        signs = end_signs("g")
+        if signs and (signs[0] == signs[1] or not refine):
+            g0 = signs[0]
+            found = roots = [] if g0 == signs[1] else [
+                Bracket(0.0, 1.0 if symmetric else math.inf, g0)]
+    if found is None:
+        zero = _end_anchors(mv, b, Endpoint.ZERO_PLUS, order)
+        if not symmetric:
+            right = _end_anchors(mv, b, Endpoint.INFINITY, order)
+        if gp_roots is None:
+            # Stage 2: g' is strictly monotone between curvature breakpoints,
+            # and g'' has the sign of H(s/(1+s)); _in_s maps the breakpoints to s.
+            def curvature(s, z):
+                return sum_sign(((h.pairs, s / (1.0 + s)),), z)
+
+            gp_left, gp_right = zero("g'"), right("g'")
+            gp_roots = isolate_between(gp, curvature, gp_left, gp_right,
+                                       _in_s(h_roots, gp_right[0], curvature), tol)
+        # Stage 3: g is strictly monotone between g' roots.
+        g = _g_sign(mv, b)
+        left = zero("g")
+        g0 = left[1]
+        found = isolate_between(g, gp, left, right("g"), gp_roots, tol)
+        roots = [refine_bracket(g, gp, r, tol) if refine and isinstance(r, Bracket) else r
+                 for r in found]
     if symmetric:
-        return _fold(found, roots, gp_roots, (left[1], -sign), gp)
+        return _fold(found, roots, gp_roots, (g0, -sign), gp)
     return [(r.value, r.degenerate) for r in roots]
 
 

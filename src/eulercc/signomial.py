@@ -162,11 +162,11 @@ def _levels(p: Signomial, lo: float, hi: float):
     """The levels of p's derivative chain on (lo, hi), lowest first, for run_chain.
 
     Each reduction of derivative_chain(p) is the chain function of the one
-    above it; the top level's target is p. A level's anchors are certified
-    from the records of the level below (ends), and a p without sign
-    variations has no levels.
+    above it, and one sign closure serves it in both roles; the top level's
+    target is p. A level's anchors are certified from the records of the
+    level below (ends), and a p without sign variations has no levels.
     """
-    def level(pairs, q):
+    def ends_of(pairs):
         def ends(q_roots):
             # Left anchor: domination probe for the open end at 0, direct
             # evaluation for a finite boundary (a boundary zero is excluded,
@@ -187,11 +187,18 @@ def _levels(p: Signomial, lo: float, hi: float):
                 right = (hi, sum_sign(((pairs, hi),), BOUNDARY_ZERO_REL)[0])
             return left, right, q_roots
 
-        return (lambda x, z: sum_sign(((pairs, x),), z),
-                lambda x, z: sum_sign(((q, x),), z), ends)
+        return ends
 
-    chain = [p.pairs] + [q.pairs for _, q in derivative_chain(p)]
-    return [level(pairs, q) for pairs, q in zip(chain, chain[1:])][::-1]
+    def sign_of(pairs):
+        return lambda x, z: sum_sign(((pairs, x),), z)
+
+    levels = []
+    pairs, sign = p.pairs, sign_of(p.pairs)
+    for _, q in derivative_chain(p):
+        chain_sign = sign_of(q.pairs)
+        levels.append((sign, chain_sign, ends_of(pairs)))
+        pairs, sign = q.pairs, chain_sign
+    return levels[::-1]
 
 
 def count_and_isolate(p: Signomial, lo: float = 0.0, hi: float = math.inf,

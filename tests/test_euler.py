@@ -33,7 +33,9 @@ from eulercc.euler import (
     _cell3_from_cell1,
     _derivative,
     _end_anchors,
+    _end_sign,
     _fold,
+    _gp_leads_differ,
     _g_groups,
     _g_sign,
     _gp_groups,
@@ -930,6 +932,112 @@ def test_endpoint_sign_reflection_identity():
         checked += 1
 
 
+# --- end signs read before the anchors ---------------------------------------------
+
+
+def _end_sign_draw(rng, kind):
+    """(m, b) of a kind: census, the band around b = 1, integer or half b, or near a family."""
+    if kind == "census":
+        return rand_masses(rng), rng.uniform(-5.0, 5.0)
+    if kind == "band":
+        return rand_masses(rng), rng.uniform(0.8, 1.2)
+    if kind == "integer":
+        return rand_masses(rng), rng.randint(-12, 12) / 2.0
+    # next to families ii-v: (x, -x, x) at b = 0, any m at b = 1, (x, 0, x)
+    # at b = 2 and (x, x, x) at b = 3, each moved by 0 or a small offset
+    x = rng.uniform(0.5, 2.0)
+    d = rng.choice([0.0, 1e-15, -1e-9, 1e-4])
+    b, m = rng.choice([(0.0, (x, -x + d, x)), (1.0, rand_masses(rng)),
+                       (2.0, (x, d, x + d)), (3.0, (x, x + d, x))])
+    return m, b + rng.choice([0.0, 1e-15, -1e-12, 1e-7, -1e-3])
+
+
+def test_end_signs_are_the_signs_of_their_anchors():
+    # Where _end_sign reads a sign, the end's anchor certifies it: it does
+    # not raise, and its sign is the same. Where _gp_leads_differ holds, the
+    # two reads of g' do not give one sign.
+    rng = random.Random(32)
+    read = collections.Counter()
+    for kind in ("census", "band", "integer", "family"):
+        for _ in range(120):
+            m, b = _end_sign_draw(rng, kind)
+            for cell in CELLS:
+                mv = cell_mass_view(_rescaled(m), cell)
+                if b in (0.0, 1.0) or degenerate_family(mv, b) is not None:
+                    continue
+                order = _short_order(mv, b)
+                signs = {}
+                for end in Endpoint:
+                    anchor = _end_anchors(mv, b, end, order)
+                    for name in ("g'", "g"):
+                        sign = signs[end, name] = _end_sign(mv, b, end, name, order)
+                        read[kind, sign is not None] += 1
+                        if sign is not None:
+                            got = _anchor_or_error(lambda: anchor(name))
+                            assert got[1] == sign, (mv, b, end, name, got)
+                if _gp_leads_differ(mv, b):
+                    read["differ"] += 1
+                    first, last = signs[Endpoint.ZERO_PLUS, "g'"], signs[Endpoint.INFINITY, "g'"]
+                    assert first is None or last is None or first != last, (mv, b)
+    # most reads give a sign, and some draws next to the families give none
+    for kind in ("census", "band", "integer", "family"):
+        assert read[kind, True] > 4 * read[kind, False], (kind, read)
+    assert read["family", False] > 0 and read["differ"] > 100
+
+
+def test_end_sign_leaves_the_anchor_what_the_leading_pair_cannot_settle():
+    z = Endpoint.ZERO_PLUS
+    m, b = (1.0, 0.5, 0.25), 2.5
+    assert _end_sign(m, b, z, "g", _short_order(m, b)) == 1
+    # no short order: the series may overflow floats
+    assert _end_sign(m, b, z, "g", None) is None
+    # the coefficients of s and s^2 vanish, so the second lowest term is a
+    # binomial row's
+    m, b = (1.0, 1.75, 1.75), 4.5
+    assert _low_coefficients(m, b)[2:] == (0.0, 0.0)
+    assert _end_sign(m, b, z, "g", _short_order(m, b)) is None
+    # at b = 2, s^b and s^2 share the second lowest exponent
+    m, b = (1.0, 0.5, 0.25), 2.0
+    assert _end_sign(m, b, z, "g", _short_order(m, b)) is None
+    # a leading coefficient of 1.4e-300, which the anchor cannot certify
+    m = (-1.1581022085242285, 1.4321932578067464e-300, 1.5851076119187376e-302)
+    b = -0.0349999613843357
+    order = _short_order(m, b)
+    assert _end_sign(m, b, z, "g", order) is None
+    with pytest.raises(ToleranceError):
+        _end_anchors(m, b, z, order)("g")
+    # at b = 1.0001 the leading pair of g at 0+, -4e-4 s + 5e-4 s^b, has
+    # its root near x = e^-2231, below the probe floor: the anchor carries
+    # the sign above that root, not the leading coefficient's
+    m, b = (1.0, 0.0005, 0.0), 1.0001
+    order = _short_order(m, b)
+    assert _low_coefficients(m, b)[2] < 0.0
+    assert _end_sign(m, b, z, "g", order) is None
+    assert _end_anchors(m, b, z, order)("g")[1] == 1
+
+
+def test_a_cell_settled_by_its_end_signs_builds_anchors_only_for_its_roots(monkeypatch):
+    # At b = -2 with positive masses, g' keeps one sign and g changes sign
+    # once: a count alone builds no anchor, and the root is isolated
+    # between g's anchors as before.
+    ends = []
+    real_anchors = euler._end_anchors
+
+    def anchors(mv, b, end, order):
+        ends.append(end)
+        return real_anchors(mv, b, end, order)
+
+    monkeypatch.setattr(euler, "_end_anchors", anchors)
+    m = (1.0, 2.0, 3.0)
+    assert count_cell(m, -2.0, 1, roots=False) == (1, [])
+    assert ends == []
+    n, sols = count_cell(m, -2.0, 1)
+    assert ends == [Endpoint.ZERO_PLUS, Endpoint.INFINITY]
+    s, view = sols[0].s, cell_mass_view(m, 1)
+    assert n == 1
+    assert eval_g(view, -2.0, s * (1 - 1e-9)) * eval_g(view, -2.0, s * (1 + 1e-9)) < 0
+
+
 # --- cells ----------------------------------------------------------------------------
 
 
@@ -1289,9 +1397,11 @@ def test_symmetric_views_stop_every_stage_at_one(monkeypatch):
     # a view whose H has a root in (0, 1) runs the h stage on (0, 1)
     count_cell((1.0, 0.9, -1.5), 0.5, 2)
     assert ends == [1.0, Endpoint.ZERO_PLUS, Endpoint.INFINITY]
-    # one that the pre-count shows rootless runs none, symmetric or not
+    # one that the pre-count shows rootless runs no h stage, symmetric or not;
+    # where g' has different end signs, its stage runs on the anchors
     for m, b, want in (((1.0, -0.9, 1.5), 0.5, [Endpoint.ZERO_PLUS, Endpoint.INFINITY]),
-                       ((1.0, -0.9, 1.0), -2.0, [Endpoint.ZERO_PLUS])):
+                       # the end signs of g' agree, and so do those of g: no anchor
+                       ((1.0, -0.9, 1.0), -2.0, [])):
         del ends[:]
         count_cell(m, b, 2)
         assert ends == want
