@@ -218,37 +218,48 @@ def _safe_range(top):
 
 
 def _g_sign(m, b):
-    """(s, zero_rel) -> sum_sign(_g_groups(m, b)(s), zero_rel), the six terms computed here."""
+    """(s, zero_rel) -> sum_sign(_g_groups(m, b)(s), zero_rel), the six terms computed here.
+
+    Its terms(s) are those six terms, or None outside _safe_range.
+    """
     on_s, on_u = _g_pairs(m, b)
     ((c1, e1), (c2, e2), (c3, e3)), ((d1, f1), (d2, f2), (d3, f3)) = on_s, on_u
     lo, hi = _safe_range(max(map(abs, (e1, e2, e3, f1, f2, f3))))
 
-    def sign(s, zero_rel):
-        u = 1.0 + s
-        groups = ((on_s, s), (on_u, u))
+    def terms(s):
         if lo < s < hi:
-            return sum_sign(groups, zero_rel, [c1 * s ** e1, c2 * s ** e2, c3 * s ** e3,
-                                               d1 * u ** f1, d2 * u ** f2, d3 * u ** f3])
-        return sum_sign(groups, zero_rel)
+            u = 1.0 + s
+            return [c1 * s ** e1, c2 * s ** e2, c3 * s ** e3,
+                    d1 * u ** f1, d2 * u ** f2, d3 * u ** f3]
+        return None
 
+    def sign(s, zero_rel):
+        return sum_sign(((on_s, s), (on_u, 1.0 + s)), zero_rel, terms(s))
+
+    sign.terms = terms
     return sign
 
 
 def _gp_sign(m, b):
-    """(s, zero_rel) -> sum_sign(_gp_groups(m, b)(s), zero_rel), the five terms computed here."""
+    """(s, zero_rel) -> sum_sign(_gp_groups(m, b)(s), zero_rel), the five terms computed here.
+
+    Its terms(s) are those five terms, or None outside _safe_range.
+    """
     on_s, on_u, c0 = _gp_pairs(m, b)
     ((c1, e1), (c2, e2)), ((d1, f1), (d2, f2)) = on_s, on_u
     constant = ((c0, 0.0),)
     lo, hi = _safe_range(max(map(abs, (e1, e2, f1, f2))))
 
-    def sign(s, zero_rel):
-        u = 1.0 + s
-        groups = ((on_s, s), (on_u, u), (constant, 1.0))
+    def terms(s):
         if lo < s < hi:
-            return sum_sign(groups, zero_rel, [c1 * s ** e1, c2 * s ** e2,
-                                               d1 * u ** f1, d2 * u ** f2, c0])
-        return sum_sign(groups, zero_rel)
+            u = 1.0 + s
+            return [c1 * s ** e1, c2 * s ** e2, d1 * u ** f1, d2 * u ** f2, c0]
+        return None
 
+    def sign(s, zero_rel):
+        return sum_sign(((on_s, s), (on_u, 1.0 + s), (constant, 1.0)), zero_rel, terms(s))
+
+    sign.terms = terms
     return sign
 
 
@@ -813,7 +824,12 @@ def _cell_roots(mv, b, h, tol, refine=True):
     order = _short_order(mv, b)
     gp = _gp_sign(mv, b)
     if symmetric:
-        sign = gp(1.0, BOUNDARY_ZERO_REL)[0]
+        # a sign at DEGENERACY_REL is the BOUNDARY_ZERO_REL sign, read from
+        # the same sum against a larger threshold; only a 0 is read again
+        sign = gp(1.0, DEGENERACY_REL)[0]
+        degenerate_one = sign == 0
+        if degenerate_one:
+            sign = gp(1.0, BOUNDARY_ZERO_REL)[0]
         right = {"g'": (1.0, sign), "g": (1.0, -sign)}.get
 
     def end_signs(name):
@@ -857,18 +873,19 @@ def _cell_roots(mv, b, h, tol, refine=True):
         roots = [refine_bracket(g, gp, r, tol) if refine and isinstance(r, Bracket) else r
                  for r in found]
     if symmetric:
-        return _fold(found, roots, gp_roots, (g0, -sign), gp)
+        return _fold(found, roots, gp_roots, (g0, -sign), degenerate_one)
     return [(r.value, r.degenerate) for r in roots]
 
 
-def _fold(half, roots, gp_roots, signs, gp):
+def _fold(half, roots, gp_roots, signs, degenerate_one):
     """The (s, degenerate) pairs of a symmetric view's roots, from its roots on (0, 1).
 
     A symmetric view's g satisfies g(1/u) = -u^(-b-1) g(u), so g(1) = 0 and
     its other roots pair as s <-> 1/s. The roots are the half's, then
     s = 1, then the half's at 1/s in reverse order. Each pair is (1/t, t)
     with t = 1/s rounded, so each member is the other's reciprocal bit for
-    bit. s = 1 is flagged when g'(1) reads 0 at DEGENERACY_REL.
+    bit. s = 1 is flagged when degenerate_one is set, which the caller
+    does where g'(1) reads 0 at DEGENERACY_REL.
 
     half holds the records of the g stage on (0, 1) as isolate_between
     returns them, roots the same with their Brackets refined (half itself
@@ -884,7 +901,6 @@ def _fold(half, roots, gp_roots, signs, gp):
     certified sign change to mirror, and the count is refused with
     ToleranceError.
     """
-    degenerate_one = gp(1.0, DEGENERACY_REL)[0] == 0
     lows = [r for r, u in zip(roots, half) if isinstance(u, Bracket)]
     zeros = [u for u in half if not isinstance(u, Bracket)]
     if zeros:

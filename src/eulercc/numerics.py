@@ -58,23 +58,35 @@ class ToleranceError(RuntimeError):
     """A sign could not be certified within the configured evaluation precision."""
 
 
+def float_terms(groups):
+    """The float terms c * base**e of groups, or None where a power may overflow.
+
+    groups are (pairs, base) with the (c, e) pairs on one base listed once,
+    so each base takes one log per point. None when some |e * log(base)|
+    exceeds LOG_SAFE; zero coefficients give no term.
+    """
+    terms = []
+    for pairs, base in groups:
+        log_base = math.log(base)
+        for c, e in pairs:
+            if c != 0.0:
+                if abs(e * log_base) > LOG_SAFE:
+                    return None
+                terms.append(c * base ** e)
+    return terms
+
+
 def _fsum_tier(groups, terms=None):
     """(value, scale): the fsum of the terms and of their magnitudes, in floats.
 
-    groups are (pairs, base) with the (c, e) pairs on one base listed once,
-    so each base takes one log per point; terms, when given, are their terms
+    groups are as for float_terms; terms, when given, are their terms
     already computed (see sum_sign). scale is inf when it overflowed; both
     are inf when the value's fsum fails or a power may overflow.
     """
     if terms is None:
-        terms = []
-        for pairs, base in groups:
-            log_base = math.log(base)
-            for c, e in pairs:
-                if c != 0.0:
-                    if abs(e * log_base) > LOG_SAFE:
-                        return math.inf, math.inf
-                    terms.append(c * base ** e)
+        terms = float_terms(groups)
+        if terms is None:
+            return math.inf, math.inf
     try:
         value = math.fsum(terms)
     except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
@@ -602,6 +614,12 @@ def bisect_sign_change(eval_fn, lo, hi, sign_lo, rel_tol=DEFAULT_REL_TOL):
 _NARROW_STEPS = 4
 _NARROW_ROUNDS = 2
 
+# The term-range bound settles a bracket only when it clears zero by this
+# share of the terms' largest magnitudes: far above the rounding of the
+# terms and of their fsums, and above BOUNDARY_ZERO_REL, so that the target
+# would read the bound's sign at any point of the bracket.
+_BOUND_REL = 1e-10
+
 
 def _decides(ends, sign):
     """True when a bracket end shows the target's sign at the extremum inside.
@@ -615,7 +633,31 @@ def _decides(ends, sign):
                                     or sc == sign and vc is not None)
 
 
-def _read_bracket(read, chain_fn, bracket, rel_tol):
+def _far_side(terms, lo, hi, sign):
+    """True when the target's term range proves it of sign -sign on all of [lo, hi].
+
+    terms(x) is the target's float terms at x, each monotone in x, or None
+    where a power may overflow. Over [lo, hi] each term lies between its
+    values at the ends, so the sum of the larger (sign > 0, a maximum
+    inside) or of the smaller (sign < 0, a minimum) end values bounds the
+    target there from that side (a one-sided interval enclosure). It must
+    clear zero by _BOUND_REL of the sum of the terms' larger end
+    magnitudes. False when it does not, or an end's terms or the sums
+    cannot be had in floats.
+    """
+    at_lo, at_hi = terms(lo), terms(hi)
+    if at_lo is None or at_hi is None:
+        return False
+    pick = max if sign > 0 else min
+    try:
+        bound = math.fsum(map(pick, at_lo, at_hi))
+        scale = math.fsum([max(abs(a), abs(c)) for a, c in zip(at_lo, at_hi)])
+    except (OverflowError, ValueError):  # a partial sum overflowed, or inf - inf
+        return False
+    return math.isfinite(scale) and sign * bound < -_BOUND_REL * scale
+
+
+def _read_bracket(read, chain_fn, bracket, rel_tol, terms):
     """(ends, root): a chain root's bracket read at its ends, and the root if they cannot decide.
 
     read(x) is the target's (x, sign, value) with BOUNDARY_ZERO_REL, read
@@ -624,18 +666,23 @@ def _read_bracket(read, chain_fn, bracket, rel_tol):
     which is the one extremum in the bracket: a maximum where the chain
     function is positive at the low end, a minimum where it is negative.
     So an end where the target has that sign shows the target's sign at
-    the root (_decides), and root is None. Otherwise the bracket is
-    narrowed, _NARROW_STEPS bisection steps on the chain function at a
-    time, each on a sign read with a value, and its ends are read again,
-    for at most _NARROW_ROUNDS rounds. When they still do not decide, the
-    chain root is refined by bisect_sign_change and root is its RootRecord.
-    ends are the two last read, inside the bracket either way.
+    the root (_decides), and root is None. Where both ends read the other
+    sign, terms (the target's terms at a point, or None) bound the target
+    over the bracket (_far_side): when the bound keeps that sign,
+    the extremum lies on the far side of zero, and root is None too.
+    Otherwise the bracket is narrowed, _NARROW_STEPS bisection steps on the
+    chain function at a time, each on a sign read with a value, and its
+    ends are read again and bounded again, for at most _NARROW_ROUNDS
+    rounds. When they still do not decide, the chain root is refined by
+    bisect_sign_change and root is its RootRecord. ends are the two last
+    read, inside the bracket either way.
     """
     lo, hi, sign = bracket
     for step in range(_NARROW_ROUNDS * _NARROW_STEPS + 1):
         if step % _NARROW_STEPS == 0:
             ends = read(lo), read(hi)
-            if _decides(ends, sign):
+            if _decides(ends, sign) or (terms is not None and ends[0][1] == ends[1][1] == -sign
+                                        and _far_side(terms, lo, hi, sign)):
                 return ends, None
         if step == _NARROW_ROUNDS * _NARROW_STEPS:
             break
@@ -685,18 +732,21 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
 
     The target's sign at each chain root is read with BOUNDARY_ZERO_REL.
     A chain root that is a RootRecord is read at its value. A Bracket is
-    read at its ends, narrowed and at last refined when they cannot decide
-    (_read_bracket); a bracket with an end beyond an anchor is read the
-    same way, and only its ends between the anchors are kept. One wholly
-    beyond an anchor is skipped unread. A sign of 0 at a chain root
-    is itself a root of the target, recorded once with the chain root's
-    bracket and flagged degenerate. The other roots are the sign changes
-    between consecutive points read, the anchors and the bracket ends with
-    a sign included; each lies alone between its two points and is
-    returned as their Bracket, neither refined nor tested for degeneracy.
-    A later stage reads it as a chain root by its ends, and a caller that
-    wants the root refines it with refine_bracket. The records come in
-    increasing order.
+    read at its ends, bounded by the target's term range where they read
+    the far side's sign, narrowed and at last refined when neither decides
+    (_read_bracket). The bound needs sign_fn.terms(x), the target's float
+    terms at x, each monotone in x, or None where a power may overflow; a
+    sign_fn without it is never bounded. A bracket with an end beyond an
+    anchor is read the same way, and only its ends between the anchors are
+    kept. One wholly beyond an anchor is skipped unread. A sign of 0 at a
+    chain root is itself a root of the target, recorded once with the
+    chain root's bracket and flagged degenerate. The other roots are the
+    sign changes between consecutive points read, the anchors and the
+    bracket ends with a sign included; each lies alone between its two
+    points and is returned as their Bracket, neither refined nor tested for
+    degeneracy. A later stage reads it as a chain root by its ends, and a
+    caller that wants the root refines it with refine_bracket. The records
+    come in increasing order.
     """
     xl, sl = left
     xr, sr = right
@@ -706,6 +756,7 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
             raise ToleranceError("conflicting certified signs on overlapping zones")
         return []
     read_at = {}
+    terms = getattr(sign_fn, "terms", None)
 
     def read(x):
         if x not in read_at:
@@ -742,7 +793,7 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
         if isinstance(r, Bracket):
             if r.hi <= xl or r.lo >= xr:
                 continue
-            (a, c), r = _read_bracket(read, chain_fn, r, rel_tol)
+            (a, c), r = _read_bracket(read, chain_fn, r, rel_tol, terms)
             end(a)
             if r is not None:
                 at_chain_root(r)

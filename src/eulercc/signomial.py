@@ -26,6 +26,7 @@ from .numerics import (
     RootRecord,
     certified_sign_near_zero,
     check_tol,
+    float_terms,
     refine_bracket,
     run_chain,
     sum_sign,
@@ -190,7 +191,12 @@ def _levels(p: Signomial, lo: float, hi: float):
         return ends
 
     def sign_of(pairs):
-        return lambda x, z: sum_sign(((pairs, x),), z)
+        def sign(x, z):
+            return sum_sign(((pairs, x),), z)
+
+        # each term c * x**e is monotone in x, for the bound of _read_bracket
+        sign.terms = lambda x: float_terms(((pairs, x),))
+        return sign
 
     levels = []
     pairs, sign = p.pairs, sign_of(p.pairs)

@@ -1416,6 +1416,41 @@ def test_frontier_root_at_one_is_one_flagged_root(b):
     assert count_cell(m, b, 2, roots=False) == (1, [])
 
 
+def test_symmetric_view_reads_g_prime_at_one_once(monkeypatch):
+    # g'(1) is read at DEGENERACY_REL for the flag of s = 1, and that sign,
+    # when it is not 0, is the right anchor's; only a 0 is read again, at
+    # BOUNDARY_ZERO_REL. (The g' stage may read s = 1 again as a bracket
+    # end, at BOUNDARY_ZERO_REL.)
+    real = euler._gp_sign
+    reads = []
+
+    def gp_sign(mv, b):
+        sign = real(mv, b)
+
+        def recorded(s, zero_rel):
+            found = sign(s, zero_rel)
+            if s == 1.0:
+                reads.append((zero_rel, found[0]))
+            return found
+
+        recorded.terms = sign.terms
+        return recorded
+
+    monkeypatch.setattr(euler, "_gp_sign", gp_sign)
+    flat = 0
+    for m, b in _FIGURE_GRID[::37] + [((1.0, frontier_curve_m2(b), 1.0), b)
+                                      for b in (-2.0, -1.0, 0.5, 2.5)]:
+        del reads[:]
+        count_cell(m, b, 2, roots=False)
+        zero_rels = [z for z, _ in reads]
+        assert zero_rels.count(DEGENERACY_REL) == 1 and zero_rels[0] == DEGENERACY_REL, (m, b)
+        if reads[0][1] == 0:
+            assert zero_rels[1] == BOUNDARY_ZERO_REL, (m, b)
+            flat += 1
+    # the four frontier points
+    assert flat >= 4
+
+
 def test_noise_level_middle_mass_next_to_family_iv_has_its_one_root_at_one():
     # g = -2^-53 s (s - 1) at b = 2, inside the rounding noise everywhere: no
     # root of the half may be mirrored, so the count is at most 1
@@ -1427,10 +1462,6 @@ def _zero_read(s):
     return RootRecord(lo=s * (1.0 - 1e-12), hi=s * (1.0 + 1e-12), value=s, degenerate=True)
 
 
-def _gp_at_one(sign):
-    return lambda s, zero_rel: (sign, None)
-
-
 _CHAIN = [Bracket(1e-4, 1e-2, 1), Bracket(0.1, 0.5, -1)]
 
 
@@ -1438,14 +1469,14 @@ def test_fold_mirrors_a_zero_read_that_hides_a_sign_change():
     # g is positive at 0+ and negative just left of 1, and no bracket changes
     # its sign: the zero read at 1e-3 is a root, and 1e3 its mirror
     half = [_zero_read(1e-3)]
-    assert _fold(half, half, _CHAIN, (1, -1), _gp_at_one(1)) == \
+    assert _fold(half, half, _CHAIN, (1, -1), False) == \
         [(1.0 / (1.0 / 1e-3), True), (1.0, False), (1.0 / 1e-3, True)]
     # the brackets' sign changes are read off first
     half = [Bracket(1e-5, 1e-4, 1), _zero_read(1e-3)]
-    assert len(_fold(half, half, _CHAIN, (1, 1), _gp_at_one(1))) == 5
+    assert len(_fold(half, half, _CHAIN, (1, 1), False)) == 5
     # the rule reads half, and the mirror the refined records
     roots = [RootRecord(lo=1e-5, hi=1e-4, value=5e-5, degenerate=False), half[1]]
-    assert _fold(half, roots, _CHAIN, (1, 1), _gp_at_one(1)) == \
+    assert _fold(half, roots, _CHAIN, (1, 1), False) == \
         [(1.0 / (1.0 / 5e-5), False), (1.0 / (1.0 / 1e-3), True), (1.0, False),
          (1.0 / 1e-3, True), (1.0 / 5e-5, False)]
 
@@ -1455,9 +1486,9 @@ def test_fold_takes_a_zero_read_at_the_last_root_of_g_prime_as_s_one():
     # g': g is monotone from there to s = 1, where it vanishes
     for signs in ((1, 1), (-1, 0), (1, 0)):
         half = [_zero_read(0.3)]
-        assert _fold(half, half, _CHAIN, signs, _gp_at_one(1)) == [(1.0, True)], signs
+        assert _fold(half, half, _CHAIN, signs, False) == [(1.0, True)], signs
     # g'(1) reading zero at the degeneracy threshold flags s = 1 on its own
-    assert _fold([], [], [], (1, 0), _gp_at_one(0)) == [(1.0, True)]
+    assert _fold([], [], [], (1, 0), True) == [(1.0, True)]
 
 
 @pytest.mark.parametrize("half, signs", [
@@ -1468,7 +1499,7 @@ def test_fold_takes_a_zero_read_at_the_last_root_of_g_prime_as_s_one():
 ])
 def test_fold_refuses_a_zero_read_with_no_certified_sign_change(half, signs):
     with pytest.raises(ToleranceError, match="no certified sign change to mirror"):
-        _fold(half, half, _CHAIN, signs, _gp_at_one(1))
+        _fold(half, half, _CHAIN, signs, False)
 
 
 def test_cell_3_counted_independently_matches_the_reflection():

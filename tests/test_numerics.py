@@ -2,10 +2,11 @@
 
 The endpoint anchor's linear-space domination test and its probe skip
 against the log-space form; the reading of a breakpoint's sign from the
-ends of its bracket against the same stage with the breakpoint refined;
-the refinement walk against plain bisection, on synthetic rounding noise
-and on the refinements count_all runs; and the records every stage of
-count_all returns, which are never refined.
+ends of its bracket, or from the term-range bound over it, against the
+same stage with the breakpoint refined; the refinement walk against plain
+bisection, on synthetic rounding noise and on the refinements count_all
+runs; and the records every stage of count_all returns, which are never
+refined.
 """
 
 import collections
@@ -419,9 +420,10 @@ def test_a_bracket_end_decides_without_narrowing():
     ((4.0, -4.0, 1.0), 1),  # (x - 2)^2: zero at the minimum, a degenerate root
 ])
 def test_extremum_on_the_far_side_is_read_at_the_refined_chain_root(target, count):
-    # The target is positive at both ends, the side away from a minimum, so
-    # no end and no narrowing can decide: the chain root is refined and the
-    # target read there with BOUNDARY_ZERO_REL, as every breakpoint was before.
+    # The target is positive at both ends, the side away from a minimum, and
+    # has no terms to bound, so no end and no narrowing can decide: the
+    # chain root is refined and the target read there with
+    # BOUNDARY_ZERO_REL, as every breakpoint was before.
     target_calls, chain_calls = [], []
     args = (_poly_sign(*target, calls=target_calls), _poly_sign(*_DERIVATIVE, calls=chain_calls),
             (0.5, 1), (4.0, 1), [Bracket(lo=1.25, hi=2.95, sign=-1)])
@@ -522,6 +524,166 @@ def test_h_bracket_reaching_y_one_ends_at_the_right_anchor(monkeypatch):
               for r in h_roots]
     assert real(*args[:4], finite, *args[5:], **kwargs) == real(*args, **kwargs)
     assert count == positive_root_count(g_polynomial(euler.cell_mass_view(m, 1), b))
+
+
+# --- the term-range bound: far-side breakpoints settled without refinement ---
+
+
+def _poly_target(*coeffs, calls=None):
+    """_poly_sign with the terms c x^k at a point, for the term-range bound."""
+    sign = _poly_sign(*coeffs, calls=calls)
+    pairs = tuple((float(c), float(k)) for k, c in enumerate(coeffs) if c)
+    sign.terms = lambda x: numerics.float_terms(((pairs, x),))
+    return sign
+
+
+def _linear_chain(root, calls=None):
+    """(x, zero_rel) -> the sign and value of x - root, as the chain function reads them."""
+    def chain(x, zero_rel=0.0):
+        if calls is not None:
+            calls.append(x)
+        v = x - root
+        return (1 if v > 0.0 else -1 if v < 0.0 else 0), v
+
+    return chain
+
+
+def test_bound_settles_a_far_side_bracket_unrefined():
+    # (x - 2)^2 + 1 on [1.9, 2.1]: the terms 5, -4x and x^2 sum, at their
+    # smaller ends, to 5 - 8.4 + 3.61 = 0.21, far above the margin, so the
+    # minimum is positive and the bracket is settled from its ends alone
+    chain_calls = []
+    args = (_poly_target(5.0, -4.0, 1.0), _poly_sign(*_DERIVATIVE, calls=chain_calls),
+            (0.5, 1), (4.0, 1), [Bracket(lo=1.9, hi=2.1, sign=-1)])
+    assert isolate_between(*args) == []
+    assert chain_calls == []
+    _check_against_refined_chain_roots([], *args)
+
+
+def test_bound_declines_a_near_side_extremum():
+    # (x - 2)^2 - 0.1 is positive at both ends of [1.5, 2.5] and negative at
+    # the minimum: the smaller end values sum to 3.9 - 10 + 2.25 < 0, and the
+    # bound declines (the larger ones, 3.9 - 6 + 6.25, would settle it wrongly).
+    # The chain root is refined and both roots are found.
+    args = (_poly_target(3.9, -4.0, 1.0), _poly_sign(*_DERIVATIVE),
+            (0.5, 1), (4.0, 1), [Bracket(lo=1.5, hi=2.5, sign=-1)])
+    brackets = isolate_between(*args)
+    roots = _refined(brackets, *args[:2])
+    assert [r.value for r in roots] == [pytest.approx(2.0 - 0.1 ** 0.5),
+                                        pytest.approx(2.0 + 0.1 ** 0.5)]
+    _check_against_refined_chain_roots(brackets, *args)
+    # the same on a maximum: -(x - 2)^2 + 0.1
+    args = (_poly_target(-3.9, 4.0, -1.0), _poly_sign(4.0, -2.0),
+            (0.5, -1), (4.0, -1), [Bracket(lo=1.5, hi=2.5, sign=1)])
+    assert len(isolate_between(*args)) == 2
+
+
+def _read_with(ends, terms, bracket=Bracket(lo=1.5, hi=2.5, sign=-1)):
+    """_read_bracket on a stub target that reads ends[0] at the low end and
+    ends[1] elsewhere, each (sign, value), with the given terms at every
+    point, and a chain function with its root at 2: (chain calls, root)."""
+    calls = []
+
+    def read(x):
+        return (x, *ends[0 if x == bracket.lo else 1])
+
+    _, root = numerics._read_bracket(read, _linear_chain(2.0, calls), bracket,
+                                     DEFAULT_REL_TOL, terms)
+    return calls, root
+
+
+@pytest.mark.parametrize("ends", [
+    ((1, 1.0), (1, 1.0)),      # the far side's sign at both ends: settled
+    ((1, 1.0), (0, None)),     # an end reads zero
+    ((0, None), (0, None)),
+    ((1, 1.0), (-1, None)),    # the ends differ, neither decides
+    ((-1, None), (-1, None)),  # the near side's sign, in the noise
+])
+def test_bound_is_tried_only_where_both_ends_read_the_far_side(ends):
+    # terms whose sum clears zero by far would settle any bracket
+    calls, root = _read_with(ends, lambda x: [1.0, 0.5])
+    if ends[0] == ends[1] == (1, 1.0):
+        assert calls == [] and root is None
+    else:
+        assert calls and root.lo <= 2.0 <= root.hi
+
+
+@pytest.mark.parametrize("gap, settled", [
+    (2.0 ** -40, False),  # a sum of 9e-13: inside the margin of 2e-10 of the terms
+    (1e-9, True),         # just beyond it
+])
+def test_bound_keeps_a_margin_above_the_rounding(gap, settled):
+    calls, root = _read_with(((1, 1.0), (1, 1.0)), lambda x: [1.0, -1.0 + gap])
+    assert (root is None) == settled and (calls == []) == settled
+
+
+@pytest.mark.parametrize("terms", [
+    # a power beyond LOG_SAFE: 1e-300 x^-2000 on [1.9, 2.1]
+    lambda x: numerics.float_terms(((((5.0, 0.0), (1e-300, -2000.0)), x),)),
+    lambda x: [1.0, math.inf],       # a term that overflowed
+    lambda x: [1e308, 1e308, -1e308],  # the magnitudes' sum overflows
+    lambda x: None,
+])
+def test_bound_declines_without_float_terms(terms):
+    calls, root = _read_with(((1, 1.0), (1, 1.0)), terms,
+                             bracket=Bracket(lo=1.9, hi=2.1, sign=-1))
+    assert calls and root is not None
+
+
+def _sign_without_terms(sign_fn):
+    return lambda x, zero_rel: sign_fn(x, zero_rel)
+
+
+def test_bound_settles_only_brackets_whose_chain_root_reads_the_far_side(monkeypatch):
+    # Every bracket the bound settles, on seeded census, band_b1 and
+    # (1, m2, 1) figure draws with mirrors and on random signomials, is
+    # read again as before the bound: narrowed and refined, with the
+    # target read at the refined chain root with BOUNDARY_ZERO_REL. It
+    # reads the ends' sign there. And every stage returns the records it
+    # returns on a target without terms, bit for bit.
+    real_read, real_isolate = numerics._read_bracket, numerics.isolate_between
+    settled = []
+
+    def read_bracket(read, chain_fn, bracket, rel_tol, terms):
+        ends, root = real_read(read, chain_fn, bracket, rel_tol, terms)
+        if root is None and not numerics._decides(ends, bracket.sign):
+            far = -bracket.sign
+            assert ends[0][1] == ends[1][1] == far
+            before, refined = real_read(read, chain_fn, bracket, rel_tol, None)
+            assert refined is not None and read(refined.value)[1] == far, bracket
+            assert [e[1] for e in before] == [far, far]
+            settled.append(bracket)
+        return ends, root
+
+    def isolate(sign_fn, chain_sign_fn, left, right, chain_roots, rel_tol=DEFAULT_REL_TOL):
+        chain_roots = list(chain_roots)
+        records = real_isolate(sign_fn, chain_sign_fn, left, right, chain_roots, rel_tol)
+        assert records == real_isolate(_sign_without_terms(sign_fn), chain_sign_fn, left,
+                                       right, chain_roots, rel_tol)
+        return records
+
+    monkeypatch.setattr(numerics, "_read_bracket", read_bracket)
+    monkeypatch.setattr(numerics, "isolate_between", isolate)
+    monkeypatch.setattr(euler, "isolate_between", isolate)
+    rng = random.Random(33)
+    draws = _census_draws(rng, 200, (-5.0, 5.0)) + _census_draws(rng, 200, (0.8, 1.2))
+    figure = [((1.0, rng.uniform(-4.0, 2.0), 1.0), rng.uniform(-4.0, 4.0)) for _ in range(200)]
+    for m, b in draws + figure:
+        for masses in (m, m[::-1]):
+            try:
+                count_all(masses, b)
+            except ToleranceError:
+                pass
+    on_draws = len(settled)
+    for _ in range(400):
+        exps = sorted(rng.uniform(-4.0, 4.0) for _ in range(rng.randint(3, 7)))
+        p = signomial.normalize([(rng.uniform(-9.0, 9.0), e) for e in exps])
+        try:
+            signomial.count_and_isolate(p)
+        except ToleranceError:
+            pass
+    # 815 settled on the draws and 200 on the signomials
+    assert on_draws > 600 and len(settled) - on_draws > 100
 
 
 def test_anchor_fast_path_matches_log_reference(monkeypatch):
@@ -637,7 +799,7 @@ def test_refinements_return_plain_bisection(monkeypatch):
     for name, b_range in (("census", (-5.0, 5.0)), ("band_b1", (0.8, 1.2))):
         for seed in (1, 2):
             rng = random.Random(f"{name}:{seed}")
-            for m, b in _census_draws(rng, 650, b_range):
+            for m, b in _census_draws(rng, 900, b_range):
                 for masses in (m, m[::-1]):
                     try:
                         count_all(masses, b)
@@ -646,7 +808,7 @@ def test_refinements_return_plain_bisection(monkeypatch):
     monkeypatch.undo()
     diffs = [(got, want) for got, want in compared if got != want]
     assert diffs == []
-    # 14,829 refinements
+    # 14,698 refinements, 10,596 of them in the first 650 draws per seed
     assert len(compared) > 14_000
 
 
