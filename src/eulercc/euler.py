@@ -171,40 +171,35 @@ def abc_terms(b, s):
 
 
 def _g_pairs(m, b):
-    """The (c, e) pairs of g on the bases s and 1 + s."""
+    """The (c, e) pairs of g, three on the base s and three on 1 + s."""
     m1, m2, m3 = m
     return ((m2 + m3, b), (m3, b + 1.0), (-m2, 1.0)), ((m1 + m3, b), (-m3, b + 1.0), (-m1, 1.0))
 
 
 def _gp_pairs(m, b):
-    """The (c, e) pairs of g' on the bases s and 1 + s, and its constant term."""
+    """The (c, e) pairs of g' in the layout of _g_pairs.
+
+    The third pair on s is (0, 0), and the third on 1 + s is the constant
+    term (c, 0).
+    """
     m1, m2, m3 = m
-    return (((b * (m2 + m3), b - 1.0), ((b + 1.0) * m3, b)),
-            ((b * (m1 + m3), b - 1.0), (-(b + 1.0) * m3, b)),
-            -(m1 + m2))
+    return (((b * (m2 + m3), b - 1.0), ((b + 1.0) * m3, b), (0.0, 0.0)),
+            ((b * (m1 + m3), b - 1.0), (-(b + 1.0) * m3, b), (-(m1 + m2), 0.0)))
 
 
-def _g_groups(m, b):
-    """s -> the (pairs, base) groups of g at s; the pairs are built once."""
-    on_s, on_u = _g_pairs(m, b)
+def _groups(on_s, on_u):
+    """s -> the (pairs, base) groups at s of the stage function with these pairs."""
     return lambda s: ((on_s, s), (on_u, 1.0 + s))
 
 
-def _gp_groups(m, b):
-    """s -> the (pairs, base) groups of g' at s; the pairs are built once."""
-    on_s, on_u, c0 = _gp_pairs(m, b)
-    constant = ((c0, 0.0),)
-    return lambda s: ((on_s, s), (on_u, 1.0 + s), (constant, 1.0))
-
-
-# The per-cell evaluators below compute the terms c * base**e of g and g'
-# themselves and hand them to sum_sign, which decides the sign on them as
-# its first tier does on the groups: the same terms in the same order, with
+# The stage evaluator below computes the six terms c * base**e of g or g'
+# itself and hands them to sum_sign, which decides the sign on them as its
+# first tier does on the groups: the same terms in the same order, with
 # the zero coefficients' terms left in, which change neither correctly
-# rounded fsum; the constant term of g', c * 1**0, is c. They do so only
-# where every |e * log(base)| is safely below LOG_SAFE (_safe_range), so
-# the first tier computes them too; elsewhere sum_sign gets the groups
-# alone and picks its tier itself.
+# rounded fsum. So the pair (0, 0) of g' on s adds a 0, and its constant
+# term, c * (1+s)**0, is c. It does so only where every |e * log(base)| is
+# safely below LOG_SAFE (_safe_range), so the first tier computes them
+# too; elsewhere sum_sign gets the groups alone and picks its tier itself.
 
 
 def _safe_range(top):
@@ -217,12 +212,13 @@ def _safe_range(top):
     return math.exp(-lim), (math.exp(lim) - 1.0 if lim < 709.0 else math.inf)
 
 
-def _g_sign(m, b):
-    """(s, zero_rel) -> sum_sign(_g_groups(m, b)(s), zero_rel), the six terms computed here.
+def _stage_sign(on_s, on_u):
+    """(s, zero_rel) -> sum_sign(_groups(on_s, on_u)(s), zero_rel), the six terms computed here.
 
-    Its terms(s) are those six terms, or None outside _safe_range.
+    on_s and on_u are three (c, e) pairs each, as _g_pairs and _gp_pairs
+    give them. Its terms(s) are those six terms, or None outside
+    _safe_range.
     """
-    on_s, on_u = _g_pairs(m, b)
     ((c1, e1), (c2, e2), (c3, e3)), ((d1, f1), (d2, f2), (d3, f3)) = on_s, on_u
     lo, hi = _safe_range(max(map(abs, (e1, e2, e3, f1, f2, f3))))
 
@@ -240,29 +236,6 @@ def _g_sign(m, b):
     return sign
 
 
-def _gp_sign(m, b):
-    """(s, zero_rel) -> sum_sign(_gp_groups(m, b)(s), zero_rel), the five terms computed here.
-
-    Its terms(s) are those five terms, or None outside _safe_range.
-    """
-    on_s, on_u, c0 = _gp_pairs(m, b)
-    ((c1, e1), (c2, e2)), ((d1, f1), (d2, f2)) = on_s, on_u
-    constant = ((c0, 0.0),)
-    lo, hi = _safe_range(max(map(abs, (e1, e2, f1, f2))))
-
-    def terms(s):
-        if lo < s < hi:
-            u = 1.0 + s
-            return [c1 * s ** e1, c2 * s ** e2, d1 * u ** f1, d2 * u ** f2, c0]
-        return None
-
-    def sign(s, zero_rel):
-        return sum_sign(((on_s, s), (on_u, 1.0 + s), (constant, 1.0)), zero_rel, terms(s))
-
-    sign.terms = terms
-    return sign
-
-
 def eval_g(m, b, s) -> float:
     """The configuration balance function g at shape parameter s > 0.
 
@@ -270,7 +243,7 @@ def eval_g(m, b, s) -> float:
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"eval_g requires 0 < s < inf, got s = {s!r}")
-    return sum_value(_g_groups(_finite_masses(m, b), b)(s))
+    return sum_value(_groups(*_g_pairs(_finite_masses(m, b), b))(s))
 
 
 def h_signomial(m, b) -> Signomial:
@@ -423,7 +396,7 @@ def _short_order(m, b):
     short series' tail bound holds at the first probes on both sides of
     b = 0. None when the coefficients of the full series,
     of g or g', might overflow floats at either end: the full series
-    refuses those anchors (see _anchor), so the short one must not decide
+    refuses those anchors (see _end_anchors), so the short one must not decide
     them. The full series' coefficients are at most the sum of |m| times
     2 * peak + 2 * b^2 + 8, and a derivative multiplies them by at most
     order + |b| + 2.
@@ -524,39 +497,18 @@ def _derivative(series: _Series, end) -> _Series:
                         f.ratio * (1.0 + 1.0 / f.exponent)))
 
 
-def _anchor_in_s(found, end):
-    """The (x, sign) anchor in s from the (x0, sign) certified in the end's variable.
-
-    The sign is certified constant beyond x toward the end.
-    """
-    x0, sign = found
-    return (x0 if end is Endpoint.ZERO_PLUS else 1.0 / x0), sign
-
-
-def _anchor(series: _Series, end, name, b):
-    """The (x, sign) anchor in s of the full series (see _anchor_in_s).
-
-    name ("g" or "g'") and b only label the ToleranceError raised when a
-    coefficient or the tail bound of the series overflowed floats.
-    """
-    if not series.pairs:
-        raise ToleranceError("series vanished to working order; cannot certify a sign")
-    t = series.tail
-    if not (math.isfinite(t.coeff) and all(math.isfinite(c) for c, _ in series.pairs)):
-        at = "0+" if end is Endpoint.ZERO_PLUS else "+infinity"
-        raise ToleranceError(f"the series of {name} at {at} overflows floats at b = {b!r}")
-    return _anchor_in_s(certified_sign_near_zero(series.pairs, tail=t, start=0.5 / t.ratio), end)
-
-
 def _end_anchors(mv, b, end, order):
-    """name -> the anchor of g ("g") or g' ("g'") at end, for the triple mv.
+    """name -> the (x, sign) anchor in s of g ("g") or g' ("g'") at end, for the triple mv.
 
-    With a short order (see _short_order), an anchor is certified on the
-    short series cut there when its two bounds decide every probe
+    The sign is certified constant beyond x toward the end. With a short
+    order (see _short_order), an anchor is certified on the short series
+    cut there when its two bounds decide every probe
     (_bounded_sign_near_zero). The full series is built at most once, for
     the first anchor they leave undecided, and from then on certifies the
-    end's anchors itself. The anchor is the full series' either way. With
-    order None, the full series certifies every anchor.
+    end's anchors itself (certified_sign_near_zero). The anchor is the full
+    series' either way. With order None, the full series certifies every
+    anchor. ToleranceError when the series to certify vanished, or when
+    one of its coefficients or its tail bound overflowed floats.
     """
     def series(cut=None):
         if end is Endpoint.ZERO_PLUS:
@@ -568,14 +520,23 @@ def _end_anchors(mv, b, end, order):
 
     def anchor(name):
         nonlocal full
-        if full is None:
-            if short is not None:
-                s = short if name == "g" else _derivative(short, end)
-                found = _bounded_sign_near_zero(s.pairs, s.tail, 0.5 / s.full.ratio)
-                if found is not None:
-                    return _anchor_in_s(found, end)
-            full = series()
-        return _anchor(full if name == "g" else _derivative(full, end), end, name, b)
+        found = None
+        if full is None and short is not None:
+            s = short if name == "g" else _derivative(short, end)
+            found = _bounded_sign_near_zero(s.pairs, s.tail, 0.5 / s.full.ratio)
+        if found is None:
+            if full is None:
+                full = series()
+            s = full if name == "g" else _derivative(full, end)
+            if not s.pairs:
+                raise ToleranceError("series vanished to working order; cannot certify a sign")
+            t = s.tail
+            if not (math.isfinite(t.coeff) and all(math.isfinite(c) for c, _ in s.pairs)):
+                at = "0+" if end is Endpoint.ZERO_PLUS else "+infinity"
+                raise ToleranceError(f"the series of {name} at {at} overflows floats at b = {b!r}")
+            found = certified_sign_near_zero(s.pairs, tail=t, start=0.5 / t.ratio)
+        x0, sign = found
+        return (x0 if end is Endpoint.ZERO_PLUS else 1.0 / x0), sign
 
     return anchor
 
@@ -665,14 +626,6 @@ def _gp_leads_differ(mv, b):
     return first * last < 0.0
 
 
-def _leading_sign(m, b) -> int:
-    """Sign of g at 0+: that of the lowest-order coefficient of its exact series."""
-    pairs = _zero_series_g(m, b).pairs
-    if not pairs:
-        raise ToleranceError("series vanished to working order; cannot certify a sign")
-    return 1 if pairs[0][0] > 0.0 else -1
-
-
 def endpoint_sign_g(m, b, endpoint) -> int:
     """Sign of g near 0+ or +infinity, read from the exact series at 0+.
 
@@ -688,10 +641,15 @@ def endpoint_sign_g(m, b, endpoint) -> int:
     if degenerate_family(m, b) is not None:
         raise ValueError("g vanishes identically for this degenerate family")
     if endpoint is Endpoint.ZERO_PLUS:
-        return _leading_sign(m, b)
-    if endpoint is Endpoint.INFINITY:
-        return -_leading_sign(m[::-1], b)
-    raise ValueError(f"unknown endpoint {endpoint!r}")
+        sign = 1
+    elif endpoint is Endpoint.INFINITY:
+        m, sign = m[::-1], -1
+    else:
+        raise ValueError(f"unknown endpoint {endpoint!r}")
+    pairs = _zero_series_g(m, b).pairs
+    if not pairs:
+        raise ToleranceError("series vanished to working order; cannot certify a sign")
+    return sign if pairs[0][0] > 0.0 else -sign
 
 
 # --- cells ---------------------------------------------------------------------
@@ -822,7 +780,7 @@ def _cell_roots(mv, b, h, tol, refine=True):
     h_roots = [] if _no_roots_below_one(h) else run_chain(
         _levels(h, 0.0, 0.5 if symmetric else 1.0), tol)
     order = _short_order(mv, b)
-    gp = _gp_sign(mv, b)
+    gp = _stage_sign(*_gp_pairs(mv, b))
     if symmetric:
         # a sign at DEGENERACY_REL is the BOUNDARY_ZERO_REL sign, read from
         # the same sum against a larger threshold; only a 0 is read again
@@ -866,7 +824,7 @@ def _cell_roots(mv, b, h, tol, refine=True):
             gp_roots = isolate_between(gp, curvature, gp_left, gp_right,
                                        _in_s(h_roots, gp_right[0], curvature), tol)
         # Stage 3: g is strictly monotone between g' roots.
-        g = _g_sign(mv, b)
+        g = _stage_sign(*_g_pairs(mv, b))
         left = zero("g")
         g0 = left[1]
         found = isolate_between(g, gp, left, right("g"), gp_roots, tol)

@@ -16,14 +16,14 @@ from eulercc.classifier import (
     grid_scan,
     grid_to_csv,
 )
-from eulercc.euler import INFINITE, _gp_groups, count_all, count_cell
+from eulercc.euler import INFINITE, _gp_pairs, _groups, count_all, count_cell
 from eulercc.numerics import sum_value
 from eulercc.signomial import count_and_isolate, normalize
 
 
 def g_prime_at_one(m2, b):
     """g'(1) for the masses (1, m2, 1), summed from the groups the g' stage evaluates."""
-    return sum_value(_gp_groups((1.0, m2, 1.0), b)(1.0))
+    return sum_value(_groups(*_gp_pairs((1.0, m2, 1.0), b))(1.0))
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12, 1.0, 2.0])

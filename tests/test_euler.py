@@ -28,18 +28,16 @@ from eulercc.euler import (
     h_signomial,
 )
 from eulercc.euler import (
-    _anchor,
     _binomials,
     _cell3_from_cell1,
     _derivative,
     _end_anchors,
     _end_sign,
     _fold,
+    _g_pairs,
     _gp_leads_differ,
-    _g_groups,
-    _g_sign,
-    _gp_groups,
-    _gp_sign,
+    _gp_pairs,
+    _groups,
     _in_s,
     _low_coefficients,
     _masses,
@@ -49,6 +47,7 @@ from eulercc.euler import (
     _short_order,
     _solution,
     _solve_view,
+    _stage_sign,
     _y_to_s,
     _zero_series_g,
 )
@@ -194,7 +193,7 @@ def test_polynomial_specializations():
 
 def g_prime(m, b, s):
     """d/ds of the balance function, summed from the groups the g' stage evaluates."""
-    return sum_value(_gp_groups(_masses(m), b)(s))
+    return sum_value(_groups(*_gp_pairs(_masses(m), b))(s))
 
 
 def test_g_prime_symmetric_closed_form():
@@ -254,23 +253,36 @@ def _range_edges(groups):
             yield from (math.nextafter(end, 0.0), end, math.nextafter(end, math.inf))
 
 
-@pytest.mark.parametrize("evaluator, groups", [(_g_sign, _g_groups), (_gp_sign, _gp_groups)])
-def test_cell_evaluators_match_sum_sign_bit_for_bit(evaluator, groups):
-    # The evaluators compute the terms themselves; sum_sign on the groups must
-    # give the same sign and value, in both tiers and at every threshold.
+def _written_gp_groups(m, b):
+    """s -> the five-term groups of g', written out: two pairs on s, two on
+    1 + s, and the constant term on the base 1.0."""
+    m1, m2, m3 = m
+    return lambda s: ((((b * (m2 + m3), b - 1.0), ((b + 1.0) * m3, b)), s),
+                      (((b * (m1 + m3), b - 1.0), (-(b + 1.0) * m3, b)), 1.0 + s),
+                      (((-(m1 + m2), 0.0),), 1.0))
+
+
+@pytest.mark.parametrize("pairs, written", [(_g_pairs, None), (_gp_pairs, _written_gp_groups)])
+def test_cell_evaluators_match_sum_sign_bit_for_bit(pairs, written):
+    # The stage evaluator computes the six terms itself; sum_sign on the
+    # groups must give the same sign and value, in both tiers and at every
+    # threshold, and so must sum_sign on the five-term groups of g'.
     rng = random.Random(21)
     tiers = {True: 0, False: 0}
     for i in range(4000):
         m = _evaluator_masses(rng)
         b = _evaluator_b(rng)
         z = rng.choice((0.0, BOUNDARY_ZERO_REL, DEGENERACY_REL))
+        groups = _groups(*pairs(m, b))
         points = [10.0 ** rng.uniform(-300.0, 300.0)]
         if i % 8 == 0:
-            points += _range_edges(groups(m, b))
+            points += _range_edges(groups)
         for s in points:
-            want = sum_sign(groups(m, b)(s), z)
-            assert evaluator(m, b)(s, z) == want, (m, b, s, z)
-            tiers[math.isfinite(_fsum_tier(groups(m, b)(s))[1])] += 1
+            want = sum_sign(groups(s), z)
+            assert _stage_sign(*pairs(m, b))(s, z) == want, (m, b, s, z)
+            if written is not None:
+                assert sum_sign(written(m, b)(s), z) == want, (m, b, s, z)
+            tiers[math.isfinite(_fsum_tier(groups(s))[1])] += 1
     # both tiers are crossed: fsum and mpmath
     assert min(tiers.values()) > 500
 
@@ -604,12 +616,11 @@ def test_endpoint_sign_reads_the_finite_low_order_terms_at_an_overflowing_b():
 
 
 def _g_anchor_zero(m, b):
-    return _anchor(_zero_series_g(m, b), Endpoint.ZERO_PLUS, "g", b)[:2]
+    return _end_anchors(m, b, Endpoint.ZERO_PLUS, None)("g")
 
 
 def _g_anchor_inf(m, b):
-    return _anchor(_reflect(_zero_series_g(m[::-1], b), b), Endpoint.INFINITY,
-                   "g", b)[:2]
+    return _end_anchors(m, b, Endpoint.INFINITY, None)("g")
 
 
 def _sign_of(x):
@@ -901,6 +912,7 @@ def test_flat_series_match_the_normalize_reference(monkeypatch):
         for end, series, ref in ((Endpoint.ZERO_PLUS, zero, ref_zero),
                                  (Endpoint.INFINITY, inf, ref_inf)):
             cell_anchor = _end_anchors(m, b, end, order)
+            full_anchor = _end_anchors(m, b, end, None)
             # g' first, as in _cell_roots
             for name, got, want in (("g'", _derivative(series, end), _ref_derivative(ref, end)),
                                     ("g", series, ref)):
@@ -908,8 +920,8 @@ def test_flat_series_match_the_normalize_reference(monkeypatch):
                 assert repr(got.pairs) == repr(want.signomial.pairs), (m, b, end)
                 assert repr(got.tail) == repr(want.tail), (m, b, end)
                 expected = repr(_anchor_or_error(lambda: _ref_anchor(want, end)))
-                assert repr(_anchor_or_error(lambda: _anchor(got, end, "g", b))) == expected, \
-                    (m, b, end)
+                assert repr(_anchor_or_error(lambda: full_anchor(name))) == expected, \
+                    (m, b, end, name)
                 assert repr(_anchor_or_error(lambda: cell_anchor(name))) == expected, \
                     (m, b, end, name)
     # both branches ran: anchors the short series decided, and fallbacks
@@ -1421,11 +1433,13 @@ def test_symmetric_view_reads_g_prime_at_one_once(monkeypatch):
     # when it is not 0, is the right anchor's; only a 0 is read again, at
     # BOUNDARY_ZERO_REL. (The g' stage may read s = 1 again as a bracket
     # end, at BOUNDARY_ZERO_REL.)
-    real = euler._gp_sign
+    real = euler._stage_sign
     reads = []
 
-    def gp_sign(mv, b):
-        sign = real(mv, b)
+    def stage_sign(on_s, on_u):
+        sign = real(on_s, on_u)
+        if on_s[2] != (0.0, 0.0):  # g's pairs: the third pair of g' on s is (0, 0)
+            return sign
 
         def recorded(s, zero_rel):
             found = sign(s, zero_rel)
@@ -1436,7 +1450,7 @@ def test_symmetric_view_reads_g_prime_at_one_once(monkeypatch):
         recorded.terms = sign.terms
         return recorded
 
-    monkeypatch.setattr(euler, "_gp_sign", gp_sign)
+    monkeypatch.setattr(euler, "_stage_sign", stage_sign)
     flat = 0
     for m, b in _FIGURE_GRID[::37] + [((1.0, frontier_curve_m2(b), 1.0), b)
                                       for b in (-2.0, -1.0, 0.5, 2.5)]:
@@ -1531,6 +1545,24 @@ def test_counts_are_invariant_under_scaling_by_powers_of_two():
     for b in (-2.0, -0.5, 0.5, 2.5):
         for m, doubled in pairs:
             assert repr(_counts_or_error(m, b)) == repr(_counts_or_error(doubled, b)), (m, b)
+
+
+def test_mirror_count_only_and_fold_invariants():
+    # 1,000 census draws (b in [-5, 5]) and 1,000 band draws (b in
+    # [0.8, 1.2]), masses in [-10, 10]^3: the mirror (m3, m2, m1) counts
+    # (e3, e2, e1), with and without roots; roots=False counts as
+    # roots=True; and cell 2 of (m1, m2, m1), a symmetric view, lists s = 1.0.
+    rng = random.Random(95)
+    for b_range in ((-5.0, 5.0), (0.8, 1.2)):
+        for _ in range(1000):
+            m, b = rand_masses(rng), rng.uniform(*b_range)
+            full = count_all(m, b)[0]
+            for roots in (True, False):
+                e3, e2, e1, _ = count_all(m[::-1], b, roots=roots)[0]
+                assert CellCount.of(e1, e2, e3) == full, (m, b, roots)
+            assert count_all(m, b, roots=False)[0] == full, (m, b)
+            sols = count_cell((m[0], m[1], m[0]), b, 2)[1]
+            assert 1.0 in [sol.s for sol in sols], (m, b)
 
 
 def test_masses_near_the_float_limit_are_rescaled():
