@@ -660,8 +660,8 @@ def _far_side(terms, lo, hi, sign):
 def _read_bracket(read, chain_fn, bracket, rel_tol, terms):
     """(ends, root): a chain root's bracket read at its ends, and the root if they cannot decide.
 
-    read(x) is the target's (x, sign, value) with BOUNDARY_ZERO_REL, read
-    once per point, and chain_fn(x) the chain function's (sign, value) with
+    read(x) is the target's (x, sign, value) with BOUNDARY_ZERO_REL, and
+    chain_fn(x) the chain function's (sign, value) with
     threshold 0. The target is monotone on either side of the chain root,
     which is the one extremum in the bracket: a maximum where the chain
     function is positive at the low end, a minimum where it is negative.
@@ -755,13 +755,10 @@ def isolate_between(sign_fn, chain_sign_fn, left, right, chain_roots,
         if sl != 0 and sr != 0 and sl != sr:
             raise ToleranceError("conflicting certified signs on overlapping zones")
         return []
-    read_at = {}
     terms = getattr(sign_fn, "terms", None)
 
     def read(x):
-        if x not in read_at:
-            read_at[x] = (x, *sign_fn(x, BOUNDARY_ZERO_REL))
-        return read_at[x]
+        return (x, *sign_fn(x, BOUNDARY_ZERO_REL))
 
     out = []
     prev = left

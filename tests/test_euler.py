@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import math
 import random
@@ -1081,18 +1082,6 @@ def test_positions_put_the_view_masses_at_0_1_and_1_plus_s():
         # the particles at 0, 1 and 1 + s carry the view's left, middle and right masses
         assert tuple(mass for _, mass in sorted(zip(pos, m))) == cell_mass_view(m, cell)
 
-def test_reflection_invariance_of_counts():
-    rng = random.Random(18)
-    checked = 0
-    while checked < 40:
-        m = rand_masses(rng, 6.0)
-        b = rng.uniform(-4, 0.9)
-        if degenerate_family(m, b):
-            continue
-        sw = m[::-1]
-        assert count_cell(m, b, 2)[0] == count_cell(sw, b, 2)[0]
-        checked += 1
-
 
 def test_cell_views_match_full_line_scans():
     # the permuted s>0 counting equals direct counting on s<-1 and -1<s<0
@@ -1257,10 +1246,9 @@ def test_count_all_matches_golden_results():
 
 def _counts_or_error(m, b, **kw):
     try:
-        counts, sols = count_all(m, b, **kw)
+        return count_all(m, b, **kw)
     except ToleranceError as exc:
         return repr(exc), []
-    return repr(counts), sols
 
 
 _FIGURE_GRID = [((1.0, -4.0 + 6.0 * i / 59, 1.0), -4.0 + 8.0 * j / 59)
@@ -1269,14 +1257,11 @@ _FIGURE_GRID = [((1.0, -4.0 + 6.0 * i / 59, 1.0), -4.0 + 8.0 * j / 59)
 
 def test_count_only_matches_full_counts():
     # roots=False leaves the roots of g unrefined; the counts must be the
-    # full run's on the golden draws, a 60 x 60 figure grid at masses
-    # (1, m2, 1), and 1,000 census and 1,000 band draws.
+    # full run's on the golden draws and a 60 x 60 figure grid at masses
+    # (1, m2, 1). test_count_invariants[count_only] checks the random draws.
     golden = json.loads((Path(__file__).parent / "data" / "count_all_golden.json").read_text())
     cases = [(case["masses"], case["b"]) for case in golden["cases"]]
     cases += _FIGURE_GRID
-    rng = random.Random(90)
-    for b_range in ((-5.0, 5.0), (0.8, 1.2)):
-        cases += [(rand_masses(rng), rng.uniform(*b_range)) for _ in range(1000)]
     for m, b in cases:
         want, _ = _counts_or_error(m, b)
         got, sols = _counts_or_error(m, b, roots=False)
@@ -1526,20 +1511,9 @@ def test_cell_3_counted_independently_matches_the_reflection():
 
 
 def test_counts_are_invariant_under_scaling_by_powers_of_two():
-    # g is linear in the masses, and scaling by +/-2^k is exact in floats;
-    # count_cell divides every triple into the same normal form, so the
-    # counts, flags and roots agree bit for bit.
-    rng = random.Random(44)
-    cases = [(rand_masses(rng), rng.uniform(-5.0, 5.0)) for _ in range(200)]
-    cases += [(rand_masses(rng), rng.uniform(0.8, 1.2)) for _ in range(200)]
-    factors = [sign * 2.0 ** k for k in (-700, -1, 1, 700) for sign in (1.0, -1.0)]
-    factors += [-1.0, 2.0 ** 1020]
-    for m, b in cases:
-        want = repr(_counts_or_error(m, b))
-        for factor in factors:
-            scaled = tuple(factor * x for x in m)
-            assert repr(_counts_or_error(scaled, b)) == want, (m, b, factor)
-    # subnormal masses that a power of two carries exactly
+    # subnormal masses that a power of two carries exactly: the same
+    # counts, flags and roots. test_count_invariants[scaling] checks
+    # +/-2^k on the random draws.
     pairs = [((0.5, 5e-324, 0.5), (1.0, 1e-323, 1.0)),
              ((2.0 ** -1070, -3.0, 2.0 ** -1072), (2.0 ** -1069, -6.0, 2.0 ** -1071))]
     for b in (-2.0, -0.5, 0.5, 2.5):
@@ -1547,22 +1521,103 @@ def test_counts_are_invariant_under_scaling_by_powers_of_two():
             assert repr(_counts_or_error(m, b)) == repr(_counts_or_error(doubled, b)), (m, b)
 
 
-def test_mirror_count_only_and_fold_invariants():
-    # 1,000 census draws (b in [-5, 5]) and 1,000 band draws (b in
-    # [0.8, 1.2]), masses in [-10, 10]^3: the mirror (m3, m2, m1) counts
-    # (e3, e2, e1), with and without roots; roots=False counts as
-    # roots=True; and cell 2 of (m1, m2, m1), a symmetric view, lists s = 1.0.
+# --- count invariants ----------------------------------------------------------------------
+
+
+@functools.cache
+def _invariant_draws():
+    # 1,000 census draws (b in [-5, 5]) then 1,000 band draws (b in
+    # [0.8, 1.2]), masses in [-10, 10]^3, each with its baseline count,
+    # computed once for every invariant
     rng = random.Random(95)
+    draws = []
     for b_range in ((-5.0, 5.0), (0.8, 1.2)):
         for _ in range(1000):
             m, b = rand_masses(rng), rng.uniform(*b_range)
-            full = count_all(m, b)[0]
-            for roots in (True, False):
-                e3, e2, e1, _ = count_all(m[::-1], b, roots=roots)[0]
-                assert CellCount.of(e1, e2, e3) == full, (m, b, roots)
-            assert count_all(m, b, roots=False)[0] == full, (m, b)
-            sols = count_cell((m[0], m[1], m[0]), b, 2)[1]
-            assert 1.0 in [sol.s for sol in sols], (m, b)
+            draws.append((m, b, _counts_or_error(m, b)))
+    return draws
+
+
+def _mirror_invariant(draws):
+    # the reflection m1 <-> m3 swaps e1 and e3, with and without roots
+    for m, b, (want, _) in draws:
+        for roots in (True, False):
+            e3, e2, e1, _ = count_all(m[::-1], b, roots=roots)[0]
+            assert CellCount.of(e1, e2, e3) == want, (m, b, roots)
+
+
+def _count_only_invariant(draws):
+    # roots=False gives the same counts, or the same error, and no roots
+    for m, b, (want, _) in draws:
+        got, sols = _counts_or_error(m, b, roots=False)
+        assert got == want and sols == [], (m, b)
+
+
+def _scaling_invariant(draws):
+    # g is linear in the masses, and scaling by +/-2^k is exact in floats;
+    # count_cell divides every triple into the same normal form, so the
+    # counts, flags and roots agree bit for bit
+    factors = [sign * 2.0 ** k for k in (-700, -1, 1, 700) for sign in (1.0, -1.0)]
+    factors += [-1.0, 2.0 ** 1020]
+    for m, b, want in draws[:200] + draws[1000:1200]:
+        for factor in factors:
+            scaled = tuple(factor * x for x in m)
+            assert repr(_counts_or_error(scaled, b)) == repr(want), (m, b, factor)
+
+
+def _fold_invariant(draws):
+    # cell 2 of (m1, m2, m1) is a symmetric view, folded at s = 1
+    for m, b, _ in draws:
+        sols = count_cell((m[0], m[1], m[0]), b, 2)[1]
+        assert 1.0 in [sol.s for sol in sols], (m, b)
+
+
+def _zero_sum_invariant(draws):
+    # the twin (m1, m2, -(m1 + m2)) sums to exactly 0 in floats, so
+    # m1*x1 + m2*x2 + m3*x3 vanishes at each of its solutions, up to rounding
+    for (m1, m2, _), b, _ in draws:
+        twin = (m1, m2, -(m1 + m2))
+        for sol in count_all(twin, b)[1]:
+            scale = math.fsum(abs(mass * x) for mass, x in zip(twin, sol.positions))
+            assert abs(celli_identity_residual(twin, sol)) <= 1e-9 * scale, (twin, b, sol)
+
+
+def _odd_count(view, b):
+    """Whether a view's count is odd, from its masses alone; None where a sign is 0.
+
+    The end signs of g are those of mid + r and mid + l for b < 1, and of
+    b*l - M and b*r - M for b > 1, with M = l + mid + r; the count is odd
+    exactly when they agree.
+    """
+    left, mid, right = view
+    total = left + mid + right
+    ends = (mid + right, mid + left) if b < 1.0 else (b * left - total, b * right - total)
+    if 0.0 in ends:
+        return None
+    return (ends[0] > 0.0) == (ends[1] > 0.0)
+
+
+def _parity_invariant(draws):
+    # each cell's count has the parity of its end signs, and the total is odd
+    for (m1, m2, m3), b, (counts, _) in draws:
+        if isinstance(counts, str):
+            continue
+        # (left, middle, right) of cells 1, 2 and 3, written out, not read from cell_mass_view
+        views = ((m2, m1, m3), (m1, m2, m3), (m1, m3, m2))
+        odd = [_odd_count(view, b) for view in views]
+        for cell, n, want in zip(CELLS, counts[:3], odd):
+            if want is not None and n != INFINITE:
+                assert (n % 2 == 1) == want, ((m1, m2, m3), b, cell)
+        if None not in odd and counts.total != INFINITE:
+            assert counts.total % 2 == 1, ((m1, m2, m3), b)
+
+
+@pytest.mark.parametrize("check", [
+    _mirror_invariant, _count_only_invariant, _scaling_invariant,
+    _fold_invariant, _zero_sum_invariant, _parity_invariant,
+], ids=lambda check: check.__name__[1:-len("_invariant")])
+def test_count_invariants(check):
+    check(_invariant_draws())
 
 
 def test_masses_near_the_float_limit_are_rescaled():
@@ -1634,15 +1689,6 @@ def test_middle_cell_bound_and_sign_laws():
             assert m2 * m1 < 0.0
             if b < 0.0:
                 assert min(abs(m1), abs(m3)) < abs(m2)
-
-
-def test_positive_masses_one_per_cell():
-    rng = random.Random(21)
-    for _ in range(150):
-        m = (rng.uniform(0.1, 10), rng.uniform(0.1, 10), rng.uniform(0.1, 10))
-        b = rng.uniform(-5.0, 0.99)
-        counts, _ = count_all(m, b)
-        assert (counts.e1, counts.e2, counts.e3) == (1, 1, 1)
 
 
 # --- zero-sum identity ---------------------------------------------------------------------
